@@ -27,8 +27,8 @@ from .linprog import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
 from .metrics import (DegenerateTail, MetricRow, empirical_cvar, metric_row,
                       risk_free_profit, sweep, write_metrics_csv,
                       write_tradeoff_csv)
-from .pipeline import (DegenerateCurve, MissingObservation,
-                       NotPositiveDefinite, ParseError, PriceHistory,
+from .pipeline import (MissingObservation, NotPositiveDefinite,
+                       ParseError, PriceHistory,
                        QEstimate, ReducedScenarios, estimate_q,
                        factor_covariance, ingest_lmp_csv, kmeans_reduce,
                        knee_point, scenarios_from_representatives)
@@ -37,8 +37,8 @@ from .simplex import solve
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllocationReport", "ConsistencyError", "Contract", "DegenerateCurve",
-    "DegenerateTail", "DimensionMismatch", "DimensionTooLarge",
+    "AllocationReport", "ConsistencyError", "Contract", "DegenerateTail",
+    "DimensionMismatch", "DimensionTooLarge",
     "ElasticityCurve", "FormulationConfig", "INFEASIBLE",
     "InfeasibleStructure", "LinearProgram", "LpSolution", "MarketInstance",
     "MetricRow", "MissingObservation", "NotPositiveDefinite",

@@ -84,14 +84,19 @@ def empirical_cvar(profits, probabilities, gamma: float) -> float:
 def risk_free_profit(instance: MarketInstance, scenarios: ScenarioSet) -> float:
     """Optimum of the risk-neutral model with spot sales forced to zero.
 
-    No revenue term is stochastic once y = 0, so the value is
-    scenario-independent by construction.
+    No revenue term is stochastic once y = 0, so every scenario block of the
+    LP is identical and the model is solved on scenario 0 alone, with
+    probability 1.
     """
-    lp, vm = build_risk_neutral(instance, scenarios)
+    first = ScenarioSet(
+        probabilities=np.ones(1),
+        prices={m: arr[:, :, :1] for m, arr in scenarios.prices.items()},
+        widths={m: arr[:, :, :1] for m, arr in scenarios.widths.items()})
+    lp, vm = build_risk_neutral(instance, first)
     for col in vm.y_spot.values():
         lp.upper[col] = 0.0
     solution = solve(lp)
-    report = extract_report(instance, scenarios, FormulationConfig(kind=RISK_NEUTRAL),
+    report = extract_report(instance, first, FormulationConfig(kind=RISK_NEUTRAL),
                             vm, solution)
     return report.objective_value
 

@@ -56,12 +56,6 @@ class NotPositiveDefinite(RuntimeError):
     """Covariance stayed non-PSD even after the jitter ladder."""
 
 
-class DegenerateCurve(ValueError):
-    """Inertia curve carries no shape information (kept for callers that
-    want to distinguish the flat case; knee_point resolves it by returning
-    the smallest k instead of raising)."""
-
-
 @dataclass(frozen=True)
 class PriceHistory:
     timestamps: tuple[str, ...]  # observation order = first appearance in the file

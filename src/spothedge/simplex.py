@@ -4,13 +4,27 @@ Two-phase method on the equality form obtained by giving every row a slack
 (``<=`` rows get a slack in [0, inf), ``>=`` rows in (-inf, 0], ``==`` rows a
 slack fixed at 0).  Phase 1 minimizes the sum of per-row artificial variables
 sized to the initial residual; phase 2 maximizes the real objective with the
-artificials fixed at zero.  Nonbasic variables sit at a finite bound (free
-variables sit at zero and may move either way).
+artificials fixed at zero and left out of pricing.  Nonbasic variables sit
+at a finite bound (free variables sit at zero and may move either way).
 
 Pricing is Dantzig's largest reduced cost, switching to Bland's rule after
 3*(rows+columns) consecutive non-improving iterations so that degenerate
-programs terminate.  An explicit basis inverse is kept via eta updates and
-refactorized from scratch every 50 pivots.
+programs terminate.
+
+The equality-form matrix is stored column-sparse (CSC arrays): the
+structural columns, then one unit column per slack and per artificial.
+Reduced costs d = c - A^T y come from one bincount over the nonzeros.  The
+basis inverse is kept in product form: B0^-1 from the last refactorization,
+followed by an eta file with one (row, column) entry per pivot since then.
+FTRAN (B^-1 a) applies B0^-1 to the nonzeros of a and then the etas in
+order; BTRAN (c_B B^-1) applies the etas in reverse and then B0^-1.  Every
+50 pivots the basis is refactorized from scratch, which empties the eta file
+and recomputes the basic values.  A refactorization eliminates the basic
+slack and artificial unit columns directly and hands only the remaining
+structural block to np.linalg.inv.
+
+At exit, basic values within 1e-9 * max(1, |bound|) of a finite bound are
+snapped onto it, so that rounding noise never reaches the reported values.
 """
 
 from __future__ import annotations
@@ -31,6 +45,7 @@ from .linprog import (
 FEASIBILITY_TOL = 1e-7
 OPTIMALITY_TOL = 1e-9
 PIVOT_TOL = 1e-11
+SNAP_TOL = 1e-9
 REFACTOR_EVERY = 50
 
 # nonbasic rest states; basic columns are tracked through the basis array
@@ -41,38 +56,130 @@ _BASIC = 3
 
 
 class _State:
-    """Equality-form tableau data shared by both phases."""
+    """Equality-form matrix, bounds, point and factored basis of both phases.
 
-    def __init__(self, a, b, lower, upper, n_real):
-        self.a = a  # (m, ncols) dense, slacks and artificials included
+    B0^-1 is held in block form.  Basic slacks and artificials are signed
+    unit columns; with U the rows they cover and R the other rows, the
+    structural basics S meet the rest of the basis only through the kernel
+    K = A[R, S] and the coupling A[U, S], so that
+
+        B0^-1 a = (K^-1 a_R,  s * (a_U - A[U, S] K^-1 a_R))   on (S, U)
+
+    and only K goes through np.linalg.inv.
+    """
+
+    def __init__(self, indptr, indices, data, b, lower, upper, n_real):
+        self.indptr = indptr  # CSC: column j holds nonzeros indptr[j]:indptr[j+1]
+        self.indices = indices  # row of each nonzero
+        self.data = data
+        self.col_of = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
         self.b = b
         self.lower = lower
         self.upper = upper
         self.n_real = n_real  # structural + slack columns; the rest are artificial
-        self.m, self.ncols = a.shape
+        self.m = b.size
+        self.ncols = indptr.size - 1
         self.x = np.zeros(self.ncols)
         self.status = np.full(self.ncols, _AT_LOWER, dtype=np.int8)
         self.basis = np.zeros(self.m, dtype=int)
-        self.binv = np.eye(self.m)
-        self.pivots = 0
+        self.etas: list[tuple[int, float, np.ndarray]] = []  # (row, w[row], w) per pivot
+        # the block form of B0^-1 (kinv_t is K^-T) is set by refactor()
+
+    def matvec(self, x):
+        """A @ x over every column."""
+        return np.bincount(self.indices, weights=self.data * x[self.col_of],
+                           minlength=self.m)
+
+    def rmatvec(self, y, ncols):
+        """(A^T y)[:ncols]; columns are stored in order, so a prefix suffices."""
+        nnz = self.indptr[ncols]
+        return np.bincount(self.col_of[:nnz],
+                           weights=self.data[:nnz] * y[self.indices[:nnz]],
+                           minlength=ncols)
+
+    def b0_solve(self, rows, vals):
+        """B0^-1 a for the vector a with entries vals at rows (no repeats)."""
+        kernel = self.kernel_index[rows]
+        in_kernel = kernel >= 0
+        w_s = vals[in_kernel] @ self.kinv_t[kernel[in_kernel]]
+        a_u = np.zeros(self.unit_pos.size)
+        a_u[self.unit_index[rows[~in_kernel]]] = vals[~in_kernel]
+        cu, cs, cv = self.coupling
+        w = np.empty(self.m)
+        w[self.struct_pos] = w_s
+        w[self.unit_pos] = self.sign * (
+            a_u - np.bincount(cu, weights=cv * w_s[cs], minlength=a_u.size))
+        return w
+
+    def ftran(self, j):
+        """B^-1 a_j."""
+        lo, hi = self.indptr[j], self.indptr[j + 1]
+        w = self.b0_solve(self.indices[lo:hi], self.data[lo:hi])
+        for row, pivot, eta in self.etas:
+            t = w[row] / pivot
+            if t != 0.0:
+                w -= t * eta
+                w[row] = t
+        return w
+
+    def btran(self, u):
+        """u B^-1 for a row vector u over basis positions; u is overwritten."""
+        for row, pivot, eta in reversed(self.etas):
+            u_row = u[row]
+            u[row] = u_row + (u_row - u @ eta) / pivot
+        y_u = self.sign * u[self.unit_pos]
+        cu, cs, cv = self.coupling
+        v = u[self.struct_pos] - np.bincount(cs, weights=cv * y_u[cu],
+                                             minlength=self.struct_pos.size)
+        y = np.empty(self.m)
+        y[self.kernel_rows] = self.kinv_t @ v
+        y[self.unit_rows] = y_u
+        return y
 
     def refactor(self):
+        """Factor the basis from scratch, empty the eta file and recompute
+        the basic values."""
+        m, n = self.m, self.n_real - self.m
+        unit = self.basis >= n
+        self.unit_pos = np.nonzero(unit)[0]
+        self.struct_pos = np.nonzero(~unit)[0]
+        self.unit_rows = (self.basis[self.unit_pos] - n) % m
+        self.sign = self.data[self.indptr[self.basis[self.unit_pos]]]
+        self.unit_index = np.full(m, -1)
+        self.unit_index[self.unit_rows] = np.arange(self.unit_rows.size)
+        self.kernel_rows = np.nonzero(self.unit_index < 0)[0]
+        k = self.struct_pos.size
+        if self.kernel_rows.size != k:
+            raise NumericalFailure("singular basis at refactorization")
+        self.kernel_index = np.full(m, -1)
+        self.kernel_index[self.kernel_rows] = np.arange(k)
+
+        cols = self.basis[self.struct_pos]
+        starts = self.indptr[cols]
+        counts = self.indptr[cols + 1] - starts
+        nz = np.repeat(starts - np.cumsum(counts) + counts, counts) \
+            + np.arange(counts.sum())
+        rows, vals = self.indices[nz], self.data[nz]
+        local = np.repeat(np.arange(k), counts)
+        in_kernel = self.kernel_index[rows] >= 0
+        kernel_t = np.zeros((k, k))
+        kernel_t[local[in_kernel], self.kernel_index[rows[in_kernel]]] = vals[in_kernel]
         try:
-            self.binv = np.linalg.inv(self.a[:, self.basis])
+            self.kinv_t = np.linalg.inv(kernel_t)
         except np.linalg.LinAlgError:
             raise NumericalFailure("singular basis at refactorization") from None
-        nonbasic = np.setdiff1d(np.arange(self.ncols), self.basis, assume_unique=False)
-        if self.m:
-            rhs = self.b - self.a[:, nonbasic] @ self.x[nonbasic]
-            self.x[self.basis] = self.binv @ rhs
+        coupled = ~in_kernel
+        self.coupling = (self.unit_index[rows[coupled]], local[coupled], vals[coupled])
+        self.etas.clear()
 
-    def eta_update(self, row, w):
-        piv = w[row]
-        self.binv[row] /= piv
-        others = np.arange(self.m) != row
-        self.binv[others] -= np.outer(w[others], self.binv[row])
-        self.pivots += 1
-        if self.pivots % REFACTOR_EVERY == 0:
+        nonbasic = self.x.copy()
+        nonbasic[self.basis] = 0.0
+        self.x[self.basis] = self.b0_solve(np.arange(m), self.b - self.matvec(nonbasic))
+
+    def pivot(self, row, w):
+        """Record the basis change at row whose entering column has B^-1 a = w."""
+        self.etas.append((row, float(w[row]), w))
+        if len(self.etas) == REFACTOR_EVERY:
             self.refactor()
 
 
@@ -84,14 +191,15 @@ def _rest_value(lo, hi):
     return 0.0, _FREE
 
 
-def _price(state, c, bland):
-    """Pick the entering column and direction, or None when optimal."""
-    y = c[state.basis] @ state.binv
-    d = c - y @ state.a
-    movable = state.upper - state.lower > 0.0
-    up = (state.status == _AT_LOWER) & movable & (d > OPTIMALITY_TOL)
-    down = (state.status == _AT_UPPER) & movable & (d < -OPTIMALITY_TOL)
-    free = (state.status == _FREE) & (np.abs(d) > OPTIMALITY_TOL)
+def _price(state, c, priced, bland):
+    """Pick the entering column among the first `priced`, or None when optimal."""
+    y = state.btran(c[state.basis])
+    d = c[:priced] - state.rmatvec(y, priced)
+    status = state.status[:priced]
+    movable = state.upper[:priced] - state.lower[:priced] > 0.0
+    up = (status == _AT_LOWER) & movable & (d > OPTIMALITY_TOL)
+    down = (status == _AT_UPPER) & movable & (d < -OPTIMALITY_TOL)
+    free = (status == _FREE) & (np.abs(d) > OPTIMALITY_TOL)
     eligible = np.nonzero(up | down | free)[0]
     if eligible.size == 0:
         return None
@@ -104,14 +212,11 @@ def _ratio_test(state, j, direction, w, bland):
     """Largest step t >= 0 for entering column j; returns (t, blocking_row, hit)."""
     k = state.basis
     step = direction * w
-    t = np.full(state.m, np.inf)
-    hit_lower = step > PIVOT_TOL
-    hit_upper = step < -PIVOT_TOL
-    with np.errstate(invalid="ignore"):
-        lo = hit_lower & np.isfinite(state.lower[k])
-        t[lo] = (state.x[k][lo] - state.lower[k][lo]) / step[lo]
-        hi = hit_upper & np.isfinite(state.upper[k])
-        t[hi] = (state.upper[k][hi] - state.x[k][hi]) / (-step[hi])
+    x_k = state.x[k]
+    # an infinite bound gives an infinite step, as for an unblocked row
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(step > PIVOT_TOL, (x_k - state.lower[k]) / step,
+                     np.where(step < -PIVOT_TOL, (state.upper[k] - x_k) / -step, np.inf))
     np.maximum(t, 0.0, out=t)  # degenerate drift within tolerance never steps backwards
 
     span = state.upper[j] - state.lower[j]  # inf for free or half-bounded columns
@@ -128,18 +233,19 @@ def _ratio_test(state, j, direction, w, bland):
     return t_basic, row, _AT_LOWER if step[row] > 0 else _AT_UPPER
 
 
-def _run_phase(state, c, iteration_limit):
-    """Iterate to optimality for objective c.  Returns (status, iterations)."""
+def _run_phase(state, c, priced, iteration_limit):
+    """Iterate to optimality for objective c, pricing the first `priced`
+    columns.  Returns (status, iterations)."""
     bland = False
     stall = 0
     stall_switch = 3 * (state.m + state.ncols)
     z = float(c @ state.x)
     for it in range(iteration_limit):
-        picked = _price(state, c, bland)
+        picked = _price(state, c, priced, bland)
         if picked is None:
             return OPTIMAL, it
         j, direction = picked
-        w = state.binv @ state.a[:, j]
+        w = state.ftran(j)
         t, row, hit = _ratio_test(state, j, direction, w, bland)
         if not np.isfinite(t):
             return UNBOUNDED, it
@@ -165,7 +271,7 @@ def _run_phase(state, c, iteration_limit):
                 # artificial out of the basis: freeze it so it never returns
                 state.lower[leaving] = state.upper[leaving] = 0.0
                 state.x[leaving] = 0.0
-            state.eta_update(row, w)
+            state.pivot(row, w)
 
         z_new = float(c @ state.x)
         if z_new <= z + 1e-12 * (1.0 + abs(z)):
@@ -184,19 +290,28 @@ def _drive_out_artificials(state):
         j = state.basis[row]
         if j < state.n_real:
             continue
-        tableau_row = state.binv[row] @ state.a[:, : state.n_real]
-        candidates = np.nonzero(np.abs(tableau_row) > 1e-9)[0]
-        candidates = [q for q in candidates if state.status[q] != _BASIC]
-        if not candidates:
+        unit = np.zeros(state.m)
+        unit[row] = 1.0
+        tableau_row = np.abs(state.rmatvec(state.btran(unit), state.n_real))
+        candidates = (tableau_row > 1e-9) & (state.status[: state.n_real] != _BASIC)
+        if not candidates.any():
             continue  # redundant row, artificial stays basic at zero
-        q = max(candidates, key=lambda col: abs(tableau_row[col]))
-        w = state.binv @ state.a[:, q]
+        q = int(np.argmax(np.where(candidates, tableau_row, -1.0)))
+        w = state.ftran(q)
         state.basis[row] = q
         state.status[q] = _BASIC
         state.status[j] = _AT_LOWER
         state.lower[j] = state.upper[j] = 0.0
         state.x[j] = 0.0
-        state.eta_update(row, w)
+        state.pivot(row, w)
+
+
+def _snap(values, lower, upper):
+    """Move values within SNAP_TOL * max(1, |bound|) of a finite bound onto it."""
+    for bound in (lower, upper):
+        near = np.isfinite(bound) & (
+            np.abs(values - bound) <= SNAP_TOL * np.maximum(1.0, np.abs(bound)))
+        values[near] = bound[near]
 
 
 def solve(lp: LinearProgram, iteration_limit: int | None = None) -> LpSolution:
@@ -224,39 +339,42 @@ def solve(lp: LinearProgram, iteration_limit: int | None = None) -> LpSolution:
     a_struct, b, relations = lp.dense()
     m = lp.num_rows
 
+    # CSC of [A | I | diag(+-1)]; np.nonzero on A^T walks it column by column
+    cols, rows = np.nonzero(a_struct.T)
+    units = np.arange(m)
+    indices = np.concatenate([rows, units, units])
+    data = np.concatenate([a_struct[rows, cols], np.ones(2 * m)])
+    indptr = np.concatenate([np.searchsorted(cols, np.arange(n)),
+                             cols.size + np.arange(2 * m + 1)])
+    del a_struct  # not kept through the iterations
+
     slack_lo = {"<=": 0.0, "==": 0.0, ">=": -np.inf}
     slack_hi = {"<=": np.inf, "==": 0.0, ">=": 0.0}
     lower = np.concatenate([np.asarray(lp.lower), [slack_lo[r] for r in relations],
                             np.zeros(m)])
     upper = np.concatenate([np.asarray(lp.upper), [slack_hi[r] for r in relations],
                             np.full(m, np.inf)])
-    a = np.zeros((m, n + 2 * m))
-    a[:, :n] = a_struct
-    if m:
-        a[:, n:n + m] = np.eye(m)
 
-    state = _State(a, b.copy(), lower, upper, n + m)
+    state = _State(indptr, indices, data, b.copy(), lower, upper, n + m)
     if iteration_limit is None:
         iteration_limit = 10_000 + 50 * (m + state.ncols)
 
     # rest every real column at a bound (or zero when free), then size artificials
     for jcol in range(n + m):
         state.x[jcol], state.status[jcol] = _rest_value(lower[jcol], upper[jcol])
-    residual = b - a[:, : n + m] @ state.x[: n + m] if m else np.zeros(0)
-    for i in range(m):
-        sign = 1.0 if residual[i] >= 0 else -1.0
-        a[i, n + m + i] = sign
-        state.x[n + m + i] = abs(residual[i])
-        state.basis[i] = n + m + i
-        state.status[n + m + i] = _BASIC
-    if m:
-        state.refactor()  # artificial basis is diag(+-1), not the identity
+    residual = b - state.matvec(state.x)
+    sign = np.where(residual >= 0, 1.0, -1.0)
+    data[cols.size + m:] = sign  # the artificial columns' nonzeros
+    state.x[n + m:] = np.abs(residual)
+    state.basis[:] = n + m + units
+    state.status[n + m:] = _BASIC
+    state.refactor()
 
     iterations = 0
     if m:
         c_phase1 = np.zeros(state.ncols)
         c_phase1[n + m:] = -1.0
-        status, its = _run_phase(state, c_phase1, iteration_limit)
+        status, its = _run_phase(state, c_phase1, state.ncols, iteration_limit)
         iterations += its
         if status != OPTIMAL:
             raise NumericalFailure("phase 1 terminated abnormally")
@@ -270,13 +388,14 @@ def solve(lp: LinearProgram, iteration_limit: int | None = None) -> LpSolution:
 
     c_phase2 = np.zeros(state.ncols)
     c_phase2[:n] = lp.objective_array()
-    status, its = _run_phase(state, c_phase2, iteration_limit)
+    status, its = _run_phase(state, c_phase2, n + m, iteration_limit)
     iterations += its
     if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED, iterations=iterations)
 
     values = state.x[:n].copy()
-    duals = (c_phase2[state.basis] @ state.binv) if m else np.zeros(0)
+    _snap(values, lower[:n], upper[:n])
+    duals = state.btran(c_phase2[state.basis])
     objective = float(lp.objective_array() @ values)
     return LpSolution(status=OPTIMAL, objective=objective, values=values,
                       duals=duals, iterations=iterations)

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import pathlib
+
 import numpy as np
 
 from spothedge.domain import (Contract, MarketInstance, ScenarioSet,
-                              SupplyStep, validate_instance,
+                              SupplyStep, load_instance, validate_instance,
                               validate_scenarios)
 from spothedge.linprog import LinearProgram
+from spothedge.pipeline import (estimate_q, ingest_lmp_csv, kmeans_reduce,
+                                scenarios_from_representatives)
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 RELATION_POOL = ("<=", "<=", ">=", ">=", "==")
 
@@ -89,3 +95,15 @@ def random_allocation_case(rng: np.random.Generator) -> tuple[MarketInstance, Sc
     assert validate_instance(instance) == []
     assert validate_scenarios(instance, scenarios) == []
     return instance, scenarios
+
+
+def toy_case(k: int) -> tuple[MarketInstance, ScenarioSet, np.ndarray]:
+    """The bundled toy instance with k scenarios reduced from the bundled
+    price history (k-means seed 7), and the history's deviation factor q."""
+    instance = load_instance(DATA / "toy_instance.json")
+    history = ingest_lmp_csv(DATA / "toy_lmp.csv")
+    matrix = history.nodal[:, [history.nodes.index(m) for m in instance.markets]]
+    reduced = kmeans_reduce(matrix, k, seed=7)
+    scenarios = scenarios_from_representatives(
+        instance, reduced.representatives, reduced.probabilities)
+    return instance, scenarios, estimate_q(matrix, history.system).q

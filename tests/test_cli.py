@@ -59,6 +59,39 @@ def test_solve_risk_neutral_micro(capsys, micro_files, tmp_path):
     assert (out / "report.json").read_text() == stdout
 
 
+def test_solve_reports_values_on_or_inside_their_bounds(tmp_path, capsys):
+    """Toy data at k = 8, risk neutral: rounding noise next to a bound is
+    reported as the bound (BRAVO's commitment once came out as 5.3e-14 and a
+    delivery as -8.1e-16), and every decision lies within its bounds."""
+    toy = str(DATA / "toy_instance.json")
+    out = tmp_path / "out"
+    assert run(capsys, "prepare", "--instance", toy, "--raw-csv",
+               str(DATA / "toy_lmp.csv"), "--k", "8", "--seed", "7",
+               "--out", str(out))[0] == 0
+    assert run(capsys, "solve", "--instance", toy, "--scenarios",
+               str(out / "scenarios.json"), "--kind", "risk_neutral",
+               "--out", str(out))[0] == 0
+    report = json.loads((out / "report.json").read_text())
+    instance = load_instance(toy)
+    scenarios = load_scenarios(out / "scenarios.json")
+
+    assert report["commitments"]["BRAVO"] == [0.0]
+    ceiling = np.array([hi for _lo, hi in instance.production_limits])[:, None]
+    for market in instance.markets:
+        volume = np.array([c.max_volume for c in instance.market_contracts(market)])
+        commitments = np.array(report["commitments"][market])
+        term = np.array(report["term_dispatch"][market])
+        spot = np.array(report["spot_dispatch"][market])
+        transport = np.array(report["transport"][market])
+        assert ((commitments >= 0.0) & (commitments <= volume)).all()
+        assert ((term >= 0.0) & (term <= volume[:, None, None])).all()
+        assert ((spot >= 0.0) & (spot <= scenarios.widths[market])).all()
+        assert ((transport >= 0.0) & (transport <= ceiling)).all()
+    capacity = np.array([step.capacity for step in instance.supply_steps])
+    production = np.array(report["production"])
+    assert ((production >= 0.0) & (production <= capacity[:, None, None])).all()
+
+
 def test_solve_cvar_flags(capsys, micro_files):
     ipath, spath = micro_files
     code, stdout, _ = run(capsys, "solve", "--instance", str(ipath),

@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import micro_instance, micro_scenarios
-from spothedge.formulations import CVAR, DRO, RISK_NEUTRAL, FormulationConfig, solve_allocation
+from helpers import toy_case
+from spothedge.formulations import (CVAR, DRO, RISK_NEUTRAL, FormulationConfig,
+                                    build_risk_neutral, extract_report,
+                                    solve_allocation)
 from spothedge.metrics import (
     CSV_HEADER,
     DegenerateTail,
@@ -19,6 +22,7 @@ from spothedge.metrics import (
     sweep,
     write_metrics_csv,
 )
+from spothedge.simplex import solve
 
 
 def rockafellar_value(profits, probs, gamma):
@@ -103,6 +107,19 @@ def test_risk_free_profit_frozen_values(canonical):
     assert risk_free_profit(instance, scenarios) == pytest.approx(3000.0, abs=1e-6)
     costly = micro_instance(production_cost=5.0)
     assert risk_free_profit(costly, scenarios) == pytest.approx(2500.0, abs=1e-6)
+
+
+def test_risk_free_profit_equals_the_pinned_all_scenario_model():
+    """The one-scenario risk-free LP has the optimum of the S-scenario
+    risk-neutral LP with every spot sale pinned to 0 (toy data, S = 8)."""
+    instance, scenarios, _ = toy_case(8)
+    lp, vm = build_risk_neutral(instance, scenarios)
+    for col in vm.y_spot.values():
+        lp.upper[col] = 0.0
+    full = extract_report(instance, scenarios, FormulationConfig(), vm,
+                          solve(lp)).objective_value
+    got = risk_free_profit(instance, scenarios)
+    assert abs(got - full) <= 1e-9 * max(1.0, abs(full))
 
 
 def test_metric_row_canonical_all_spot(canonical):

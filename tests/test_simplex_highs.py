@@ -1,0 +1,97 @@
+"""Differential tests of the simplex against HiGHS.
+
+They cover the allocation LPs at sizes the brute-force oracle cannot reach:
+the toy data reduced to 4, 8 and 16 scenarios for every model, the
+risk-free LP, and random allocation cases.  scipy is a test-only
+dependency; without it the module is skipped.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from helpers import random_allocation_case, toy_case
+
+from spothedge import metrics
+from spothedge.formulations import (CVAR, DRO, PER_PERIOD, PER_SCENARIO,
+                                    RISK_NEUTRAL, FormulationConfig, build)
+from spothedge.linprog import OPTIMAL
+from spothedge.simplex import solve
+
+optimize = pytest.importorskip("scipy.optimize")
+
+RTOL = 1e-9
+
+
+def highs_objective(lp) -> float:
+    a, b, relations = lp.dense()
+    rel = np.array(relations)
+    upper_rows, lower_rows, equal_rows = rel == "<=", rel == ">=", rel == "=="
+    a_ub = np.vstack([a[upper_rows], -a[lower_rows]])
+    b_ub = np.concatenate([b[upper_rows], -b[lower_rows]])
+    bounds = [(None if math.isinf(lo) else lo, None if math.isinf(hi) else hi)
+              for lo, hi in zip(lp.lower, lp.upper)]
+    res = optimize.linprog(
+        -lp.objective_array(),
+        A_ub=a_ub if a_ub.size else None, b_ub=b_ub if a_ub.size else None,
+        A_eq=a[equal_rows] if equal_rows.any() else None,
+        b_eq=b[equal_rows] if equal_rows.any() else None,
+        bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return -float(res.fun)
+
+
+def assert_agrees_with_highs(lp) -> None:
+    got = solve(lp)
+    assert got.status == OPTIMAL
+    want = highs_objective(lp)
+    assert abs(got.objective - want) <= RTOL * max(1.0, abs(want))
+
+
+def toy_config(kind: str, q) -> FormulationConfig:
+    if kind == CVAR:
+        return FormulationConfig(kind=CVAR, alpha=0.25, lam=0.2)
+    if kind in (PER_SCENARIO, PER_PERIOD):
+        return FormulationConfig(kind=DRO, epsilon=1.0, q_matrix=q, dro_penalty=kind)
+    return FormulationConfig(kind=kind)
+
+
+@pytest.mark.parametrize("kind", [RISK_NEUTRAL, CVAR, PER_SCENARIO, PER_PERIOD])
+@pytest.mark.parametrize("k", [4, 8, 16])
+def test_toy_models_match_highs(k, kind):
+    instance, scenarios, q = toy_case(k)
+    lp, _vm = build(instance, scenarios, toy_config(kind, q))
+    assert_agrees_with_highs(lp)
+
+
+@pytest.mark.parametrize("k", [4, 8, 16])
+def test_risk_free_lp_matches_highs(k, monkeypatch):
+    instance, scenarios, _q = toy_case(k)
+    solved = []
+
+    def recording_solve(lp):
+        solved.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(metrics, "solve", recording_solve)
+    metrics.risk_free_profit(instance, scenarios)
+    assert len(solved) == 1
+    assert_agrees_with_highs(solved[0])
+
+
+def test_random_allocation_cases_match_highs():
+    rng = np.random.default_rng(515)
+    for _ in range(40):
+        instance, scenarios = random_allocation_case(rng)
+        n_m = len(instance.markets)
+        configs = (
+            FormulationConfig(),
+            FormulationConfig(kind=CVAR, alpha=float(rng.uniform(0.05, 0.95)),
+                              lam=float(rng.uniform(0.0, 1.0))),
+            FormulationConfig(kind=DRO, epsilon=float(rng.uniform(0.0, 5.0)),
+                              q_matrix=rng.normal(size=(n_m, n_m)),
+                              dro_penalty=(PER_SCENARIO, PER_PERIOD)[int(rng.integers(2))]),
+        )
+        for config in configs:
+            lp, _vm = build(instance, scenarios, config)
+            assert_agrees_with_highs(lp)

@@ -33,6 +33,18 @@ class _Row:
     rhs: float
 
 
+@dataclass(frozen=True)
+class Basis:
+    """Final simplex basis over the equality-form columns: the structural
+    columns, then one slack and one artificial per row.  Passed back to the
+    simplex as the start of an LP with the same matrix, right-hand side and
+    bounds."""
+
+    basic: np.ndarray  # basic column of each row
+    status: np.ndarray  # rest status of each column, in the simplex's codes
+    signs: np.ndarray  # +-1 coefficient of each row's artificial column
+
+
 @dataclass
 class LpSolution:
     status: str  # OPTIMAL | INFEASIBLE | UNBOUNDED
@@ -40,6 +52,7 @@ class LpSolution:
     values: np.ndarray | None = None  # one entry per structural variable
     duals: np.ndarray | None = None  # one entry per row, diagnostic only
     iterations: int = 0
+    basis: Basis | None = None  # final basis of an optimal simplex solve
 
 
 class LinearProgram:

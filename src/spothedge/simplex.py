@@ -25,11 +25,19 @@ structural block to np.linalg.inv.
 
 At exit, basic values within 1e-9 * max(1, |bound|) of a finite bound are
 snapped onto it, so that rounding noise never reaches the reported values.
+
+An optimal solve returns its final basis (LpSolution.basis): the basic
+column of each row, the rest status of every column and the signs of the
+artificial columns.  Passed back as ``start``, it lets a program with the
+same matrix, right-hand side and bounds, and another objective, skip
+phase 1: the nonbasic columns are put on their bounds, the basis is
+refactorized once and, when every basic value lies within FEASIBILITY_TOL
+of its bounds, phase 2 runs from there with the artificials fixed at zero.
+A singular or infeasible start falls back to the two-phase method from
+scratch; a start over another number of rows or columns raises ValueError.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -37,6 +45,7 @@ from .linprog import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    Basis,
     LinearProgram,
     LpSolution,
     NumericalFailure,
@@ -97,6 +106,14 @@ class _State:
                            weights=self.data[:nnz] * y[self.indices[:nnz]],
                            minlength=ncols)
 
+    def entries(self, cols):
+        """Nonzeros of the given columns as (position in cols, row, value)."""
+        starts = self.indptr[cols]
+        counts = self.indptr[cols + 1] - starts
+        nz = np.repeat(starts - np.cumsum(counts) + counts, counts) \
+            + np.arange(counts.sum())
+        return np.repeat(np.arange(cols.size), counts), self.indices[nz], self.data[nz]
+
     def b0_solve(self, rows, vals):
         """B0^-1 a for the vector a with entries vals at rows (no repeats)."""
         kernel = self.kernel_index[rows]
@@ -154,13 +171,7 @@ class _State:
         self.kernel_index = np.full(m, -1)
         self.kernel_index[self.kernel_rows] = np.arange(k)
 
-        cols = self.basis[self.struct_pos]
-        starts = self.indptr[cols]
-        counts = self.indptr[cols + 1] - starts
-        nz = np.repeat(starts - np.cumsum(counts) + counts, counts) \
-            + np.arange(counts.sum())
-        rows, vals = self.indices[nz], self.data[nz]
-        local = np.repeat(np.arange(k), counts)
+        local, rows, vals = self.entries(self.basis[self.struct_pos])
         in_kernel = self.kernel_index[rows] >= 0
         kernel_t = np.zeros((k, k))
         kernel_t[local[in_kernel], self.kernel_index[rows[in_kernel]]] = vals[in_kernel]
@@ -181,14 +192,6 @@ class _State:
         self.etas.append((row, float(w[row]), w))
         if len(self.etas) == REFACTOR_EVERY:
             self.refactor()
-
-
-def _rest_value(lo, hi):
-    if math.isfinite(lo):
-        return lo, _AT_LOWER
-    if math.isfinite(hi):
-        return hi, _AT_UPPER
-    return 0.0, _FREE
 
 
 def _price(state, c, priced, bland):
@@ -314,7 +317,103 @@ def _snap(values, lower, upper):
         values[near] = bound[near]
 
 
-def solve(lp: LinearProgram, iteration_limit: int | None = None) -> LpSolution:
+def _cold_start(state, rest):
+    """Rest every real column at its bound and cover each row's residual with
+    an artificial sized to it; the artificials form the starting basis."""
+    n_real, m = state.n_real, state.m
+    state.status[:] = rest
+    state.x[:] = _rest_values(state, rest)
+    residual = state.b - state.matvec(state.x)
+    state.data[state.indptr[n_real]:] = np.where(residual >= 0, 1.0, -1.0)
+    state.x[n_real:] = np.abs(residual)
+    state.lower[n_real:] = 0.0
+    state.upper[n_real:] = np.inf
+    state.basis[:] = n_real + np.arange(m)
+    state.status[n_real:] = _BASIC
+    state.refactor()
+
+
+def _warm_start(state, start, rest):
+    """Install start as the basis with the artificials fixed at zero.
+
+    Returns False, leaving the state for _cold_start, when the basis is
+    singular or its basic values leave the bounds by more than
+    FEASIBILITY_TOL.  A nonbasic column resting on an infinite bound, or
+    free while it has a finite one, also counts as infeasible.
+    """
+    n_real = state.n_real
+    state.lower[n_real:] = state.upper[n_real:] = 0.0
+    status = start.status
+    at_upper = (status == _AT_UPPER) & np.isfinite(state.upper)
+    if not ((status == rest) | at_upper | (status == _BASIC)).all():
+        return False
+    state.status[:] = status
+    state.x[:] = _rest_values(state, status)
+    state.data[state.indptr[n_real]:] = start.signs
+    state.basis[:] = start.basic
+    try:
+        state.refactor()
+    except NumericalFailure:
+        return False
+    x_b = state.x[state.basis]
+    return bool(((x_b >= state.lower[state.basis] - FEASIBILITY_TOL)
+                 & (x_b <= state.upper[state.basis] + FEASIBILITY_TOL)).all())
+
+
+def _rest_values(state, status):
+    """Each column's value at its rest status; zero for free and basic ones."""
+    return np.where(status == _AT_LOWER, state.lower,
+                    np.where(status == _AT_UPPER, state.upper, 0.0))
+
+
+def _vertex_values(state, n):
+    """Structural values of the final vertex, independent of which of its
+    bases the simplex ended in.
+
+    Values within SNAP_TOL of a finite bound are put on it (_snap).  The
+    remaining basic structural values are solved again from the rows whose
+    slack sits on a bound and the values of every other column: a QR least
+    squares solve in column and row order, plus one refinement step on the
+    residual.  Two bases of one degenerate vertex therefore give the same
+    bits, where their own factorizations differ in the last place.
+    """
+    n_real = state.n_real
+    x = state.x[:n_real].copy()
+    _snap(x, state.lower[:n_real], state.upper[:n_real])
+    on_bound = (x == state.lower[:n_real]) | (x == state.upper[:n_real])
+    interior = np.nonzero((state.status[:n] == _BASIC) & ~on_bound[:n])[0]
+    col, row, val = state.entries(interior)
+    tight = on_bound[n + row]  # entries in rows whose slack sits on a bound
+    rows, local = np.unique(row[tight], return_inverse=True)
+    if interior.size == 0 or rows.size < interior.size:
+        return x[:n]
+    block = np.zeros((rows.size, interior.size))
+    block[local, col[tight]] = val[tight]
+    fixed = np.zeros(state.ncols)
+    fixed[:n_real] = x
+    fixed[interior] = 0.0
+    rhs = (state.b - state.matvec(fixed))[rows]
+    q, r = np.linalg.qr(block)
+    try:
+        x_i = np.linalg.solve(r, q.T @ rhs)
+        x[interior] = x_i + np.linalg.solve(r, q.T @ (rhs - block @ x_i))
+    except np.linalg.LinAlgError:
+        pass  # numerically dependent columns: keep the basis's own values
+    return x[:n]
+
+
+def _check_start(start, ncols, m):
+    """Raise ValueError unless start is a basis over m rows and ncols columns."""
+    if (start.basic.shape != (m,) or start.status.shape != (ncols,)
+            or start.signs.shape != (m,)):
+        raise ValueError(f"start basis has {start.basic.size} rows and "
+                         f"{start.status.size} columns; the program has {m} and {ncols}")
+    if not np.array_equal(np.sort(start.basic), np.nonzero(start.status == _BASIC)[0]):
+        raise ValueError("start basis does not list its basic columns once each")
+
+
+def solve(lp: LinearProgram, iteration_limit: int | None = None,
+          start: Basis | None = None) -> LpSolution:
     """Solve a LinearProgram, maximizing its objective.
 
     Parameters
@@ -324,20 +423,29 @@ def solve(lp: LinearProgram, iteration_limit: int | None = None) -> LpSolution:
         <=, ==, >= rows.
     iteration_limit : int, optional
         Cap per phase; defaults to 10000 + 50*(rows + columns).
+    start : Basis, optional
+        Final basis of an earlier solve of a program with the same matrix,
+        right-hand side and bounds; only the objective may differ.  When it
+        is nonsingular and primal feasible here, phase 1 is skipped.
 
     Returns
     -------
     LpSolution
-        status OPTIMAL with values/objective/duals, or INFEASIBLE/UNBOUNDED.
+        status OPTIMAL with values/objective/duals and the final basis, or
+        INFEASIBLE/UNBOUNDED.
 
     Raises
     ------
     NumericalFailure
         When the basis goes singular or the iteration cap is hit.
+    ValueError
+        When start comes from a program of another shape.
     """
     n = lp.num_variables
     a_struct, b, relations = lp.dense()
     m = lp.num_rows
+    if start is not None:
+        _check_start(start, n + 2 * m, m)
 
     # CSC of [A | I | diag(+-1)]; np.nonzero on A^T walks it column by column
     cols, rows = np.nonzero(a_struct.T)
@@ -359,32 +467,27 @@ def solve(lp: LinearProgram, iteration_limit: int | None = None) -> LpSolution:
     if iteration_limit is None:
         iteration_limit = 10_000 + 50 * (m + state.ncols)
 
-    # rest every real column at a bound (or zero when free), then size artificials
-    for jcol in range(n + m):
-        state.x[jcol], state.status[jcol] = _rest_value(lower[jcol], upper[jcol])
-    residual = b - state.matvec(state.x)
-    sign = np.where(residual >= 0, 1.0, -1.0)
-    data[cols.size + m:] = sign  # the artificial columns' nonzeros
-    state.x[n + m:] = np.abs(residual)
-    state.basis[:] = n + m + units
-    state.status[n + m:] = _BASIC
-    state.refactor()
-
+    # a real column rests at its finite lower bound, else its finite upper
+    # bound, else at zero as a free column
+    rest = np.where(np.isfinite(lower), _AT_LOWER,
+                    np.where(np.isfinite(upper), _AT_UPPER, _FREE))
     iterations = 0
-    if m:
-        c_phase1 = np.zeros(state.ncols)
-        c_phase1[n + m:] = -1.0
-        status, its = _run_phase(state, c_phase1, state.ncols, iteration_limit)
-        iterations += its
-        if status != OPTIMAL:
-            raise NumericalFailure("phase 1 terminated abnormally")
-        infeasibility = state.x[n + m:].sum()
-        if infeasibility > FEASIBILITY_TOL * (1.0 + np.abs(b).sum()):
-            return LpSolution(status=INFEASIBLE, iterations=iterations)
-        _drive_out_artificials(state)
-        state.upper[n + m:] = 0.0
-        state.lower[n + m:] = 0.0
-        state.x[n + m:] = 0.0
+    if start is None or not _warm_start(state, start, rest):
+        _cold_start(state, rest)
+        if m:
+            c_phase1 = np.zeros(state.ncols)
+            c_phase1[n + m:] = -1.0
+            status, its = _run_phase(state, c_phase1, state.ncols, iteration_limit)
+            iterations += its
+            if status != OPTIMAL:
+                raise NumericalFailure("phase 1 terminated abnormally")
+            infeasibility = state.x[n + m:].sum()
+            if infeasibility > FEASIBILITY_TOL * (1.0 + np.abs(b).sum()):
+                return LpSolution(status=INFEASIBLE, iterations=iterations)
+            _drive_out_artificials(state)
+            state.upper[n + m:] = 0.0
+            state.lower[n + m:] = 0.0
+            state.x[n + m:] = 0.0
 
     c_phase2 = np.zeros(state.ncols)
     c_phase2[:n] = lp.objective_array()
@@ -393,9 +496,10 @@ def solve(lp: LinearProgram, iteration_limit: int | None = None) -> LpSolution:
     if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED, iterations=iterations)
 
-    values = state.x[:n].copy()
-    _snap(values, lower[:n], upper[:n])
+    values = _vertex_values(state, n)
     duals = state.btran(c_phase2[state.basis])
     objective = float(lp.objective_array() @ values)
+    basis = Basis(basic=state.basis.copy(), status=state.status.copy(),
+                  signs=state.data[indptr[n + m]:].copy())
     return LpSolution(status=OPTIMAL, objective=objective, values=values,
-                      duals=duals, iterations=iterations)
+                      duals=duals, iterations=iterations, basis=basis)

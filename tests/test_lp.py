@@ -144,3 +144,33 @@ def test_lp_text_render():
     assert "cap: 1 x + 1 y <= 4" in text
     assert "maximize: 3 x + 2 y" in text
     assert "bound: 0 <= x <= 2" in text
+
+
+def test_start_from_own_basis_needs_no_pivot():
+    lp = small_knapsack()
+    cold = solve(lp)
+    warm = solve(lp, start=cold.basis)
+    assert warm.iterations == 0
+    assert warm.objective == cold.objective
+    assert np.array_equal(warm.values, cold.values)
+
+
+def test_start_made_infeasible_by_a_tighter_bound_falls_back():
+    # the knapsack optimum (2, 2) has y basic; y <= 1 puts that basis at y = 2
+    start = solve(small_knapsack()).basis
+    tight = small_knapsack()
+    tight.upper[1] = 1.0
+    warm = solve(tight, start=start)
+    cold = solve(tight)
+    assert warm.status == OPTIMAL
+    assert warm.objective == pytest.approx(8.0, abs=1e-9)
+    assert warm.iterations == cold.iterations  # the two-phase path from scratch
+    assert np.array_equal(warm.values, cold.values)
+
+
+def test_start_from_another_shape_is_rejected():
+    start = solve(small_knapsack()).basis
+    wider = small_knapsack()
+    wider.add_row("floor", {0: 1.0}, ">=", 1.0)
+    with pytest.raises(ValueError):
+        solve(wider, start=start)

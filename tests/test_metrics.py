@@ -1,6 +1,7 @@
 """Metric tests: empirical CVaR against the Rockafellar form, rows, sweeps."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 
 from conftest import micro_instance, micro_scenarios
 from helpers import toy_case
+from spothedge import metrics
 from spothedge.formulations import (CVAR, DRO, RISK_NEUTRAL, FormulationConfig,
                                     build_risk_neutral, extract_report,
                                     solve_allocation)
+from spothedge.linprog import NumericalFailure
 from spothedge.metrics import (
     CSV_HEADER,
     DegenerateTail,
@@ -204,3 +207,96 @@ def test_nine_significant_digits(tmp_path, canonical):
     assert record[CSV_HEADER.index("zeta")] == "1234.56789"
     assert record[CSV_HEADER.index("chi")] == "-0.000123456789"
     assert record[CSV_HEADER.index("rho")] == ""
+
+
+ALPHAS = (0.05, 0.1, 0.25, 0.5, 0.75, 1.0)
+EPSILONS = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
+GAMMAS = (0.9, 0.75)
+LAM = 0.1
+
+
+def toy_sweep(k: int, failures=None):
+    instance, scenarios, q = toy_case(k)
+    return sweep(instance, scenarios, alphas=ALPHAS, lam=LAM, epsilons=EPSILONS,
+                 q_matrix=q, gammas=GAMMAS, failures=failures)
+
+
+def cold_rows(k: int) -> dict:
+    """metric_row of every toy grid point and gamma, each point solved alone,
+    keyed by (source, alpha, epsilon, gamma)."""
+    instance, scenarios, q = toy_case(k)
+    riskfree = risk_free_profit(instance, scenarios)
+    neutral = solve_allocation(instance, scenarios, FormulationConfig())
+    points = [(RISK_NEUTRAL, None, None, None)]
+    points += [(CVAR, alpha, LAM, None) for alpha in ALPHAS]
+    points += [(DRO, None, None, epsilon) for epsilon in EPSILONS]
+    rows = {}
+    for source, alpha, lam, epsilon in points:
+        if source == CVAR and alpha != 1.0:
+            config = FormulationConfig(kind=CVAR, alpha=alpha, lam=lam)
+        elif source == DRO and epsilon != 0.0:
+            config = FormulationConfig(kind=DRO, epsilon=epsilon, q_matrix=q)
+        else:
+            config = FormulationConfig()  # the grid points that reuse the anchor
+        report = neutral if config.kind == RISK_NEUTRAL else solve_allocation(
+            instance, scenarios, config)
+        for gamma in GAMMAS:
+            row = metric_row(instance, scenarios, config, gamma, report=report,
+                             riskfree=riskfree)
+            rows[source, alpha, epsilon, gamma] = dataclasses.replace(
+                row, source=source, alpha=alpha, lam=lam, epsilon=epsilon)
+    return rows
+
+
+def keyed(rows) -> dict:
+    return {(r.source, r.alpha, r.epsilon, r.gamma): r for r in rows}
+
+
+@pytest.mark.parametrize("k", [8, 16])
+def test_warm_started_sweep_rows_equal_cold_rows(k):
+    assert keyed(toy_sweep(k)) == cold_rows(k)
+
+
+def test_sweep_orders_rows_on_printed_spot_fraction():
+    """Rows whose spot_fraction prints alike are ordered by source, alpha,
+    epsilon and gamma, whatever their last bits (toy S = 16 has nine such
+    grid points)."""
+    rows = toy_sweep(16)
+    keys = [(float(f"{r.spot_fraction:.9g}"), r.source, r.alpha or 0.0,
+             r.epsilon or 0.0, r.gamma) for r in rows]
+    assert keys == sorted(keys)
+    assert len({k[0] for k in keys}) < len(keys)  # some printed values tie
+
+
+def test_failed_grid_point_leaves_the_other_rows_cold_equal(monkeypatch):
+    configs = {}
+    starts = {}
+    real_build, real_solve = metrics.build, metrics.solve
+
+    def recording_build(instance, scenarios, config):
+        lp, vm = real_build(instance, scenarios, config)
+        configs[id(lp)] = config
+        return lp, vm
+
+    def failing_solve(lp, start=None):
+        config = configs.get(id(lp))
+        if config is not None and config.kind == CVAR:
+            starts[config.alpha] = start
+            if config.alpha == 0.1:
+                raise NumericalFailure("injected")
+        return real_solve(lp, start=start)
+
+    monkeypatch.setattr(metrics, "build", recording_build)
+    monkeypatch.setattr(metrics, "solve", failing_solve)
+    failures = []
+    rows = keyed(toy_sweep(8, failures))
+    monkeypatch.undo()
+
+    assert [(f["source"], f["alpha"]) for f in failures] == [(CVAR, 0.1)]
+    assert starts[0.1] is not None
+    assert starts[0.25] is None  # a failed point seeds nothing
+    assert starts[0.5] is not None
+    want = cold_rows(8)
+    for gamma in GAMMAS:
+        del want[CVAR, 0.1, None, gamma]
+    assert rows == want

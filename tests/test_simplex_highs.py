@@ -1,9 +1,10 @@
 """Differential tests of the simplex against HiGHS.
 
 They cover the allocation LPs at sizes the brute-force oracle cannot reach:
-the toy data reduced to 4, 8 and 16 scenarios for every model, the
-risk-free LP, and random allocation cases.  scipy is a test-only
-dependency; without it the module is skipped.
+the toy data reduced to 4, 8 and 16 scenarios for every model, warm-started
+chains over an alpha and an epsilon grid, the risk-free LP, and random
+allocation cases.  scipy is a test-only dependency; without it the module
+is skipped.
 """
 
 import math
@@ -62,6 +63,31 @@ def test_toy_models_match_highs(k, kind):
     instance, scenarios, q = toy_case(k)
     lp, _vm = build(instance, scenarios, toy_config(kind, q))
     assert_agrees_with_highs(lp)
+
+
+@pytest.mark.parametrize("kind", [CVAR, PER_SCENARIO, PER_PERIOD])
+@pytest.mark.parametrize("k", [4, 8, 16])
+def test_warm_started_grid_chains_match_highs(k, kind):
+    """Each grid point starts from the previous point's basis, as in a sweep."""
+    instance, scenarios, q = toy_case(k)
+    if kind == CVAR:
+        chain = [FormulationConfig(kind=CVAR, alpha=a, lam=0.1)
+                 for a in (0.05, 0.1, 0.25, 0.5, 0.75)]
+    else:
+        chain = [FormulationConfig(kind=DRO, epsilon=e, q_matrix=q, dro_penalty=kind)
+                 for e in (0.25, 0.5, 1.0, 2.0, 4.0)]
+    start = None
+    iterations = []
+    for config in chain:
+        lp, _vm = build(instance, scenarios, config)
+        got = solve(lp, start=start)
+        assert got.status == OPTIMAL
+        want = highs_objective(lp)
+        assert abs(got.objective - want) <= RTOL * max(1.0, abs(want))
+        iterations.append(got.iterations)
+        start = got.basis
+    # phase 1 runs only at the cold first point
+    assert max(iterations[1:]) < iterations[0]
 
 
 @pytest.mark.parametrize("k", [4, 8, 16])

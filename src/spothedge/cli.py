@@ -354,12 +354,12 @@ def _cmd_prepare(args) -> int:
     n_obs = matrix.shape[0]
 
     raw_k = args.k if args.k is not None else "auto"
-    curve = []
     if str(raw_k) == "auto":
         ks = list(range(1, min(MAX_AUTO_K, n_obs) + 1))
-        inertias = [kmeans_reduce(matrix, k, seed=seed).inertia for k in ks]
-        chosen_k = knee_point(ks, inertias)
-        curve = [[k, inertia] for k, inertia in zip(ks, inertias)]
+        runs = [kmeans_reduce(matrix, k, seed=seed) for k in ks]
+        chosen_k = knee_point(ks, [run.inertia for run in runs])
+        reduced = runs[ks.index(chosen_k)]  # k-means is deterministic: no second run
+        curve = [[k, run.inertia] for k, run in zip(ks, runs)]
         k_mode = "auto"
     else:
         try:
@@ -368,10 +368,9 @@ def _cmd_prepare(args) -> int:
             raise CliError("usage", f"--k expects an integer or 'auto', got {raw_k!r}") from None
         if not 1 <= chosen_k <= n_obs:
             raise CliError("data", f"--k must lie in 1..{n_obs}, got {chosen_k}")
-        k_mode = "fixed"
-    reduced = kmeans_reduce(matrix, chosen_k, seed=seed)
-    if not curve:
+        reduced = kmeans_reduce(matrix, chosen_k, seed=seed)
         curve = [[chosen_k, reduced.inertia]]
+        k_mode = "fixed"
 
     try:
         estimate = estimate_q(matrix, history.system)

@@ -131,32 +131,3 @@ class LinearProgram:
 
     def objective_array(self):
         return np.asarray(self.objective, dtype=float)
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
-
-
-def lp_to_text(lp: LinearProgram) -> str:
-    """Render the program one row per line, ``name: coeffs relation rhs``.
-
-    Coefficients print with 12 significant digits; the objective and the
-    variable bounds follow the rows.  Meant for eyeballing and diffing small
-    programs, not for round-tripping.
-    """
-    lines = []
-    for row in lp.rows:
-        terms = " + ".join(
-            f"{_fmt(coef)} {lp.variable_names[col]}"
-            for col, coef in sorted(row.coeffs.items())
-        ) or "0"
-        lines.append(f"{row.name}: {terms} {row.relation} {_fmt(row.rhs)}")
-    terms = " + ".join(
-        f"{_fmt(coef)} {name}"
-        for name, coef in zip(lp.variable_names, lp.objective)
-        if coef != 0.0
-    ) or "0"
-    lines.append(f"maximize: {terms}")
-    for name, lo, hi in zip(lp.variable_names, lp.lower, lp.upper):
-        lines.append(f"bound: {_fmt(lo)} <= {name} <= {_fmt(hi)}")
-    return "\n".join(lines) + "\n"

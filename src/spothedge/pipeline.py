@@ -5,11 +5,24 @@ inputs the allocation models need:
 
 1. ingest_lmp_csv: one streaming pass pivoting the file into a wide
    (observations x nodes) matrix plus the system price series, with hard
-   errors on malformed rows, duplicate cells and missing observations.
+   errors on malformed rows, duplicate cells and missing observations.  The
+   csv rows are parsed INGEST_CHUNK_ROWS at a time into integer timestamp
+   and node codes and a price array; one bincount over the codes then finds
+   duplicates and holes and one scatter fills the matrix.  Memory is one
+   chunk of csv rows, one dict entry per timestamp and node, and three
+   array numbers per row (two codes and the price).  Errors are the ones a
+   row-by-row pass would raise first, with csv line numbers found by
+   re-reading the file.
 2. kmeans_reduce: deterministic k-means (greedy farthest-point seeding from
    a fixed seed, lowest-index tie-breaks) whose clusters become scenarios;
    the representative of a cluster is the member closest to its centroid
-   and the scenario probability is cluster_size / n.
+   and the scenario probability is cluster_size / n.  Each round screens
+   the assignment with one GEMM of ||c||^2 - 2 C x^T; a round in which some
+   row's best and runner-up lie within the rounding bound uses the exact
+   distances instead, so the labels are always the exact argmin.  Centroid
+   sums come from bincount, which adds the members in row order as a
+   boolean-mask mean does.  The exact distances are built in row blocks,
+   never as a whole (n, k, M) tensor.
 3. knee_point: picks k on an inertia curve by the largest perpendicular
    distance to the chord between the curve's endpoints.
 4. estimate_q: sample covariance (divisor n-1) of nodal deviations from the
@@ -23,7 +36,9 @@ inputs the allocation models need:
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +52,9 @@ DEFAULT_COLUMNS = {"timestamp": "timestamp", "node": "node", "price": "price",
 #    "price": "total_lmp_rt", "system": "PJM"}
 
 MAX_JITTER_DOUBLINGS = 20
+INGEST_CHUNK_ROWS = 1 << 14  # csv rows parsed per vectorized step
 KMEANS_MAX_ITER = 300
+KMEANS_BLOCK = 1 << 17  # floats in one block of exact differences
 
 
 class ParseError(ValueError):
@@ -88,56 +105,138 @@ def ingest_lmp_csv(path, column_map: dict | None = None) -> PriceHistory:
     ts_col, node_col, price_col = colmap["timestamp"], colmap["node"], colmap["price"]
     system_key = colmap["system"]
 
-    cells: dict[tuple[str, str], float] = {}
-    timestamps: list[str] = []
-    seen_ts: set[str] = set()
-    nodes: set[str] = set()
+    ts_ids: dict[str, int] = {}  # code of each timestamp, first-appearance order
+    node_ids: dict[str, int] = {}  # code of each node, first-appearance order
+    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    bad = None  # (data row, message) of the first malformed row
+    pending = None  # what the reader raised after the last row it returned
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             raise ParseError("empty file", 1)
-        missing_cols = {ts_col, node_col, price_col} - set(reader.fieldnames)
+        missing_cols = {ts_col, node_col, price_col} - set(header)
         if missing_cols:
             raise ParseError(f"missing columns {sorted(missing_cols)}", 1)
-        for row in reader:
-            line = reader.line_num
-            ts = (row.get(ts_col) or "").strip()
-            node = (row.get(node_col) or "").strip()
-            raw_price = (row.get(price_col) or "").strip()
-            if not ts or not node:
-                raise ParseError("empty timestamp or node", line)
+        where = {name: i for i, name in enumerate(header)}  # a repeated name: last wins
+        picks = (where[ts_col], where[node_col], where[price_col])
+        done = 0  # data rows in earlier chunks
+        while bad is None and pending is None:
+            records = []
             try:
-                price = float(raw_price)
+                records.extend(itertools.islice(reader, INGEST_CHUNK_ROWS))
+            except (csv.Error, ValueError, OSError) as exc:
+                pending = exc  # raised after the rows extend() kept, if they are clean
+            if not records:
+                break
+            rows = [row for row in records if row]  # blank lines are skipped
+            if not rows:
+                continue
+            ts, nodes, raw = _chunk_fields(rows, picks)
+            try:
+                prices = np.fromiter(map(float, raw), float, len(raw))
             except ValueError:
-                raise ParseError(f"bad price {raw_price!r}", line) from None
-            if not math.isfinite(price):
-                raise ParseError(f"non-finite price {raw_price!r}", line)
-            if (ts, node) in cells:
-                raise ParseError(f"duplicate observation for ({ts}, {node})", line)
-            cells[ts, node] = price
-            if ts not in seen_ts:
-                seen_ts.add(ts)
-                timestamps.append(ts)
-            nodes.add(node)
+                prices = None
+            if prices is None or not np.isfinite(prices).all() or "" in ts or "" in nodes:
+                # keep the rows before the first malformed one: they may hold a duplicate
+                cut, message = next((i, m) for i, m in enumerate(map(_row_problem, ts, nodes, raw))
+                                    if m is not None)
+                bad = (done + cut, message)
+                ts, nodes = ts[:cut], nodes[:cut]
+                prices = np.fromiter(map(float, raw[:cut]), float, cut)
+            for name in dict.fromkeys(ts):
+                ts_ids.setdefault(name, len(ts_ids))
+            for name in dict.fromkeys(nodes):
+                node_ids.setdefault(name, len(node_ids))
+            parts.append((np.fromiter(map(ts_ids.__getitem__, ts), np.intp, len(ts)),
+                          np.fromiter(map(node_ids.__getitem__, nodes), np.intp, len(nodes)),
+                          prices))
+            done += len(ts)
 
+    if not parts:
+        parts.append((np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)))
+    ts_codes, node_codes, prices = (np.concatenate(column) for column in zip(*parts))
+    timestamps = tuple(ts_ids)
+    n_nodes = len(node_ids)
+    key = ts_codes * n_nodes + node_codes
+    cells = len(timestamps) * n_nodes
+    complete = (bad is None and pending is None and system_key in node_ids and n_nodes > 1
+                and key.size == cells and np.bincount(key, minlength=cells).max() == 1)
+    if not complete:
+        _raise_first_problem(path, bad, pending, key, ts_codes, node_codes,
+                             timestamps, tuple(node_ids), system_key)
+
+    node_order = tuple(sorted(name for name in node_ids if name != system_key))
+    column = {name: c for c, name in enumerate(node_order)}
+    column[system_key] = len(node_order)
+    grid = np.empty((len(timestamps), len(node_order) + 1))
+    grid[ts_codes, np.array([column[name] for name in node_ids])[node_codes]] = prices
+    return PriceHistory(timestamps=timestamps, nodes=node_order,
+                        nodal=grid[:, :-1].copy(), system=grid[:, -1].copy())
+
+
+def _chunk_fields(rows, picks):
+    """Stripped timestamp, node and price text of every row; short rows read as empty."""
+    try:
+        columns = [list(map(operator.itemgetter(i), rows)) for i in picks]
+    except IndexError:
+        columns = [[row[i] if i < len(row) else "" for row in rows] for i in picks]
+    return [list(map(str.strip, column)) for column in columns]
+
+
+def _row_problem(ts: str, node: str, raw_price: str) -> str | None:
+    if not ts or not node:
+        return "empty timestamp or node"
+    try:
+        price = float(raw_price)
+    except ValueError:
+        return f"bad price {raw_price!r}"
+    if not math.isfinite(price):
+        return f"non-finite price {raw_price!r}"
+    return None
+
+
+def _data_line(path, row: int) -> int:
+    """csv line_num of the given 0-based data row, blank lines not counted."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        data_rows = (record for record in reader if record)
+        next(itertools.islice(data_rows, row, None))
+        return reader.line_num
+
+
+def _raise_first_problem(path, bad, pending, key, ts_codes, node_codes,
+                         timestamps, node_names, system_key):
+    """Raise what a row-by-row pass would have raised first.
+
+    Rows are checked in file order, so a duplicate cell on an earlier row
+    beats a malformed row, which beats a reader error; the grid checks
+    (no rows, no market nodes, holes) come after the whole file.
+    """
+    uniq, first = np.unique(key, return_index=True)
+    if uniq.size < key.size:
+        later = np.ones(key.size, dtype=bool)
+        later[first] = False
+        row = int(np.argmax(later))
+        raise ParseError(f"duplicate observation for ({timestamps[ts_codes[row]]}, "
+                         f"{node_names[node_codes[row]]})", _data_line(path, row))
+    if bad is not None:
+        raise ParseError(bad[1], _data_line(path, bad[0]))
+    if pending is not None:
+        raise pending
     if not timestamps:
         raise ParseError("no data rows", 2)
-    nodes.discard(system_key)
-    node_order = tuple(sorted(nodes))
-    if not node_order:
+    markets = sorted(name for name in node_names if name != system_key)
+    if not markets:
         raise MissingObservation("no market nodes besides the system row")
-    nodal = np.empty((len(timestamps), len(node_order)))
-    system = np.empty(len(timestamps))
-    for r, ts in enumerate(timestamps):
-        if (ts, system_key) not in cells:
-            raise MissingObservation(f"no system ({system_key}) price at {ts}")
-        system[r] = cells[ts, system_key]
-        for c, node in enumerate(node_order):
-            if (ts, node) not in cells:
-                raise MissingObservation(f"node {node} has no price at {ts}")
-            nodal[r, c] = cells[ts, node]
-    return PriceHistory(timestamps=tuple(timestamps), nodes=node_order,
-                        nodal=nodal, system=system)
+    per_ts = np.bincount(ts_codes, minlength=len(timestamps))
+    t = int(np.argmax(per_ts < len(markets) + 1))
+    present = {node_names[c] for c in node_codes[ts_codes == t]}
+    if system_key not in present:
+        raise MissingObservation(f"no system ({system_key}) price at {timestamps[t]}")
+    node = next(name for name in markets if name not in present)
+    raise MissingObservation(f"node {node} has no price at {timestamps[t]}")
 
 
 @dataclass(frozen=True)
@@ -161,8 +260,48 @@ class ReducedScenarios:
 
 
 def _sq_dist(x, points):
-    diff = x[:, None, :] - points[None, :, :]
-    return np.einsum("nkm,nkm->nk", diff, diff)
+    """Exact squared distances (n, k), in row blocks of at most KMEANS_BLOCK floats."""
+    n, k = x.shape[0], points.shape[0]
+    out = np.empty((n, k))
+    step = max(1, KMEANS_BLOCK // max(1, k * x.shape[1]))
+    for lo in range(0, n, step):
+        diff = x[lo:lo + step, None, :] - points[None, :, :]
+        out[lo:lo + step] = np.einsum("nkm,nkm->nk", diff, diff)
+    return out
+
+
+def _nearest_screen(x_t, k: int):
+    """Labels function for the rows of x (given as x^T): one GEMM per round.
+
+    g = ||c||^2 - 2 C x^T differs from the squared distances by ||x||^2, the
+    same down each column, so its argmin over axis 0 is the nearest centroid.
+    When the best and the runner-up of some row differ by no more than the
+    rounding bound 8(M+2) eps (||x||^2 + max ||c||^2), the labels function
+    returns None and the exact distances must decide.  The (k, n) work
+    arrays are allocated once, not every round.
+    """
+    n_m, n = x_t.shape
+    slack = 8 * (n_m + 2) * np.finfo(float).eps
+    slack_x = slack * np.einsum("mn,mn->n", x_t, x_t)
+    g = np.empty((k, n))
+    near = np.empty((k, n), dtype=bool)
+    best = np.empty(n)
+    bound = np.empty(n)
+    index = np.arange(k)
+
+    def labels(centroids):
+        c_sq = np.einsum("km,km->k", centroids, centroids)
+        np.matmul(-2.0 * centroids, x_t, out=g)
+        np.add(g, c_sq[:, None], out=g)
+        np.min(g, axis=0, out=best)
+        np.add(slack_x, slack * c_sq.max(), out=bound)
+        np.add(bound, best, out=bound)
+        np.less_equal(g, bound, out=near)
+        if np.count_nonzero(near) != n:  # a near tie, or NaN from overflow
+            return None
+        return index @ near  # the one cluster near the best
+
+    return labels
 
 
 def _farthest_point_seeds(x, k, seed):
@@ -198,22 +337,36 @@ def kmeans_reduce(matrix, k: int, seed: int = 0) -> ReducedScenarios:
 
     centroids = _farthest_point_seeds(x, k, seed)
     labels = np.full(n, -1, dtype=int)
+    x_t = np.ascontiguousarray(x.T)
+    nearest = _nearest_screen(x_t, k)
     for _ in range(KMEANS_MAX_ITER):
-        d = _sq_dist(x, centroids)
-        new_labels = np.argmin(d, axis=1)  # lowest cluster index wins ties
+        new_labels = nearest(centroids)
+        d = None
+        if new_labels is None:
+            d = _sq_dist(x, centroids)
+            new_labels = np.argmin(d, axis=1)  # lowest cluster index wins ties
         counts = np.bincount(new_labels, minlength=k)
-        for j in range(k):
-            if counts[j] == 0:
-                # re-seed an emptied cluster at the farthest point, drawn
-                # only from clusters that can spare a member
-                current = d[np.arange(n), new_labels]
-                far = int(np.argmax(np.where(counts[new_labels] >= 2, current, -1.0)))
-                counts[new_labels[far]] -= 1
-                counts[j] = 1
-                new_labels[far] = j
-                centroids[j] = x[far]
-            else:
-                centroids[j] = x[new_labels == j].mean(axis=0)
+        if counts.all() and x.shape[1] > 1:
+            # bincount adds the members in row order, as x[mask].mean(axis=0)
+            # does for two or more columns (one column it sums pairwise)
+            for m, column in enumerate(x_t):
+                centroids[:, m] = np.bincount(new_labels, weights=column, minlength=k)
+            centroids /= counts[:, None]
+        else:
+            if d is None and not counts.all():
+                d = _sq_dist(x, centroids)  # a re-seed needs the exact distances
+            for j in range(k):
+                if counts[j] == 0:
+                    # re-seed an emptied cluster at the farthest point, drawn
+                    # only from clusters that can spare a member
+                    current = d[np.arange(n), new_labels]
+                    far = int(np.argmax(np.where(counts[new_labels] >= 2, current, -1.0)))
+                    counts[new_labels[far]] -= 1
+                    counts[j] = 1
+                    new_labels[far] = j
+                    centroids[j] = x[far]
+                else:
+                    centroids[j] = x[new_labels == j].mean(axis=0)
         if (new_labels == labels).all():
             break
         labels = new_labels

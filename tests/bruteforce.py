@@ -6,8 +6,8 @@ variables solved from those rows, and every other variable pinned at one of
 its finite bounds, with ``A[R, B]`` nonsingular.  With all bounds finite the
 feasible region is bounded, so enumerating every such active-set combination,
 keeping the feasible ones and maximizing the objective over them is exact.
-Exponential, but fine at the advertised limits; used to cross-check the
-simplex, never in production paths.
+Exponential, but fine at the advertised limits; the tests use it to
+cross-check the simplex.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .linprog import INFEASIBLE, OPTIMAL, LinearProgram, LpSolution
+from spothedge.linprog import INFEASIBLE, OPTIMAL, LinearProgram, LpSolution
 
 MAX_VARIABLES = 8
 MAX_ROWS = 12

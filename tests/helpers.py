@@ -10,8 +10,8 @@ from spothedge.domain import (Contract, MarketInstance, ScenarioSet,
                               SupplyStep, load_instance, validate_instance,
                               validate_scenarios)
 from spothedge.linprog import LinearProgram
-from spothedge.pipeline import (estimate_q, ingest_lmp_csv, kmeans_reduce,
-                                scenarios_from_representatives)
+from spothedge.pipeline import (ReducedScenarios, estimate_q, ingest_lmp_csv,
+                                kmeans_reduce, scenarios_from_representatives)
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -107,3 +107,87 @@ def toy_case(k: int) -> tuple[MarketInstance, ScenarioSet, np.ndarray]:
     scenarios = scenarios_from_representatives(
         instance, reduced.representatives, reduced.probabilities)
     return instance, scenarios, estimate_q(matrix, history.system).q
+
+
+def kmeans_reduce_einsum(matrix, k: int, seed: int = 0) -> ReducedScenarios:
+    """Reference k-means: the (n, k, M) einsum distances of every round.
+
+    The same algorithm as ``spothedge.pipeline.kmeans_reduce`` (farthest-point
+    seeding, lowest index on ties, re-seeding of emptied clusters, boolean-mask
+    means, representative closest to its centroid), written the direct way.
+    The package version must match it field for field, bit for bit.
+    """
+    x = np.asarray(matrix, dtype=float)
+    n = x.shape[0]
+
+    def sq_dist(points):
+        diff = x[:, None, :] - points[None, :, :]
+        return np.einsum("nkm,nkm->nk", diff, diff)
+
+    rng = np.random.default_rng(seed)
+    chosen = [int(rng.integers(n))]
+    dist = ((x - x[chosen[0]]) ** 2).sum(axis=1)
+    for _ in range(k - 1):
+        chosen.append(int(np.argmax(dist)))
+        dist = np.minimum(dist, ((x - x[chosen[-1]]) ** 2).sum(axis=1))
+    centroids = x[chosen].copy()
+
+    labels = np.full(n, -1, dtype=int)
+    for _ in range(300):
+        d = sq_dist(centroids)
+        new_labels = np.argmin(d, axis=1)
+        counts = np.bincount(new_labels, minlength=k)
+        for j in range(k):
+            if counts[j] == 0:
+                current = d[np.arange(n), new_labels]
+                far = int(np.argmax(np.where(counts[new_labels] >= 2, current, -1.0)))
+                counts[new_labels[far]] -= 1
+                counts[j] = 1
+                new_labels[far] = j
+                centroids[j] = x[far]
+            else:
+                centroids[j] = x[new_labels == j].mean(axis=0)
+        if (new_labels == labels).all():
+            break
+        labels = new_labels
+
+    d = sq_dist(centroids)
+    inertia = float(d[np.arange(n), labels].sum())
+    reps = np.empty(k, dtype=int)
+    counts = np.empty(k, dtype=int)
+    for j in range(k):
+        members = np.nonzero(labels == j)[0]
+        counts[j] = members.size
+        reps[j] = int(members[np.argmin(d[members, j])])
+    return ReducedScenarios(representatives=x[reps], representative_indices=reps,
+                            probabilities=counts / n, labels=labels,
+                            centroids=centroids, inertia=inertia)
+
+
+def _fmt(value: float) -> str:
+    return f"{value:.12g}"
+
+
+def lp_to_text(lp: LinearProgram) -> str:
+    """Render the program one row per line, ``name: coeffs relation rhs``.
+
+    Coefficients print with 12 significant digits; the objective and the
+    variable bounds follow the rows.  Meant for eyeballing and diffing small
+    programs, not for round-tripping.
+    """
+    lines = []
+    for row in lp.rows:
+        terms = " + ".join(
+            f"{_fmt(coef)} {lp.variable_names[col]}"
+            for col, coef in sorted(row.coeffs.items())
+        ) or "0"
+        lines.append(f"{row.name}: {terms} {row.relation} {_fmt(row.rhs)}")
+    terms = " + ".join(
+        f"{_fmt(coef)} {name}"
+        for name, coef in zip(lp.variable_names, lp.objective)
+        if coef != 0.0
+    ) or "0"
+    lines.append(f"maximize: {terms}")
+    for name, lo, hi in zip(lp.variable_names, lp.lower, lp.upper):
+        lines.append(f"bound: {_fmt(lo)} <= {name} <= {_fmt(hi)}")
+    return "\n".join(lines) + "\n"

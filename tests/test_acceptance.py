@@ -16,9 +16,9 @@ import time
 
 import numpy as np
 import pytest
+from bruteforce import brute_force_solve
 from helpers import random_allocation_case, random_lp
 
-from spothedge.bruteforce import brute_force_solve
 from spothedge.cli import main as cli_main
 from spothedge.domain import (Contract, MarketInstance, ScenarioSet,
                               SupplyStep, load_instance, load_scenarios,

@@ -5,6 +5,7 @@ parsed as JSON to pin the machine-readable contract.
 """
 
 import csv
+import hashlib
 import json
 import pathlib
 
@@ -291,6 +292,45 @@ def test_prepare_fixed_k_and_seed_determinism(capsys, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     summary = json.loads((out1 / "prep_summary.json").read_text())
     assert summary["k"] == 4 and summary["k_mode"] == "fixed"
+
+
+# sha256 of the prepare outputs on the bundled data, recorded from the
+# row-by-row ingest and einsum k-means that the vectorized versions replaced
+PREPARE_DIGESTS = {
+    ("--k", "auto"): {
+        "scenarios.json": "c320f547522528870933bd11fae28ad0a6e0783260a1b9c0163bb75f86949cb3",
+        "q.json": "f1124983a4f86c48680975534ca9c8649cd851db0f62c8dcc2f00731264803b9",
+        "prep_summary.json": "48ba030ecc32aa07b0767d351a66289de429307832ac118323d187ab894c822c",
+    },
+    ("--k", "16", "--seed", "7"): {
+        "scenarios.json": "120e366ea3f0d5c94f7473b8d0b067b984d2cf90cf3af864c88d6ad891b1cb29",
+        "q.json": "f1124983a4f86c48680975534ca9c8649cd851db0f62c8dcc2f00731264803b9",
+        "prep_summary.json": "9855194f9dcdd22b2cdc66253fcf128789375d04fe122a7122e5d2b6928e6778",
+    },
+}
+
+
+@pytest.mark.parametrize("k_args", list(PREPARE_DIGESTS), ids=["auto", "k16_seed7"])
+def test_prepare_outputs_match_recorded_digests(capsys, tmp_path, k_args):
+    out = tmp_path / "prep"
+    code, _, _ = run(capsys, "prepare", "--instance", str(DATA / "toy_instance.json"),
+                     "--raw-csv", str(DATA / "toy_lmp.csv"), *k_args, "--out", str(out))
+    assert code == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in PREPARE_DIGESTS[k_args]}
+    assert digests == PREPARE_DIGESTS[k_args]
+
+
+def test_prepare_auto_runs_kmeans_once_per_curve_point(capsys, tmp_path, monkeypatch):
+    from spothedge import cli
+
+    ks = []
+    kmeans = cli.kmeans_reduce
+    monkeypatch.setattr(cli, "kmeans_reduce", lambda m, k, seed: ks.append(k) or kmeans(m, k, seed))
+    code, _, _ = run(capsys, "prepare", "--instance", str(DATA / "toy_instance.json"),
+                     "--raw-csv", str(DATA / "toy_lmp.csv"), "--out", str(tmp_path / "p"))
+    assert code == 0
+    assert ks == list(range(1, 11))  # the chosen k reuses its curve run
 
 
 def test_prepare_column_map_and_errors(capsys, tmp_path):

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_lp
-from spothedge.bruteforce import DimensionTooLarge, brute_force_solve
-from spothedge.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, lp_to_text
+from bruteforce import DimensionTooLarge, brute_force_solve
+from helpers import lp_to_text, random_lp
+from spothedge.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram
 from spothedge.simplex import solve
 
 

@@ -18,7 +18,9 @@ import math
 
 import numpy as np
 import pytest
+from helpers import DATA, kmeans_reduce_einsum
 
+from spothedge import pipeline
 from spothedge.domain import (Contract, ElasticityCurve, MarketInstance,
                               SupplyStep, validate_instance, validate_scenarios)
 from spothedge.pipeline import (MissingObservation, NotPositiveDefinite,
@@ -153,6 +155,117 @@ def test_ingest_missing_system_row(tmp_path):
         ingest_lmp_csv(only_system)
 
 
+@pytest.fixture(params=[1, 2, 3, None], ids=["chunk1", "chunk2", "chunk3", "default"])
+def chunk(request, monkeypatch):
+    """Reads CSV files a few rows at a time (or in default-sized chunks).
+
+    raising=False: the error semantics below also hold for a row-by-row
+    reader that has no chunk size.
+    """
+    if request.param is not None:
+        monkeypatch.setattr(pipeline, "INGEST_CHUNK_ROWS", request.param, raising=False)
+    return request.param
+
+
+def write_text(path, lines):
+    path.write_text("".join(line + "\r\n" for line in lines), encoding="utf-8")
+
+
+def ingest_error(path):
+    with pytest.raises((ParseError, MissingObservation)) as info:
+        ingest_lmp_csv(path)
+    return info.value
+
+
+def test_ingest_chunk_size_does_not_change_the_history(chunk, monkeypatch):
+    history = ingest_lmp_csv(DATA / "toy_lmp.csv")
+    assert len(history.timestamps) == 200 and history.nodes == ("ALPHA", "BRAVO", "CHARLIE")
+    assert history.nodal.flags.c_contiguous
+    monkeypatch.setattr(pipeline, "INGEST_CHUNK_ROWS", 1 << 14, raising=False)
+    reference = ingest_lmp_csv(DATA / "toy_lmp.csv")
+    assert history.timestamps == reference.timestamps
+    assert history.nodal.tobytes() == reference.nodal.tobytes()
+    assert history.system.tobytes() == reference.system.tobytes()
+
+
+def test_ingest_duplicate_of_a_row_in_an_earlier_chunk(tmp_path, chunk):
+    path = tmp_path / "dup.csv"
+    write_text(path, ["timestamp,node,price", "t1,SYSTEM,9", "t1,A,10", "t2,SYSTEM,9",
+                      "t2,A,11", "t3,SYSTEM,9", "t1,A,12", "t3,A,13"])
+    err = ingest_error(path)
+    assert isinstance(err, ParseError) and err.line == 7
+    assert str(err) == "line 7: duplicate observation for (t1, A)"
+
+
+def test_ingest_first_bad_line_wins_between_parse_error_and_duplicate(tmp_path, chunk):
+    rows = ["timestamp,node,price", "t1,SYSTEM,9", "t1,A,10", "t2,SYSTEM,9"]
+    parse_first = tmp_path / "parse_first.csv"
+    write_text(parse_first, rows + ["t2,A,oops", "t1,A,10"])
+    err = ingest_error(parse_first)
+    assert (type(err), err.line, str(err)) == (ParseError, 5, "line 5: bad price 'oops'")
+    duplicate_first = tmp_path / "duplicate_first.csv"
+    write_text(duplicate_first, rows + ["t1,A,10", "t2,A,inf", "t2,,1"])
+    err = ingest_error(duplicate_first)
+    assert (type(err), err.line) == (ParseError, 5)
+    assert str(err) == "line 5: duplicate observation for (t1, A)"
+    # on one line, a malformed field is reported before the duplicate
+    same_line = tmp_path / "same_line.csv"
+    write_text(same_line, rows + ["t1,A,nan"])
+    err = ingest_error(same_line)
+    assert str(err) == "line 5: non-finite price 'nan'"
+
+
+def test_ingest_skips_blank_lines_and_counts_them(tmp_path, chunk):
+    path = tmp_path / "blank.csv"
+    lines = ["timestamp,node,price", "", "t1,SYSTEM,9", "", "", "t1,A,10", "", "t2,SYSTEM,8", "t2,A,11", ""]
+    write_text(path, lines)
+    history = ingest_lmp_csv(path)
+    assert history.timestamps == ("t1", "t2")
+    np.testing.assert_array_equal(history.nodal, [[10.0], [11.0]])
+    lines[-2] = "t2,A,x"
+    write_text(path, lines)
+    err = ingest_error(path)
+    assert (err.line, str(err)) == (9, "line 9: bad price 'x'")
+
+
+def test_ingest_short_rows_read_as_empty_fields(tmp_path, chunk):
+    path = tmp_path / "short.csv"
+    write_text(path, ["timestamp,node,price", "t1,SYSTEM,9", "t1,A"])
+    err = ingest_error(path)
+    assert (err.line, str(err)) == (3, "line 3: bad price ''")
+    write_text(path, ["price,timestamp,node", "9,t1,SYSTEM", "10,t1"])
+    err = ingest_error(path)
+    assert (err.line, str(err)) == (3, "line 3: empty timestamp or node")
+    # a longer row and a repeated header name (the last copy is read) are fine
+    write_text(path, ["timestamp,node,price,node", "t1,X,9,SYSTEM", "t1,X,10,A,extra"])
+    history = ingest_lmp_csv(path)
+    assert history.nodes == ("A",) and history.system.tolist() == [9.0]
+
+
+def test_ingest_quoted_field_over_two_lines_keeps_csv_line_numbers(tmp_path, chunk):
+    path = tmp_path / "quoted.csv"
+    head = ["timestamp,node,price", "t1,SYSTEM,9", '"t1",A,"10']
+    write_text(path, head + ['"', "t1,B,x"])
+    err = ingest_error(path)
+    assert (err.line, str(err)) == (5, "line 5: bad price 'x'")
+    write_text(path, head + ['x"', "t1,B,1"])
+    err = ingest_error(path)
+    assert (err.line, str(err)) == (4, "line 4: bad price '10\\r\\nx'")
+
+
+def test_ingest_holes_are_reported_in_timestamp_order(tmp_path, chunk):
+    path = tmp_path / "holes.csv"
+    # t2 appears first; at t2 SYSTEM and A are missing, at t1 only B
+    write_text(path, ["timestamp,node,price", "t2,B,1", "t1,SYSTEM,9", "t1,A,10",
+                      "t3,SYSTEM,9", "t3,A,1", "t3,B,2"])
+    assert str(ingest_error(path)) == "no system (SYSTEM) price at t2"
+    write_text(path, ["timestamp,node,price", "t1,SYSTEM,9", "t1,A,10", "t1,B,11", "t1,C,12",
+                      "t2,SYSTEM,9", "t2,B,1", "t3,SYSTEM,9", "t3,A,1"])
+    err = ingest_error(path)
+    assert isinstance(err, MissingObservation)
+    assert str(err) == "node A has no price at t2"
+
+
 # ----------------------------------------------------------------------
 # k-means reduction
 
@@ -235,6 +348,80 @@ def test_kmeans_rejects_bad_inputs():
         kmeans_reduce(np.array([[np.nan, 0.0]]), k=1)
     with pytest.raises(ValueError, match="matrix"):
         kmeans_reduce(np.zeros(4), k=1)
+
+
+FIELDS = ("representatives", "representative_indices", "probabilities", "labels",
+          "centroids", "inertia")
+
+
+def assert_same_reduction(x, k, seed):
+    got, want = kmeans_reduce(x, k, seed=seed), kmeans_reduce_einsum(x, k, seed=seed)
+    for name in FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.array_equal(a, b), (name, k, seed)
+        assert np.asarray(a).dtype == np.asarray(b).dtype, name
+
+
+def count_exact_rounds(monkeypatch):
+    """Counts the calls of the exact distance kernel, the final pass included."""
+    calls = []
+    exact = pipeline._sq_dist
+    monkeypatch.setattr(pipeline, "_sq_dist", lambda x, c: calls.append(1) or exact(x, c))
+    return calls
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_kmeans_equals_the_einsum_oracle_on_random_data(order):
+    rng = np.random.default_rng(11)
+    for n, m in [(1, 3), (9, 1), (60, 2), (200, 3), (400, 8)]:
+        x = np.asarray(rng.normal(35.0, 4.0, size=(n, m)), order=order)
+        for k in sorted({1, min(n, 2), min(n, 5), min(n, 10), min(n, 32)}):
+            for seed in (0, 7):
+                assert_same_reduction(x, k, seed)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_kmeans_equals_the_oracle_on_exact_ties(order, monkeypatch):
+    # integer points on a small grid: many rows are exactly as far from two
+    # centroids, which the screen cannot separate, so those rounds are exact
+    rng = np.random.default_rng(5)
+    x = np.asarray(rng.integers(0, 4, size=(120, 2)).astype(float), order=order)
+    calls = count_exact_rounds(monkeypatch)
+    runs = 0
+    for k in (2, 3, 6, 16):
+        for seed in (0, 7):
+            assert_same_reduction(x, k, seed)
+            runs += 1
+    assert len(calls) > runs  # rounds besides the final passes were exact
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_kmeans_equals_the_oracle_when_clusters_empty(order):
+    # identical points, and fewer distinct points than clusters: the seeds
+    # coincide, ties go to the lowest index and emptied clusters are re-seeded
+    assert_same_reduction(np.asarray(np.full((7, 3), 2.5), order=order), 4, 0)
+    base = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 5.0]])
+    x = np.asarray(np.repeat(base, [5, 3, 4], axis=0), order=order)
+    for k in (3, 4, 6, 12):
+        for seed in (0, 1, 7):
+            assert_same_reduction(x, k, seed)
+            assert (kmeans_reduce(x, k, seed=seed).probabilities > 0).all()
+
+
+def test_kmeans_screen_leaves_near_ties_to_the_exact_distances():
+    # squared distances 1e6 and (1e3 + 5e-12)^2 = 1e6 + 1e-8: closer than the
+    # rounding bound 8 (M+2) eps (||x||^2 + max ||c||^2), about 3.6e-8
+    x_t = np.array([[1e3, 3.0], [0.0, 0.0]])
+    centroids = np.array([[0.0, 0.0], [2e3 + 5e-12, 0.0]])
+    assert pipeline._nearest_screen(x_t, 2)(centroids) is None
+    centroids[1, 0] = 2e3 + 1e-6  # 2e-3 apart: decided by the screen
+    assert pipeline._nearest_screen(x_t, 2)(centroids).tolist() == [0, 0]
+
+
+def test_kmeans_equals_the_oracle_on_the_toy_history():
+    history = ingest_lmp_csv(DATA / "toy_lmp.csv")
+    for k in range(1, 17):
+        assert_same_reduction(history.nodal, k, 7)
 
 
 # ----------------------------------------------------------------------

@@ -50,7 +50,6 @@ class LpSolution:
     status: str  # OPTIMAL | INFEASIBLE | UNBOUNDED
     objective: float | None = None
     values: np.ndarray | None = None  # one entry per structural variable
-    duals: np.ndarray | None = None  # one entry per row, diagnostic only
     iterations: int = 0
     basis: Basis | None = None  # final basis of an optimal simplex solve
 

@@ -5,7 +5,8 @@ inputs the allocation models need:
 
 1. ingest_lmp_csv: one streaming pass pivoting the file into a wide
    (observations x nodes) matrix plus the system price series, with hard
-   errors on malformed rows, duplicate cells and missing observations.  The
+   errors on malformed rows, duplicate cells, missing observations, bytes
+   that are not UTF-8 and text the csv module cannot read.  The
    csv rows are parsed INGEST_CHUNK_ROWS at a time into integer timestamp
    and node codes and a price array; one bincount over the codes then finds
    duplicates and holes and one scatter fills the matrix.  Memory is one
@@ -92,9 +93,11 @@ def ingest_lmp_csv(path, column_map: dict | None = None) -> PriceHistory:
 
     column_map may rename the three columns and the reserved system-node key
     (defaults: timestamp/node/price and node name "SYSTEM").  Duplicate
-    (timestamp, node) pairs and unparseable rows raise ParseError with the
-    offending line number; a node missing some timestamp, or a timestamp
-    without a system row, raises MissingObservation.
+    (timestamp, node) pairs, unparseable rows, bytes that are not UTF-8 and
+    text the csv module rejects (such as a field over its size limit) raise
+    ParseError with the offending line number; a node missing some
+    timestamp, or a timestamp without a system row, raises
+    MissingObservation.
     """
     colmap = dict(DEFAULT_COLUMNS)
     if column_map:
@@ -112,7 +115,10 @@ def ingest_lmp_csv(path, column_map: dict | None = None) -> PriceHistory:
     pending = None  # what the reader raised after the last row it returned
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise _reader_error(path, exc, reader.line_num) from exc
         if header is None:
             raise ParseError("empty file", 1)
         missing_cols = {ts_col, node_col, price_col} - set(header)
@@ -126,7 +132,8 @@ def ingest_lmp_csv(path, column_map: dict | None = None) -> PriceHistory:
             try:
                 records.extend(itertools.islice(reader, INGEST_CHUNK_ROWS))
             except (csv.Error, ValueError, OSError) as exc:
-                pending = exc  # raised after the rows extend() kept, if they are clean
+                # raised after the rows extend() kept, if they are clean
+                pending = _reader_error(path, exc, reader.line_num)
             if not records:
                 break
             rows = [row for row in records if row]  # blank lines are skipped
@@ -194,6 +201,29 @@ def _row_problem(ts: str, node: str, raw_price: str) -> str | None:
     if not math.isfinite(price):
         return f"non-finite price {raw_price!r}"
     return None
+
+
+def _reader_error(path, exc, line_num: int):
+    """ParseError for a file that is not UTF-8 or not readable as CSV
+    (csv.reader had read line_num lines when it raised); any other error
+    is returned as it is."""
+    if isinstance(exc, UnicodeDecodeError):
+        return ParseError(f"not UTF-8 text: {exc.reason}", _undecodable_line(path))
+    if isinstance(exc, csv.Error):
+        return ParseError(f"unreadable CSV: {exc}", line_num)
+    return exc
+
+
+def _undecodable_line(path) -> int:
+    """1-based line of the first line that is not UTF-8; a newline byte
+    never occurs inside a multi-byte UTF-8 character."""
+    with open(path, "rb") as handle:
+        for line, raw in enumerate(handle, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                break
+    return line
 
 
 def _data_line(path, row: int) -> int:

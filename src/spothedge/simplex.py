@@ -2,10 +2,14 @@
 
 Two-phase method on the equality form obtained by giving every row a slack
 (``<=`` rows get a slack in [0, inf), ``>=`` rows in (-inf, 0], ``==`` rows a
-slack fixed at 0).  Phase 1 minimizes the sum of per-row artificial variables
-sized to the initial residual; phase 2 maximizes the real objective with the
-artificials fixed at zero and left out of pricing.  Nonbasic variables sit
-at a finite bound (free variables sit at zero and may move either way).
+slack fixed at 0).  A cold solve starts from a crash basis: each free
+structural column is basic in one of its rows, every other row has its
+slack, and a row whose slack would lie outside its bounds gets an artificial
+variable sized to the residual instead.  Phase 1 minimizes the sum of those
+artificials (it ends at once when there are none); phase 2 maximizes the
+real objective with the artificials fixed at zero and left out of pricing.
+Nonbasic variables sit at a finite bound (free variables sit at zero and
+may move either way).
 
 Pricing is Dantzig's largest reduced cost, switching to Bland's rule after
 3*(rows+columns) consecutive non-improving iterations so that degenerate
@@ -318,19 +322,53 @@ def _snap(values, lower, upper):
 
 
 def _cold_start(state, rest):
-    """Rest every real column at its bound and cover each row's residual with
-    an artificial sized to it; the artificials form the starting basis."""
+    """Crash basis: free columns and slacks, artificials only where needed.
+
+    Every nonbasic column rests at its bound.  Each free structural column
+    becomes basic in the first of its rows that no earlier free column has
+    taken, and every other row starts with its slack.  Where that leaves a
+    slack outside its bounds, the row's artificial, signed so that its value
+    is positive, replaces it; both are unit columns of one row, so every
+    other basic value stays as it is.  The other artificials are fixed at
+    zero.  A singular free-column block falls back to slacks alone.
+    """
     n_real, m = state.n_real, state.m
+    n = n_real - m
     state.status[:] = rest
     state.x[:] = _rest_values(state, rest)
-    residual = state.b - state.matvec(state.x)
-    state.data[state.indptr[n_real]:] = np.where(residual >= 0, 1.0, -1.0)
-    state.x[n_real:] = np.abs(residual)
-    state.lower[n_real:] = 0.0
-    state.upper[n_real:] = np.inf
-    state.basis[:] = n_real + np.arange(m)
-    state.status[n_real:] = _BASIC
-    state.refactor()
+    state.lower[n_real:] = state.upper[n_real:] = 0.0
+    state.data[state.indptr[n_real]:] = 1.0
+    slacks = n + np.arange(m)
+    state.basis[:] = slacks
+    for j in np.nonzero(rest[:n] == _FREE)[0]:
+        rows = state.indices[state.indptr[j]:state.indptr[j + 1]]
+        open_rows = rows[state.basis[rows] >= n]
+        if open_rows.size:
+            state.basis[open_rows.min()] = j
+    state.status[state.basis] = _BASIC
+    try:
+        state.refactor()
+    except NumericalFailure:
+        state.status[:] = rest
+        state.basis[:] = slacks
+        state.status[slacks] = _BASIC
+        state.refactor()
+
+    # a slack outside its bounds hands its row to the artificial; every slack
+    # rests at zero, so no other value moves and no refactorization is needed
+    x_b = state.x[state.basis]
+    rows = np.nonzero((state.basis >= n) & ((x_b < state.lower[state.basis])
+                                            | (x_b > state.upper[state.basis])))[0]
+    artificials = n_real + rows
+    signs = np.sign(x_b[rows])
+    state.status[slacks[rows]] = rest[slacks[rows]]
+    state.x[slacks[rows]] = 0.0
+    state.basis[rows] = artificials
+    state.status[artificials] = _BASIC
+    state.x[artificials] = np.abs(x_b[rows])
+    state.upper[artificials] = np.inf
+    state.data[state.indptr[artificials]] = signs
+    state.sign[state.unit_index[rows]] = signs  # the factored unit columns' signs
 
 
 def _warm_start(state, start, rest):
@@ -431,7 +469,7 @@ def solve(lp: LinearProgram, iteration_limit: int | None = None,
     Returns
     -------
     LpSolution
-        status OPTIMAL with values/objective/duals and the final basis, or
+        status OPTIMAL with values/objective and the final basis, or
         INFEASIBLE/UNBOUNDED.
 
     Raises
@@ -497,9 +535,8 @@ def solve(lp: LinearProgram, iteration_limit: int | None = None,
         return LpSolution(status=UNBOUNDED, iterations=iterations)
 
     values = _vertex_values(state, n)
-    duals = state.btran(c_phase2[state.basis])
     objective = float(lp.objective_array() @ values)
     basis = Basis(basic=state.basis.copy(), status=state.status.copy(),
                   signs=state.data[indptr[n + m]:].copy())
     return LpSolution(status=OPTIMAL, objective=objective, values=values,
-                      duals=duals, iterations=iterations, basis=basis)
+                      iterations=iterations, basis=basis)

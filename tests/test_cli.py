@@ -4,8 +4,10 @@ All invocations go through cli.main(argv) in-process; stderr errors are
 parsed as JSON to pin the machine-readable contract.
 """
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import pathlib
 
@@ -239,6 +241,66 @@ def test_sweep_writes_all_outputs(capsys, micro_files, tmp_path):
     assert json.loads((out / "failures.json").read_text()) == []
 
 
+# sha256 of the solve and sweep outputs on the bundled data at 16 scenarios
+# (prepare --k 16 --seed 7), recorded from the all-artificial cold start that
+# the crash basis replaced
+SOLVE_DIGESTS = {
+    "risk_neutral": (
+        [], "9445e4006efe3529913b4a57ba615762841083cb500f37fda889baf6f5a9bd45"),
+    "cvar": (
+        ["--alpha", "0.25", "--lambda", "0.2"],
+        "49a7975876c85427be198f5daebe63ddedc2d268b9bb576cf408e1e049baea54"),
+    "dro_per_scenario": (
+        ["--epsilon", "1", "--dro-penalty", "per_scenario"],
+        "58b16bc6bc36a27eff10d50e33d0d7a39bc8eec21d8d0ca12b1127216ff32f90"),
+    "dro_per_period": (
+        ["--epsilon", "1", "--dro-penalty", "per_period"],
+        "4be61f6a2b8fb6630ad7764639a6edc8dc79fabf3b752034529618d6aa87bee6"),
+}
+SWEEP_DIGESTS = {
+    "metrics.csv": "384f3fa446075980bc31410f2d9c1f3094df3525decbf38fb9b4b28d415871a9",
+    "tradeoff.csv": "b58755e362734a0dc236b893a4bdaf22f2f9c5979694a44d636631fefe7db3e4",
+    "failures.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+}
+
+
+@pytest.fixture(scope="module")
+def toy16(tmp_path_factory):
+    out = tmp_path_factory.mktemp("toy16")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["prepare", "--instance", str(DATA / "toy_instance.json"),
+                     "--raw-csv", str(DATA / "toy_lmp.csv"), "--k", "16",
+                     "--seed", "7", "--out", str(out)])
+    assert code == 0
+    return out
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", list(SOLVE_DIGESTS))
+def test_solve_report_matches_recorded_digest(capsys, tmp_path, toy16, case):
+    extra, digest = SOLVE_DIGESTS[case]
+    kind = case.split("_per_")[0]
+    q = ["--q", str(toy16 / "q.json")] if kind == "dro" else []
+    code, _, _ = run(capsys, "solve", "--instance", str(DATA / "toy_instance.json"),
+                     "--scenarios", str(toy16 / "scenarios.json"), "--kind", kind,
+                     *extra, *q, "--out", str(tmp_path))
+    assert code == 0
+    assert sha256(tmp_path / "report.json") == digest
+
+
+def test_sweep_outputs_match_recorded_digests(capsys, tmp_path, toy16):
+    code, _, _ = run(capsys, "sweep", "--instance", str(DATA / "toy_instance.json"),
+                     "--scenarios", str(toy16 / "scenarios.json"),
+                     "--alpha-grid", "0.05,0.1,0.25,0.5,0.75,1.0",
+                     "--epsilon-grid", "0,0.25,0.5,1,2,4", "--gamma", "0.9,0.75",
+                     "--q", str(toy16 / "q.json"), "--out", str(tmp_path))
+    assert code == 0
+    assert {name: sha256(tmp_path / name) for name in SWEEP_DIGESTS} == SWEEP_DIGESTS
+
+
 def test_sweep_requires_out_and_q_for_epsilons(capsys, micro_files, tmp_path):
     ipath, spath = micro_files
     code, _, err = run(capsys, "sweep", "--instance", str(ipath),
@@ -360,6 +422,31 @@ def test_prepare_column_map_and_errors(capsys, tmp_path):
                        "--raw-csv", str(DATA / "toy_lmp.csv"),
                        "--k", "nope", "--out", str(tmp_path / "y"))
     assert code == 2 and stderr_json(err)["error"] == "usage"
+
+
+def test_prepare_reports_bytes_that_are_not_utf8_as_a_parse_error(capsys, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"timestamp,node,price\nt1,ALPHA,1\nt1,BR\xffAVO,2\nt1,SYSTEM,3\n")
+    code, _, err = run(capsys, "prepare",
+                       "--instance", str(DATA / "toy_instance.json"),
+                       "--raw-csv", str(bad), "--out", str(tmp_path / "x"))
+    assert code == 2
+    doc = stderr_json(err)
+    assert doc["error"] == "parse" and doc["line"] == 3
+    assert "UTF-8" in doc["message"]
+
+
+def test_prepare_reports_a_field_over_the_csv_limit_as_a_parse_error(capsys, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("timestamp,node,price\nt1,ALPHA,1\n"
+                   f't1,BRAVO,"{"9" * 200_000}"\nt1,SYSTEM,3\n')
+    code, _, err = run(capsys, "prepare",
+                       "--instance", str(DATA / "toy_instance.json"),
+                       "--raw-csv", str(bad), "--out", str(tmp_path / "x"))
+    assert code == 2
+    doc = stderr_json(err)
+    assert doc["error"] == "parse" and doc["line"] == 3
+    assert "field limit" in doc["message"]
 
 
 def test_prepare_rejects_unknown_market_nodes(capsys, tmp_path):

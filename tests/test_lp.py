@@ -7,7 +7,9 @@ import pytest
 
 from bruteforce import DimensionTooLarge, brute_force_solve
 from helpers import lp_to_text, random_lp
-from spothedge.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram
+from spothedge import simplex
+from spothedge.linprog import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
+                               NumericalFailure)
 from spothedge.simplex import solve
 
 
@@ -174,3 +176,121 @@ def test_start_from_another_shape_is_rejected():
     wider.add_row("floor", {0: 1.0}, ">=", 1.0)
     with pytest.raises(ValueError):
         solve(wider, start=start)
+
+
+def boxed(lp, bound):
+    """lp with every infinite bound replaced by -bound or bound."""
+    box = LinearProgram()
+    for name, lo, hi, c in zip(lp.variable_names, lp.lower, lp.upper, lp.objective):
+        box.add_variable(name, max(lo, -bound), min(hi, bound), c)
+    for row in lp.rows:
+        box.add_row(row.name, row.coeffs, row.relation, row.rhs)
+    return box
+
+
+def refactored_bases(monkeypatch):
+    """Record the basis of every refactorization and whether it was singular;
+    the first ones of a cold solve are its crash basis."""
+    seen = []
+    refactor = simplex._State.refactor
+
+    def recording(state):
+        basis = state.basis.copy()
+        try:
+            refactor(state)
+        except NumericalFailure:
+            seen.append((basis, True))
+            raise
+        seen.append((basis, False))
+
+    monkeypatch.setattr(simplex._State, "refactor", recording)
+    return seen
+
+
+def test_crash_falls_back_to_slacks_on_a_singular_free_block(monkeypatch):
+    # z1 takes row 0 and z2 row 1, whose block [[1, 1], [2, 2]] is singular;
+    # max 3 z1 + z2 - x is 4 at z1 = x = 3, z2 = -2
+    lp = LinearProgram()
+    z1 = lp.add_variable("z1", -math.inf, math.inf, 3.0)
+    z2 = lp.add_variable("z2", -math.inf, math.inf, 1.0)
+    x = lp.add_variable("x", 0.0, 3.0, -1.0)
+    lp.add_row("sum", {z1: 1.0, z2: 1.0}, "==", 1.0)
+    lp.add_row("twice", {z1: 2.0, z2: 2.0}, "==", 2.0)
+    lp.add_row("cap", {z1: 1.0, x: -1.0}, "<=", 0.0)
+    lp.add_row("floor", {z2: 1.0}, ">=", -5.0)
+    seen = refactored_bases(monkeypatch)
+    sol = solve(lp)
+    assert [singular for _basis, singular in seen[:2]] == [True, False]
+    assert list(seen[0][0][:2]) == [z1, z2]
+    assert (seen[1][0] >= lp.num_variables).all()  # slacks only
+    ref = brute_force_solve(boxed(lp, 100.0))
+    assert sol.status == ref.status == OPTIMAL
+    assert sol.objective == pytest.approx(ref.objective, abs=1e-9)
+    assert ref.objective == pytest.approx(4.0, abs=1e-9)
+    assert sol.values == pytest.approx([3.0, -2.0, 3.0], abs=1e-9)
+
+
+def test_crash_leaves_a_free_column_without_an_open_row_at_zero(monkeypatch):
+    # z1 takes row 0 and z2 row 1; z3 appears only in row 0 and stays at 0
+    lp = LinearProgram()
+    z1 = lp.add_variable("z1", -math.inf, math.inf)
+    z2 = lp.add_variable("z2", -math.inf, math.inf)
+    z3 = lp.add_variable("z3", -math.inf, math.inf, 1.0)
+    x = lp.add_variable("x", 0.0, 3.0)
+    lp.add_row("total", {z1: 1.0, z2: 1.0, z3: 1.0}, "==", 6.0)
+    lp.add_row("cap", {z2: 1.0, x: -1.0}, "<=", 0.0)
+    lp.add_row("z1_cap", {z1: 1.0}, "<=", 1.0)
+    lp.add_row("floor", {z1: 1.0, z2: 1.0}, ">=", -2.0)
+    seen = refactored_bases(monkeypatch)
+    sol = solve(lp)
+    crash, singular = seen[0]
+    assert not singular
+    assert list(crash[:2]) == [z1, z2] and z3 not in crash
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(8.0, abs=1e-9)
+    assert sol.objective == pytest.approx(brute_force_solve(boxed(lp, 100.0)).objective,
+                                          abs=1e-9)
+
+
+def test_infeasible_and_unbounded_with_free_columns():
+    lp = LinearProgram()
+    z = lp.add_variable("z", -math.inf, math.inf, 1.0)
+    x = lp.add_variable("x", 0.0, 1.0)
+    lp.add_row("link", {z: 1.0, x: -1.0}, "==", 0.0)
+    lp.add_row("floor", {z: 1.0}, ">=", 2.0)
+    assert solve(lp).status == INFEASIBLE
+
+    lp = LinearProgram()
+    z1 = lp.add_variable("z1", -math.inf, math.inf, 1.0)
+    z2 = lp.add_variable("z2", -math.inf, math.inf, -1.0)
+    x = lp.add_variable("x", 0.0, 1.0)
+    lp.add_row("link", {z1: 1.0, z2: 1.0, x: -1.0}, "==", 0.0)
+    lp.add_row("gap", {z1: 1.0, z2: -1.0}, ">=", 0.0)
+    assert solve(lp).status == UNBOUNDED
+
+
+def test_simplex_matches_oracle_with_free_columns():
+    """Random programs gain one or two free columns, each tied to the bounded
+    ones by its own equality row and also present in some other rows; the
+    oracle solves them with the free bounds boxed far outside that tie."""
+    rng = np.random.default_rng(20261018)
+    statuses = set()
+    for _ in range(150):
+        lp = random_lp(rng)
+        n, m = lp.num_variables, lp.num_rows
+        for k in range(int(rng.integers(1, 3))):
+            z = lp.add_variable(f"z{k}", -math.inf, math.inf, float(rng.integers(-9, 10)))
+            for row in lp.rows[:m]:  # |z| <= 6 * 81 + 9 from its tie alone
+                if rng.random() < 0.5:
+                    row.coeffs[z] = float(rng.integers(1, 10) * rng.choice([-1, 1]))
+            tie = {j: float(c) for j, c in enumerate(rng.integers(-9, 10, size=n))}
+            tie[z] = -1.0
+            lp.add_row(f"tie{k}", tie, "==", float(rng.integers(-9, 10)))
+        ref = brute_force_solve(boxed(lp, 1e3))
+        got = solve(lp)
+        assert got.status == ref.status, lp_to_text(lp)
+        statuses.add(ref.status)
+        if ref.status == OPTIMAL:
+            tol = 1e-8 * (1.0 + abs(ref.objective))
+            assert abs(got.objective - ref.objective) <= tol, lp_to_text(lp)
+    assert statuses == {OPTIMAL, INFEASIBLE}

@@ -253,6 +253,24 @@ def test_ingest_quoted_field_over_two_lines_keeps_csv_line_numbers(tmp_path, chu
     assert (err.line, str(err)) == (4, "line 4: bad price '10\\r\\nx'")
 
 
+def test_ingest_unreadable_text_is_a_parse_error_after_earlier_rows(tmp_path, chunk):
+    # 2 000 clean lines put the bad line past the text decoder's first block
+    rows = [f"t{i},{node},{i}" for i in range(1000) for node in ("SYSTEM", "A")]
+    head = ("timestamp,node,price\r\n" + "".join(row + "\r\n" for row in rows)).encode()
+    path = tmp_path / "late.csv"
+    path.write_bytes(head + b"t1000,SYSTEM,\xff\r\nt1000,A,1\r\n")
+    err = ingest_error(path)
+    assert type(err) is ParseError and err.line == 2002
+    assert str(err).startswith("line 2002: not UTF-8 text")
+    path.write_bytes(head + b't1000,SYSTEM,"' + b"9" * 200_000 + b'"\r\nt1000,A,1\r\n')
+    err = ingest_error(path)
+    assert type(err) is ParseError and err.line == 2002
+    assert "field limit" in str(err)
+    # a malformed row before the unreadable one is reported first
+    path.write_bytes(head.replace(b"t7,A,7", b"t7,A,x") + b"t1000,SYSTEM,\xff\r\n")
+    assert str(ingest_error(path)) == "line 17: bad price 'x'"
+
+
 def test_ingest_holes_are_reported_in_timestamp_order(tmp_path, chunk):
     path = tmp_path / "holes.csv"
     # t2 appears first; at t2 SYSTEM and A are missing, at t1 only B

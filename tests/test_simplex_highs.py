@@ -1,7 +1,7 @@
 """Differential tests of the simplex against HiGHS.
 
 They cover the allocation LPs at sizes the brute-force oracle cannot reach:
-the toy data reduced to 4, 8 and 16 scenarios for every model, warm-started
+the toy data reduced to 4, 8, 16 and 32 scenarios for every model, warm-started
 chains over an alpha and an epsilon grid, the risk-free LP, and random
 allocation cases.  scipy is a test-only dependency; without it the module
 is skipped.
@@ -58,7 +58,7 @@ def toy_config(kind: str, q) -> FormulationConfig:
 
 
 @pytest.mark.parametrize("kind", [RISK_NEUTRAL, CVAR, PER_SCENARIO, PER_PERIOD])
-@pytest.mark.parametrize("k", [4, 8, 16])
+@pytest.mark.parametrize("k", [4, 8, 16, 32])
 def test_toy_models_match_highs(k, kind):
     instance, scenarios, q = toy_case(k)
     lp, _vm = build(instance, scenarios, toy_config(kind, q))

@@ -41,7 +41,7 @@ from .formulations import (
     solve_allocation,
 )
 from .linprog import NumericalFailure
-from .simplex import solve
+from .simplex import extend_basis, solve
 
 RHO_FLOOR = 1e-9
 
@@ -167,8 +167,11 @@ def sweep(instance: MarketInstance, scenarios: ScenarioSet, *,
 
     The points of one grid share the LP's matrix, right-hand side and bounds,
     so each point's simplex starts from the previous point's final basis
-    and skips phase 1.  The anchor, the first point of each grid and the
-    point after a failure start cold.  The rows equal those of cold solves.
+    and skips phase 1.  The CVaR and robust LPs append columns and rows to
+    the risk-neutral one, so the first point of each grid starts from the
+    anchor's final basis, extended over them (simplex.extend_basis).  The
+    anchor and the point after a failure start cold.  The rows equal those
+    of cold solves.
     """
     for alpha in alphas:
         if not 0.0 < alpha <= 1.0:
@@ -184,6 +187,8 @@ def sweep(instance: MarketInstance, scenarios: ScenarioSet, *,
         fails and the failure is recorded."""
         try:
             lp, vm = build(instance, scenarios, config)
+            if start is not None:
+                start = extend_basis(start, lp)
             solution = solve(lp, start=start)
             report = extract_report(instance, scenarios, config, vm, solution)
             return report, solution.basis
@@ -195,10 +200,15 @@ def sweep(instance: MarketInstance, scenarios: ScenarioSet, *,
             return None, None
 
     riskfree = risk_free_profit(instance, scenarios)
-    neutral = solve_allocation(instance, scenarios, FormulationConfig(kind=RISK_NEUTRAL))
+    anchor = FormulationConfig(kind=RISK_NEUTRAL)
+    lp, vm = build(instance, scenarios, anchor)
+    solution = solve(lp)
+    neutral = extract_report(instance, scenarios, anchor, vm, solution)
+    anchor_basis = solution.basis
+    del lp, vm, solution  # only the basis is kept through the grids
 
     solved = [(RISK_NEUTRAL, None, None, None, neutral)]
-    start = None  # the previous grid point's basis; the first point starts cold
+    start = anchor_basis  # then the previous grid point's basis
     for alpha in alphas:
         if alpha == 1.0:
             report = neutral  # CVaR over the full distribution is the expectation
@@ -208,7 +218,7 @@ def sweep(instance: MarketInstance, scenarios: ScenarioSet, *,
                 {"source": CVAR, "alpha": float(alpha), "lambda": float(lam)}, start)
         if report is not None:
             solved.append((CVAR, float(alpha), float(lam), None, report))
-    start = None
+    start = anchor_basis
     for epsilon in epsilons:
         if epsilon == 0.0:
             report = neutral  # zero radius disables the penalty

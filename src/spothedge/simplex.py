@@ -37,8 +37,20 @@ same matrix, right-hand side and bounds, and another objective, skip
 phase 1: the nonbasic columns are put on their bounds, the basis is
 refactorized once and, when every basic value lies within FEASIBILITY_TOL
 of its bounds, phase 2 runs from there with the artificials fixed at zero.
-A singular or infeasible start falls back to the two-phase method from
-scratch; a start over another number of rows or columns raises ValueError.
+A start over another number of rows or columns raises ValueError.
+
+A program that appends columns and rows to another one, leaving the
+other's matrix, right-hand side and bounds as its leading block, takes the
+other's basis through extend_basis: each appended row starts with its slack
+and each appended column rests at its bound.  The appended rows' slacks may
+then lie outside their bounds, so a warm start first runs a crash over every
+row whose basic slack is violated: in row order, the first nonbasic
+structural column (in column order) with a nonzero in the row, all of whose
+nonzeros lie in rows that still have a basic slack, and whose new value
+stays inside its own bounds, replaces the slack, which goes to its bound.
+Such a column moves only the slacks of its own rows, so the repair is exact
+and one refactorization follows.  A start that is still singular or
+infeasible falls back to the two-phase method from scratch.
 """
 
 from __future__ import annotations
@@ -374,6 +386,7 @@ def _cold_start(state, rest):
 def _warm_start(state, start, rest):
     """Install start as the basis with the artificials fixed at zero.
 
+    Basic slacks outside their bounds are first repaired by _crash_slacks.
     Returns False, leaving the state for _cold_start, when the basis is
     singular or its basic values leave the bounds by more than
     FEASIBILITY_TOL.  A nonbasic column resting on an infinite bound, or
@@ -391,11 +404,83 @@ def _warm_start(state, start, rest):
     state.basis[:] = start.basic
     try:
         state.refactor()
+        if _crash_slacks(state, rest):
+            state.refactor()
     except NumericalFailure:
         return False
     x_b = state.x[state.basis]
     return bool(((x_b >= state.lower[state.basis] - FEASIBILITY_TOL)
                  & (x_b <= state.upper[state.basis] + FEASIBILITY_TOL)).all())
+
+
+def _crash_slacks(state, rest):
+    """Replace basic slacks outside their bounds by structural columns.
+
+    Rows are taken in order.  A row whose slack is basic and outside its
+    bounds by more than FEASIBILITY_TOL hands its basis position to the
+    first nonbasic structural column that has a nonzero in the row, whose
+    nonzeros all lie in rows that still have a basic slack, and whose value
+    after the move stays within its bounds; the slack goes to its bound.
+    B^-1 a_j of such a column is a_j on those slacks, so it moves only them
+    and no earlier choice.  Returns whether any column entered; the caller
+    then refactorizes.
+    """
+    m = state.m
+    n = state.n_real - m
+    slack_x = state.x[n:n + m]  # a view: updated as columns enter
+    slack_lo, slack_hi = state.lower[n:n + m], state.upper[n:n + m]
+    basic_slack = state.status[n:n + m] == _BASIC
+    bad = np.nonzero(basic_slack & ((slack_x < slack_lo - FEASIBILITY_TOL)
+                                    | (slack_x > slack_hi + FEASIBILITY_TOL)))[0]
+    if bad.size == 0:
+        return False
+
+    # the structural matrix by rows, each row's columns in column order
+    nnz = state.indptr[n]
+    order = np.argsort(state.indices[:nnz], kind="stable")
+    row_ptr = np.searchsorted(state.indices[:nnz][order], np.arange(m + 1))
+    row_cols, row_vals = state.col_of[order], state.data[order]
+    # per column, how many of its rows have no basic slack
+    closed = np.bincount(state.col_of[:nnz], weights=~basic_slack[state.indices[:nnz]],
+                         minlength=n)
+    position = np.empty(state.ncols, dtype=int)
+    position[state.basis] = np.arange(m)
+
+    entered = False
+    for i in bad:
+        s = slack_x[i]
+        if s > slack_hi[i] + FEASIBILITY_TOL:
+            target = slack_hi[i]
+        elif s < slack_lo[i] - FEASIBILITY_TOL:
+            target = slack_lo[i]
+        else:
+            continue  # an earlier column brought it back
+        cols = row_cols[row_ptr[i]:row_ptr[i + 1]]
+        moved = state.x[cols] + (s - target) / row_vals[row_ptr[i]:row_ptr[i + 1]]
+        fits = ((state.status[cols] != _BASIC) & (closed[cols] == 0)
+                & (moved >= state.lower[cols] - FEASIBILITY_TOL)
+                & (moved <= state.upper[cols] + FEASIBILITY_TOL))
+        if not fits.any():
+            continue
+        k = int(np.argmax(fits))
+        j = cols[k]
+        lo, hi = state.indptr[j], state.indptr[j + 1]
+        slack_x[state.indices[lo:hi]] -= state.data[lo:hi] * (moved[k] - state.x[j])
+        state.x[j] = moved[k]
+        state.basis[position[n + i]] = j
+        state.status[j] = _BASIC
+        state.status[n + i] = rest[n + i]
+        slack_x[i] = target
+        closed[row_cols[row_ptr[i]:row_ptr[i + 1]]] += 1
+        entered = True
+    return entered
+
+
+def _rest_status(lower, upper):
+    """A column rests at its finite lower bound, else its finite upper bound,
+    else at zero as a free column."""
+    return np.where(np.isfinite(lower), _AT_LOWER,
+                    np.where(np.isfinite(upper), _AT_UPPER, _FREE)).astype(np.int8)
 
 
 def _rest_values(state, status):
@@ -450,6 +535,39 @@ def _check_start(start, ncols, m):
         raise ValueError("start basis does not list its basic columns once each")
 
 
+def extend_basis(start: Basis, lp: LinearProgram) -> Basis:
+    """Map a basis of a program that is the leading block of lp into lp's
+    equality form.
+
+    The program behind start has lp's first columns and first rows, with
+    the same coefficients, right-hand sides and bounds.  Its structural
+    columns keep their indices, its slack and artificial columns shift past
+    lp's extra columns, each extra row starts with its slack basic, and each
+    extra column rests at its bound.  A start of lp's own shape maps onto
+    itself.
+
+    Raises
+    ------
+    ValueError
+        When start has more rows or columns than lp.
+    """
+    m0 = start.basic.size
+    n0 = start.status.size - 2 * m0
+    m, n = lp.num_rows, lp.num_variables
+    if not (0 <= n0 <= n and m0 <= m):
+        raise ValueError(f"start basis has {m0} rows and {max(n0, 0)} structural "
+                         f"columns; the program has only {m} and {n}")
+    lower, upper = lp.bounds_arrays()
+    status = np.concatenate([start.status[:n0], _rest_status(lower[n0:], upper[n0:]),
+                             start.status[n0:n0 + m0], np.full(m - m0, _BASIC),
+                             start.status[n0 + m0:], np.full(m - m0, _AT_LOWER)])
+    shift = np.where(start.basic < n0, 0,
+                     np.where(start.basic < n0 + m0, n - n0, n - n0 + m - m0))
+    basic = np.concatenate([start.basic + shift, n + np.arange(m0, m)])
+    signs = np.concatenate([start.signs, np.ones(m - m0)])
+    return Basis(basic=basic, status=status.astype(np.int8), signs=signs)
+
+
 def solve(lp: LinearProgram, iteration_limit: int | None = None,
           start: Basis | None = None) -> LpSolution:
     """Solve a LinearProgram, maximizing its objective.
@@ -463,8 +581,10 @@ def solve(lp: LinearProgram, iteration_limit: int | None = None,
         Cap per phase; defaults to 10000 + 50*(rows + columns).
     start : Basis, optional
         Final basis of an earlier solve of a program with the same matrix,
-        right-hand side and bounds; only the objective may differ.  When it
-        is nonsingular and primal feasible here, phase 1 is skipped.
+        right-hand side and bounds; only the objective may differ.  A basis
+        of a leading block of lp goes through extend_basis first.  When it
+        is nonsingular and primal feasible here, after the slack crash,
+        phase 1 is skipped.
 
     Returns
     -------
@@ -505,10 +625,7 @@ def solve(lp: LinearProgram, iteration_limit: int | None = None,
     if iteration_limit is None:
         iteration_limit = 10_000 + 50 * (m + state.ncols)
 
-    # a real column rests at its finite lower bound, else its finite upper
-    # bound, else at zero as a free column
-    rest = np.where(np.isfinite(lower), _AT_LOWER,
-                    np.where(np.isfinite(upper), _AT_UPPER, _FREE))
+    rest = _rest_status(lower, upper)
     iterations = 0
     if start is None or not _warm_start(state, start, rest):
         _cold_start(state, rest)

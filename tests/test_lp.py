@@ -8,9 +8,9 @@ import pytest
 from bruteforce import DimensionTooLarge, brute_force_solve
 from helpers import lp_to_text, random_lp
 from spothedge import simplex
-from spothedge.linprog import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
-                               NumericalFailure)
-from spothedge.simplex import solve
+from spothedge.linprog import (INFEASIBLE, OPTIMAL, UNBOUNDED, Basis,
+                               LinearProgram, NumericalFailure)
+from spothedge.simplex import extend_basis, solve
 
 
 def small_knapsack():
@@ -176,6 +176,89 @@ def test_start_from_another_shape_is_rejected():
     wider.add_row("floor", {0: 1.0}, ">=", 1.0)
     with pytest.raises(ValueError):
         solve(wider, start=start)
+
+
+def extended_knapsack(columns=(), rows=()):
+    """small_knapsack with columns (name, lower, upper, objective) and rows
+    (coeffs, relation, rhs) appended; the knapsack is its leading block."""
+    lp = small_knapsack()
+    for column in columns:
+        lp.add_variable(*column)
+    for i, (coeffs, relation, rhs) in enumerate(rows):
+        lp.add_row(f"extra{i}", coeffs, relation, rhs)
+    return lp
+
+
+def no_cold_start(state, rest):
+    raise AssertionError("the extended start fell back to the cold start")
+
+
+def test_extending_a_start_onto_a_smaller_program_is_rejected():
+    start = solve(extended_knapsack([("v", 0.0, math.inf, -1.0)],
+                                    [({0: 1.0, 2: 1.0}, ">=", 3.0)])).basis
+    with pytest.raises(ValueError):
+        extend_basis(start, small_knapsack())
+
+
+def test_extend_basis_maps_each_kind_of_column():
+    # a basis of the knapsack (x, y | slack cap | artificial cap) whose
+    # artificial is basic, extended by column v and row extra0
+    lp = extended_knapsack([("v", 0.0, math.inf, -1.0)], [({0: 1.0, 2: 1.0}, ">=", 3.0)])
+    at_lower, at_upper, basic = simplex._AT_LOWER, simplex._AT_UPPER, simplex._BASIC
+    start = Basis(basic=np.array([3]), signs=np.array([-1.0]),
+                  status=np.array([at_upper, at_lower, at_lower, basic], dtype=np.int8))
+    extended = extend_basis(start, lp)
+    # x, y, v | slacks cap, extra0 | artificials cap, extra0
+    assert list(extended.basic) == [5, 4]
+    assert list(extended.status) == [at_upper, at_lower, at_lower, at_lower, basic,
+                                     basic, at_lower]
+    assert list(extended.signs) == [-1.0, 1.0]
+    same = extend_basis(extended, lp)
+    for field in ("basic", "status", "signs"):
+        assert np.array_equal(getattr(same, field), getattr(extended, field))
+
+
+@pytest.mark.parametrize("columns, rows, optimum", [
+    # x + v >= 3 holds at x = 2 only with v = 1: v, whose only row that is,
+    # takes the place of the row's slack (1, above its bound 0)
+    ([("v", 0.0, math.inf, -1.0)], [({0: 1.0, 2: 1.0}, ">=", 3.0)], 9.0),
+    # var takes extra0 and so moves extra1's slack back inside its bounds;
+    # ell1 must not enter on the slack's value before that move
+    ([("var", -math.inf, math.inf, 0.5), ("ell0", 0.0, math.inf, -1.0),
+      ("ell1", 0.0, math.inf, -1.0)],
+     [({3: 1.0, 2: -1.0}, ">=", 3.0), ({4: 1.0, 2: -1.0}, ">=", 1.0)], 8.5),
+    # u would have to go below 0 and p above 1, so v and w enter instead
+    ([("u", 0.0, math.inf, -1.0), ("v", 0.0, math.inf, -1.0),
+      ("p", 0.0, 1.0, -1.0), ("w", 0.0, math.inf, -2.0)],
+     [({2: -1.0, 3: 1.0}, ">=", 2.0), ({4: 1.0, 5: 1.0}, ">=", 2.0)], 5.0),
+    # a takes extra0, so b, which would move a as well, may not take extra1
+    ([("a", 0.0, math.inf, -1.0), ("b", 0.0, math.inf, -3.0), ("c", 0.0, math.inf, -1.0)],
+     [({2: 1.0, 3: 1.0}, ">=", 2.0), ({3: 1.0, 4: 1.0}, ">=", 3.0)], 5.0),
+])
+def test_crash_repairs_appended_rows_without_phase_1(monkeypatch, columns, rows, optimum):
+    lp = extended_knapsack(columns, rows)
+    cold = solve(lp)
+    start = extend_basis(solve(small_knapsack()).basis, lp)
+    monkeypatch.setattr(simplex, "_cold_start", no_cold_start)
+    warm = solve(lp, start=start)
+    assert warm.status == OPTIMAL
+    assert warm.objective == pytest.approx(optimum, abs=1e-9)
+    assert warm.objective == cold.objective
+    assert np.array_equal(warm.values, cold.values)
+    assert warm.iterations < cold.iterations
+
+
+def test_extended_start_that_cannot_be_repaired_falls_back():
+    # y >= 2.5 is violated at the knapsack optimum y = 2, and y is basic
+    # already, so no nonbasic column can take the new row's slack
+    lp = extended_knapsack(rows=[({1: 1.0}, ">=", 2.5)])
+    start = extend_basis(solve(small_knapsack()).basis, lp)
+    warm = solve(lp, start=start)
+    cold = solve(lp)
+    assert warm.status == OPTIMAL
+    assert warm.objective == pytest.approx(9.5, abs=1e-9)
+    assert warm.iterations == cold.iterations  # the two-phase path from scratch
+    assert np.array_equal(warm.values, cold.values)
 
 
 def boxed(lp, bound):

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from conftest import micro_instance, micro_scenarios
 from helpers import toy_case
 from spothedge import metrics
-from spothedge.formulations import (CVAR, DRO, RISK_NEUTRAL, FormulationConfig,
+from spothedge.formulations import (CVAR, DRO, PER_PERIOD, PER_SCENARIO,
+                                    RISK_NEUTRAL, FormulationConfig,
                                     build_risk_neutral, extract_report,
                                     solve_allocation)
 from spothedge.linprog import NumericalFailure
@@ -215,13 +216,14 @@ GAMMAS = (0.9, 0.75)
 LAM = 0.1
 
 
-def toy_sweep(k: int, failures=None):
+def toy_sweep(k: int, failures=None, dro_penalty=PER_SCENARIO):
     instance, scenarios, q = toy_case(k)
     return sweep(instance, scenarios, alphas=ALPHAS, lam=LAM, epsilons=EPSILONS,
-                 q_matrix=q, gammas=GAMMAS, failures=failures)
+                 q_matrix=q, dro_penalty=dro_penalty, gammas=GAMMAS,
+                 failures=failures)
 
 
-def cold_rows(k: int) -> dict:
+def cold_rows(k: int, dro_penalty=PER_SCENARIO) -> dict:
     """metric_row of every toy grid point and gamma, each point solved alone,
     keyed by (source, alpha, epsilon, gamma)."""
     instance, scenarios, q = toy_case(k)
@@ -235,7 +237,8 @@ def cold_rows(k: int) -> dict:
         if source == CVAR and alpha != 1.0:
             config = FormulationConfig(kind=CVAR, alpha=alpha, lam=lam)
         elif source == DRO and epsilon != 0.0:
-            config = FormulationConfig(kind=DRO, epsilon=epsilon, q_matrix=q)
+            config = FormulationConfig(kind=DRO, epsilon=epsilon, q_matrix=q,
+                                       dro_penalty=dro_penalty)
         else:
             config = FormulationConfig()  # the grid points that reuse the anchor
         report = neutral if config.kind == RISK_NEUTRAL else solve_allocation(
@@ -252,9 +255,14 @@ def keyed(rows) -> dict:
     return {(r.source, r.alpha, r.epsilon, r.gamma): r for r in rows}
 
 
-@pytest.mark.parametrize("k", [8, 16])
-def test_warm_started_sweep_rows_equal_cold_rows(k):
-    assert keyed(toy_sweep(k)) == cold_rows(k)
+@pytest.mark.parametrize("k, dro_penalty", [
+    pytest.param(8, PER_SCENARIO, id="8"),
+    pytest.param(16, PER_SCENARIO, id="16"),
+    pytest.param(8, PER_PERIOD, id="8-per_period"),
+    pytest.param(16, PER_PERIOD, id="16-per_period"),
+])
+def test_warm_started_sweep_rows_equal_cold_rows(k, dro_penalty):
+    assert keyed(toy_sweep(k, dro_penalty=dro_penalty)) == cold_rows(k, dro_penalty)
 
 
 def test_sweep_orders_rows_on_printed_spot_fraction():
@@ -299,4 +307,57 @@ def test_failed_grid_point_leaves_the_other_rows_cold_equal(monkeypatch):
     want = cold_rows(8)
     for gamma in GAMMAS:
         del want[CVAR, 0.1, None, gamma]
+    assert rows == want
+
+
+def record_sweep_starts(monkeypatch, fail_alpha=None):
+    """Patch metrics so that each grid point's start is recorded, keyed by
+    (source, alpha or epsilon), and the CVaR point at fail_alpha raises
+    NumericalFailure."""
+    configs = {}
+    starts = {}
+    real_build, real_solve = metrics.build, metrics.solve
+
+    def recording_build(instance, scenarios, config):
+        lp, vm = real_build(instance, scenarios, config)
+        configs[id(lp)] = config
+        return lp, vm
+
+    def failing_solve(lp, start=None):
+        config = configs.get(id(lp))
+        if config is not None and config.kind == CVAR:
+            starts[CVAR, config.alpha] = start
+            if config.alpha == fail_alpha:
+                raise NumericalFailure("injected")
+        elif config is not None and config.kind == DRO:
+            starts[DRO, config.epsilon] = start
+        return real_solve(lp, start=start)
+
+    monkeypatch.setattr(metrics, "build", recording_build)
+    monkeypatch.setattr(metrics, "solve", failing_solve)
+    return starts
+
+
+def test_first_grid_points_start_from_the_anchor_basis(monkeypatch):
+    starts = record_sweep_starts(monkeypatch)
+    toy_sweep(8)
+    monkeypatch.undo()
+    assert starts[CVAR, ALPHAS[0]] is not None
+    assert starts[DRO, EPSILONS[1]] is not None  # epsilon 0 reuses the anchor
+    assert all(start is not None for start in starts.values())
+
+
+def test_failed_first_grid_point_leaves_the_other_rows_cold_equal(monkeypatch):
+    starts = record_sweep_starts(monkeypatch, fail_alpha=ALPHAS[0])
+    failures = []
+    rows = keyed(toy_sweep(8, failures))
+    monkeypatch.undo()
+
+    assert [(f["source"], f["alpha"]) for f in failures] == [(CVAR, ALPHAS[0])]
+    assert starts[CVAR, ALPHAS[0]] is not None  # from the anchor's basis
+    assert starts[CVAR, ALPHAS[1]] is None
+    assert starts[DRO, EPSILONS[1]] is not None
+    want = cold_rows(8)
+    for gamma in GAMMAS:
+        del want[CVAR, ALPHAS[0], None, gamma]
     assert rows == want

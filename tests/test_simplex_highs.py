@@ -2,9 +2,9 @@
 
 They cover the allocation LPs at sizes the brute-force oracle cannot reach:
 the toy data reduced to 4, 8, 16 and 32 scenarios for every model, warm-started
-chains over an alpha and an epsilon grid, the risk-free LP, and random
-allocation cases.  scipy is a test-only dependency; without it the module
-is skipped.
+chains over an alpha and an epsilon grid, from scratch or from the
+risk-neutral anchor's basis, the risk-free LP, and random allocation cases.
+scipy is a test-only dependency; without it the module is skipped.
 """
 
 import math
@@ -16,15 +16,15 @@ from helpers import random_allocation_case, toy_case
 from spothedge import metrics
 from spothedge.formulations import (CVAR, DRO, PER_PERIOD, PER_SCENARIO,
                                     RISK_NEUTRAL, FormulationConfig, build)
-from spothedge.linprog import OPTIMAL
-from spothedge.simplex import solve
+from spothedge.linprog import INFEASIBLE, OPTIMAL, LpSolution
+from spothedge.simplex import extend_basis, solve
 
 optimize = pytest.importorskip("scipy.optimize")
 
 RTOL = 1e-9
 
 
-def highs_objective(lp) -> float:
+def highs_result(lp):
     a, b, relations = lp.dense()
     rel = np.array(relations)
     upper_rows, lower_rows, equal_rows = rel == "<=", rel == ">=", rel == "=="
@@ -32,12 +32,16 @@ def highs_objective(lp) -> float:
     b_ub = np.concatenate([b[upper_rows], -b[lower_rows]])
     bounds = [(None if math.isinf(lo) else lo, None if math.isinf(hi) else hi)
               for lo, hi in zip(lp.lower, lp.upper)]
-    res = optimize.linprog(
+    return optimize.linprog(
         -lp.objective_array(),
         A_ub=a_ub if a_ub.size else None, b_ub=b_ub if a_ub.size else None,
         A_eq=a[equal_rows] if equal_rows.any() else None,
         b_eq=b[equal_rows] if equal_rows.any() else None,
         bounds=bounds, method="highs")
+
+
+def highs_objective(lp) -> float:
+    res = highs_result(lp)
     assert res.status == 0, res.message
     return -float(res.fun)
 
@@ -88,6 +92,65 @@ def test_warm_started_grid_chains_match_highs(k, kind):
         start = got.basis
     # phase 1 runs only at the cold first point
     assert max(iterations[1:]) < iterations[0]
+
+
+def assert_first_point_from_anchor(anchor, lp) -> LpSolution:
+    """Solve lp from the anchor's extended basis; it must match HiGHS and
+    take fewer iterations than its own cold solve."""
+    got = solve(lp, start=extend_basis(anchor.basis, lp))
+    assert got.status == OPTIMAL
+    want = highs_objective(lp)
+    assert abs(got.objective - want) <= RTOL * max(1.0, abs(want))
+    assert got.iterations < solve(lp).iterations
+    return got
+
+
+@pytest.mark.parametrize("kind", [CVAR, PER_SCENARIO, PER_PERIOD])
+@pytest.mark.parametrize("k", [4, 8, 16])
+def test_chains_from_the_anchor_basis_match_highs(k, kind):
+    """The first grid point starts from the risk-neutral anchor's basis,
+    extended over the model's extra columns and rows, as in a sweep."""
+    instance, scenarios, q = toy_case(k)
+    anchor = solve(build(instance, scenarios, FormulationConfig())[0])
+    if kind == CVAR:
+        first, *rest = [FormulationConfig(kind=CVAR, alpha=a, lam=0.1)
+                        for a in (0.05, 0.1, 0.25, 0.5, 0.75)]
+    else:
+        first, *rest = [FormulationConfig(kind=DRO, epsilon=e, q_matrix=q,
+                                          dro_penalty=kind)
+                        for e in (0.25, 0.5, 1.0, 2.0, 4.0)]
+    start = assert_first_point_from_anchor(
+        anchor, build(instance, scenarios, first)[0]).basis
+    for config in rest:
+        lp, _vm = build(instance, scenarios, config)
+        got = solve(lp, start=start)
+        assert got.status == OPTIMAL
+        want = highs_objective(lp)
+        assert abs(got.objective - want) <= RTOL * max(1.0, abs(want))
+        start = got.basis
+
+
+def test_random_allocation_cases_from_the_anchor_match_highs():
+    rng = np.random.default_rng(616)
+    for _ in range(40):
+        instance, scenarios = random_allocation_case(rng)
+        n_m = len(instance.markets)
+        lp, _vm = build(instance, scenarios, FormulationConfig())
+        anchor = solve(lp)
+        if anchor.status == INFEASIBLE:
+            # the generator does not see that the contract windows tie the
+            # periods together, so a draw can be infeasible; no basis to extend
+            assert highs_result(lp).status == 2
+            continue
+        configs = (
+            FormulationConfig(kind=CVAR, alpha=float(rng.uniform(0.05, 0.95)),
+                              lam=float(rng.uniform(0.0, 1.0))),
+            FormulationConfig(kind=DRO, epsilon=float(rng.uniform(0.0, 5.0)),
+                              q_matrix=rng.normal(size=(n_m, n_m)),
+                              dro_penalty=(PER_SCENARIO, PER_PERIOD)[int(rng.integers(2))]),
+        )
+        for config in configs:
+            assert_first_point_from_anchor(anchor, build(instance, scenarios, config)[0])
 
 
 @pytest.mark.parametrize("k", [4, 8, 16])

@@ -1,17 +1,21 @@
 """Deterministic-equivalent LPs for the three supply-allocation models.
 
 All three models share the same physical core over scenarios s with
-probabilities pi_s.  Decision variables per market m, contract c, spot
-tranche k, supply step i, period t and scenario s:
+probabilities pi_s.  Its columns come in contiguous blocks, in this order,
+each indexed in VariableMap by an integer array shaped like the decision
+(market m, contract c, spot tranche k, supply step i, period t, scenario s):
 
-    xmin[m,c]        committed contract volume (first stage, scenario-free)
-    xterm[m,c,t,s]   delivered contract volume
-    y[m,k,t,s]       spot sales in tranche k at its scenario price
-    uprod[i,t,s]     production on cost-curve step i
-    utrans[m,t,s]    volume transported toward market m
-    z[s]             scenario profit (free)
+    xmin[m,c]        x_min[m] (C_m,)        committed contract volume
+                                            (first stage, scenario-free)
+    xterm[m,c,t,s]   x_term[m] (C_m, T, S)  delivered contract volume
+    y[m,k,t,s]       y_spot[m] (K_m, T, S)  spot sales in tranche k at its
+                                            scenario price
+    uprod[i,t,s]     u_prod (I, T, S)       production on cost-curve step i
+    utrans[m,t,s]    u_trans (M, T, S)      volume transported toward m
+    z[s]             z (S,)                 scenario profit (free)
 
-and the shared rows:
+cvar then appends var and ell (S,), dro appends w (S, G, M), where G is 1
+for the per-scenario penalty and T for the per-period one.  The shared rows:
 
     profit[s]     z[s] equals contract + spot revenue minus production and
                   transport cost, summed over periods
@@ -30,10 +34,12 @@ Objectives:
                    the worst alpha-probability tail, so alpha -> 1 recovers
                    the risk-neutral objective and small alpha hardens the
                    tail
-    dro            E[z] - epsilon * sum_s pi_s ||Q^T ytilde_s||_1, the
+    dro            E[z] - epsilon * sum_s pi_s sum_g ||Q^T ytilde_sg||_1, the
                    type-infinity Wasserstein penalty (dual norm of the
-                   max-norm is the 1-norm); ytilde aggregates spot sales per
-                   scenario (per market), or per period when configured
+                   max-norm is the 1-norm); ytilde_sg sums each market's
+                   spot sales over the periods of group g: one group of all
+                   periods per scenario, or one group per period when
+                   configured
 
 Every objective also carries a -1e-7 * total spot volume perturbation so
 that among profit-equal allocations the one selling least spot is chosen
@@ -44,7 +50,7 @@ formula, never read off the perturbed LP.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,42 +133,23 @@ class FormulationConfig:
 
 @dataclass
 class VariableMap:
-    """Column coordinates of one built LP.
+    """Column indices of one built LP, shaped like the decisions they hold.
 
-    Column count: with C total contracts, K_m spot tranches, I supply steps,
-    T periods, S scenarios and M markets the shared core has
-    C + C*T*S + (sum_m K_m)*T*S + I*T*S + M*T*S + S columns; cvar adds
-    1 + S (threshold and tail shortfalls), dro adds S*M per-scenario
-    penalty columns or S*T*M per-period ones.
+    With C_m contracts and K_m spot tranches in market m, I supply steps,
+    T periods, S scenarios and M markets, each block is contiguous and the
+    blocks follow in this order: x_min, x_term, y_spot (each market after
+    market), u_prod, u_trans, z, then var and ell for cvar or w for dro.
     """
 
-    x_min: dict = field(default_factory=dict)  # (m, c) -> col
-    x_term: dict = field(default_factory=dict)  # (m, c, t, s) -> col
-    y_spot: dict = field(default_factory=dict)  # (m, k, t, s) -> col
-    u_prod: dict = field(default_factory=dict)  # (i, t, s) -> col
-    u_trans: dict = field(default_factory=dict)  # (m, t, s) -> col
-    z: dict = field(default_factory=dict)  # s -> col
+    x_min: dict  # m -> (C_m,) committed volumes
+    x_term: dict  # m -> (C_m, T, S) delivered contract volumes
+    y_spot: dict  # m -> (K_m, T, S) spot sales
+    u_prod: np.ndarray  # (I, T, S)
+    u_trans: np.ndarray  # (M, T, S)
+    z: np.ndarray  # (S,)
     var_col: int | None = None  # CVaR threshold
-    ell: dict = field(default_factory=dict)  # s -> col
-    w: dict = field(default_factory=dict)  # (s, j) or (s, t, j) -> col
-
-
-def expected_columns(instance: MarketInstance, scenarios: ScenarioSet,
-                     config: FormulationConfig) -> int:
-    """The documented column-count formula (see VariableMap)."""
-    n_c = len(instance.contracts)
-    n_t = instance.periods
-    n_s = scenarios.num_scenarios
-    n_m = len(instance.markets)
-    n_k = sum(scenarios.steps(m) for m in instance.markets)
-    n_i = len(instance.supply_steps)
-    total = n_c + n_c * n_t * n_s + n_k * n_t * n_s + n_i * n_t * n_s \
-        + n_m * n_t * n_s + n_s
-    if config.kind == CVAR:
-        total += 1 + n_s
-    elif config.kind == DRO:
-        total += n_s * n_m if config.dro_penalty == PER_SCENARIO else n_s * n_t * n_m
-    return total
+    ell: np.ndarray | None = None  # (S,) CVaR tail shortfalls
+    w: np.ndarray | None = None  # (S, G, M) penalty terms, G = 1 or T groups
 
 
 def _check_inputs(instance: MarketInstance, scenarios: ScenarioSet) -> None:
@@ -177,114 +164,114 @@ def _check_inputs(instance: MarketInstance, scenarios: ScenarioSet) -> None:
         raise DimensionMismatch("; ".join(problems))
 
 
+def _per_market(cols: np.ndarray, counts: list[int], tail: tuple) -> dict:
+    """Split one block of columns into per-market arrays of shape (count,) + tail."""
+    parts = np.split(cols, np.cumsum(counts)[:-1] * math.prod(tail))
+    return {m: part.reshape((n,) + tail) for m, (part, n) in enumerate(zip(parts, counts))}
+
+
+def _row_block(parts) -> tuple[np.ndarray, np.ndarray]:
+    """Join (columns, coefficients) parts side by side; each part's columns
+    have one line per row, and its coefficients broadcast against them."""
+    return (np.hstack([cols for cols, _ in parts]),
+            np.hstack([np.full(cols.shape, coef, dtype=float) for cols, coef in parts]))
+
+
+def _add_sided_rows(lp: LinearProgram, tags: list[str], sides, columns, coeffs) -> None:
+    """One row per tag and (label, relation, rhs) side, sides innermost; the
+    rows of one tag share its columns."""
+    lp.add_rows([f"{label}[{tag}]" for tag in tags for label, _, _ in sides],
+                np.repeat(columns, len(sides), axis=0), coeffs,
+                [rel for _ in tags for _, rel, _ in sides],
+                [rhs for _ in tags for _, _, rhs in sides])
+
+
 def _build_core(instance: MarketInstance, scenarios: ScenarioSet,
                 z_objective, tie_break_weight: float):
     """Shared variables and rows; z objective coefficients supplied per model."""
     _check_inputs(instance, scenarios)
     lp = LinearProgram()
-    vm = VariableMap()
     markets = instance.markets
-    n_t = instance.periods
-    n_s = scenarios.num_scenarios
+    n_m, n_t, n_s = len(markets), instance.periods, scenarios.num_scenarios
     steps = instance.supply_steps
-    single_step = len(steps) == 1
-    by_market = [[c for c in instance.contracts if c.market == market]
-                 for market in markets]
+    n_i = len(steps)
+    single_step = n_i == 1
+    contracts = [instance.market_contracts(market) for market in markets]
+    n_c = [len(cs) for cs in contracts]
+    n_k = [scenarios.steps(market) for market in markets]
+    volume = np.array([c.max_volume for cs in contracts for c in cs], dtype=float)
+    lo_t, hi_t = np.array(instance.production_limits, dtype=float).T
+    ts_tags = [f"{t},{s}" for t in range(n_t) for s in range(n_s)]
 
-    for m, market in enumerate(markets):
-        for c, contract in enumerate(by_market[m]):
-            vm.x_min[m, c] = lp.add_variable(f"xmin[{m},{c}]", 0.0, contract.max_volume)
-    for m, market in enumerate(markets):
-        for c, contract in enumerate(by_market[m]):
-            for t in range(n_t):
-                for s in range(n_s):
-                    vm.x_term[m, c, t, s] = lp.add_variable(
-                        f"xterm[{m},{c},{t},{s}]", 0.0, contract.max_volume)
-    for m, market in enumerate(markets):
-        width = scenarios.widths[market]
-        for k in range(scenarios.steps(market)):
-            for t in range(n_t):
-                for s in range(n_s):
-                    vm.y_spot[m, k, t, s] = lp.add_variable(
-                        f"y[{m},{k},{t},{s}]", 0.0, float(width[k, t, s]),
-                        objective=-tie_break_weight)
-    for i, step in enumerate(steps):
-        for t in range(n_t):
-            lo_t, hi_t = instance.production_limits[t]
-            for s in range(n_s):
-                if single_step:
-                    # the production-limit row has one coefficient: fold it away
-                    lo, hi = lo_t, min(step.capacity, hi_t)
-                else:
-                    lo, hi = 0.0, step.capacity
-                vm.u_prod[i, t, s] = lp.add_variable(f"uprod[{i},{t},{s}]", lo, hi)
-    for m, market in enumerate(markets):
-        for t in range(n_t):
-            _lo_t, hi_t = instance.production_limits[t]
-            for s in range(n_s):
-                vm.u_trans[m, t, s] = lp.add_variable(f"utrans[{m},{t},{s}]", 0.0, hi_t)
-    for s in range(n_s):
-        vm.z[s] = lp.add_variable(f"z[{s}]", -math.inf, math.inf,
-                                  objective=z_objective[s])
+    x_min = lp.add_variables([f"xmin[{m},{c}]" for m in range(n_m) for c in range(n_c[m])],
+                             0.0, volume)
+    x_term = lp.add_variables([f"xterm[{m},{c},{tag}]" for m in range(n_m)
+                               for c in range(n_c[m]) for tag in ts_tags],
+                              0.0, np.repeat(volume, n_t * n_s))
+    y_spot = lp.add_variables(
+        [f"y[{m},{k},{tag}]" for m in range(n_m) for k in range(n_k[m])
+         for tag in ts_tags],
+        0.0, np.concatenate([scenarios.widths[market].ravel() for market in markets]),
+        -tie_break_weight)
+    if single_step:  # the production-limit row has one coefficient: fold it away
+        prod_lo, prod_hi = lo_t, np.minimum(steps[0].capacity, hi_t)  # (T,)
+    else:
+        prod_lo, prod_hi = 0.0, np.array([[s.capacity] for s in steps])  # (I, 1)
+    u_prod = lp.add_variables([f"uprod[{i},{tag}]" for i in range(n_i) for tag in ts_tags],
+                              *(np.repeat(np.full((n_i, n_t), v), n_s)
+                                for v in (prod_lo, prod_hi)))
+    u_trans = lp.add_variables(
+        [f"utrans[{m},{tag}]" for m in range(n_m) for tag in ts_tags],
+        0.0, np.tile(np.repeat(hi_t, n_s), n_m))
+    z = lp.add_variables([f"z[{s}]" for s in range(n_s)], -math.inf, math.inf,
+                         z_objective)
+    vm = VariableMap(x_min=_per_market(x_min, n_c, ()),
+                     x_term=_per_market(x_term, n_c, (n_t, n_s)),
+                     y_spot=_per_market(y_spot, n_k, (n_t, n_s)),
+                     u_prod=u_prod.reshape(n_i, n_t, n_s),
+                     u_trans=u_trans.reshape(n_m, n_t, n_s), z=z)
 
-    for s in range(n_s):
-        coeffs = {vm.z[s]: 1.0}
-        for m, market in enumerate(markets):
-            price = scenarios.prices[market]
-            for c, contract in enumerate(by_market[m]):
-                for t in range(n_t):
-                    coeffs[vm.x_term[m, c, t, s]] = -contract.wholesale_price[t]
-            for k in range(scenarios.steps(market)):
-                for t in range(n_t):
-                    coeffs[vm.y_spot[m, k, t, s]] = -float(price[k, t, s])
-            cost = instance.transport(market)
-            for t in range(n_t):
-                coeffs[vm.u_trans[m, t, s]] = cost
-        for i, step in enumerate(steps):
-            for t in range(n_t):
-                coeffs[vm.u_prod[i, t, s]] = step.unit_cost
-        lp.add_row(f"profit[{s}]", coeffs, "==", 0.0)
+    def by_scenario(a):  # (..., S) -> (S, ...)
+        return a.reshape(-1, n_s).T
 
+    def by_period(a):  # (..., T, S) -> (T*S, ...)
+        return a.reshape(-1, n_t * n_s).T
+
+    parts = [(z[:, None], 1.0)]
     for m, market in enumerate(markets):
-        for c, contract in enumerate(by_market[m]):
-            for t in range(n_t):
-                for s in range(n_s):
-                    delta = {vm.x_term[m, c, t, s]: 1.0, vm.x_min[m, c]: -1.0}
-                    if contract.flex_above_min == 0.0:
-                        lp.add_row(f"window[{m},{c},{t},{s}]", delta, "==", 0.0)
-                    else:
-                        lp.add_row(f"winlo[{m},{c},{t},{s}]", delta, ">=", 0.0)
-                        lp.add_row(f"winhi[{m},{c},{t},{s}]", delta, "<=",
-                                   contract.flex_above_min)
+        wholesale = np.array([c.wholesale_price for c in contracts[m]], dtype=float)
+        parts += [(by_scenario(vm.x_term[m]), -wholesale.ravel()),
+                  (by_scenario(vm.y_spot[m]), -by_scenario(scenarios.prices[market])),
+                  (by_scenario(vm.u_trans[m]), instance.transport(market))]
+    parts.append((by_scenario(vm.u_prod), np.repeat([s.unit_cost for s in steps], n_t)))
+    lp.add_rows([f"profit[{s}]" for s in range(n_s)], *_row_block(parts), "==", 0.0)
 
-    for t in range(n_t):
-        for s in range(n_s):
-            coeffs = {vm.u_prod[i, t, s]: 1.0 for i in range(len(steps))}
-            for m, market in enumerate(markets):
-                for c in range(len(by_market[m])):
-                    coeffs[vm.x_term[m, c, t, s]] = -1.0
-                for k in range(scenarios.steps(market)):
-                    coeffs[vm.y_spot[m, k, t, s]] = -1.0
-            lp.add_row(f"balance[{t},{s}]", coeffs, "==", 0.0)
+    for m in range(n_m):
+        for c, contract in enumerate(contracts[m]):
+            flex = contract.flex_above_min
+            sides = ([("window", "==", 0.0)] if flex == 0.0
+                     else [("winlo", ">=", 0.0), ("winhi", "<=", flex)])
+            term = vm.x_term[m][c].ravel()
+            _add_sided_rows(lp, [f"{m},{c},{tag}" for tag in ts_tags], sides,
+                            np.column_stack([term, np.full_like(term, vm.x_min[m][c])]),
+                            [1.0, -1.0])
 
-    for t in range(n_t):
-        for s in range(n_s):
-            coeffs = {vm.u_prod[i, t, s]: 1.0 for i in range(len(steps))}
-            for m in range(len(markets)):
-                coeffs[vm.u_trans[m, t, s]] = -1.0
-            lp.add_row(f"transport[{t},{s}]", coeffs, "==", 0.0)
+    sold = [(by_period(cols[m]), -1.0) for m in range(n_m)
+            for cols in (vm.x_term, vm.y_spot)]
+    lp.add_rows([f"balance[{tag}]" for tag in ts_tags],
+                *_row_block([(by_period(vm.u_prod), 1.0)] + sold), "==", 0.0)
+    lp.add_rows([f"transport[{tag}]" for tag in ts_tags],
+                *_row_block([(by_period(vm.u_prod), 1.0), (by_period(vm.u_trans), -1.0)]),
+                "==", 0.0)
 
     if not single_step:
-        for t in range(n_t):
-            lo_t, hi_t = instance.production_limits[t]
-            for s in range(n_s):
-                coeffs = {vm.u_prod[i, t, s]: 1.0 for i in range(len(steps))}
-                if lo_t == hi_t:
-                    lp.add_row(f"prod[{t},{s}]", coeffs, "==", lo_t)
-                else:
-                    lp.add_row(f"prodhi[{t},{s}]", coeffs, "<=", hi_t)
-                    if lo_t > 0.0:
-                        lp.add_row(f"prodlo[{t},{s}]", coeffs, ">=", lo_t)
+        prod = by_period(vm.u_prod).reshape(n_t, n_s, n_i)
+        for t, (lo, hi) in enumerate(instance.production_limits):
+            if lo == hi:
+                sides = [("prod", "==", lo)]
+            else:
+                sides = [("prodhi", "<=", hi)] + ([("prodlo", ">=", lo)] if lo > 0.0 else [])
+            _add_sided_rows(lp, [f"{t},{s}" for s in range(n_s)], sides, prod[t], 1.0)
     return lp, vm
 
 
@@ -305,21 +292,31 @@ def build_cvar(instance: MarketInstance, scenarios: ScenarioSet, alpha: float,
     pi = scenarios.probabilities
     lp, vm = _build_core(instance, scenarios, lam * pi, tie_break_weight)
     n_s = scenarios.num_scenarios
-    vm.var_col = lp.add_variable("var", -math.inf, math.inf,
-                                 objective=(1.0 - lam))
-    for s in range(n_s):
-        vm.ell[s] = lp.add_variable(f"ell[{s}]", 0.0, math.inf,
-                                    objective=-(1.0 - lam) * float(pi[s]) / alpha)
-    for s in range(n_s):
-        lp.add_row(f"tail[{s}]", {vm.ell[s]: 1.0, vm.var_col: -1.0, vm.z[s]: 1.0},
-                   ">=", 0.0)
+    vm.var_col = lp.add_variable("var", -math.inf, math.inf, objective=(1.0 - lam))
+    vm.ell = lp.add_variables([f"ell[{s}]" for s in range(n_s)], 0.0, math.inf,
+                              -(1.0 - lam) * pi / alpha)
+    lp.add_rows([f"tail[{s}]" for s in range(n_s)],
+                np.column_stack([vm.ell, np.full(n_s, vm.var_col), vm.z]),
+                [1.0, -1.0, 1.0], ">=", 0.0)
     return lp, vm
+
+
+def _penalty_groups(n_t: int, dro_penalty: str):
+    """The period slices whose spot sales one Wasserstein term aggregates,
+    with their name labels: all periods at once, or one period each."""
+    if dro_penalty == PER_SCENARIO:
+        return [(slice(0, n_t), "")]
+    return [(slice(t, t + 1), f"{t},") for t in range(n_t)]
 
 
 def build_dro(instance: MarketInstance, scenarios: ScenarioSet, epsilon: float,
               q_matrix, dro_penalty: str = PER_SCENARIO,
               tie_break_weight: float = TIE_BREAK_WEIGHT):
-    """Wasserstein-penalized model: E[z] - epsilon * E[||Q^T ytilde||_1]."""
+    """Wasserstein-penalized model: E[z] - epsilon * E[||Q^T ytilde||_1].
+
+    Each scenario s, period group g and market j gets a column w[s,g,j] >=
+    |(Q^T ytilde_sg)_j| through a norm_pos and a norm_neg row.
+    """
     if not epsilon >= 0.0:
         raise ParameterOutOfRange(f"epsilon must be >= 0, got {epsilon}")
     if dro_penalty not in (PER_SCENARIO, PER_PERIOD):
@@ -332,48 +329,28 @@ def build_dro(instance: MarketInstance, scenarios: ScenarioSet, epsilon: float,
         raise DimensionMismatch("q matrix contains non-finite entries")
     pi = scenarios.probabilities
     lp, vm = _build_core(instance, scenarios, pi, tie_break_weight)
-    n_t = instance.periods
     n_s = scenarios.num_scenarios
+    groups = _penalty_groups(instance.periods, dro_penalty)
+    tags = [f"{s},{label}{j}" for s in range(n_s) for _, label in groups for j in range(n_m)]
+    vm.w = lp.add_variables([f"w[{tag}]" for tag in tags], 0.0, math.inf,
+                            np.repeat(-epsilon * pi, len(groups) * n_m)
+                            ).reshape(n_s, len(groups), n_m)
 
-    if dro_penalty == PER_SCENARIO:
-        for s in range(n_s):
-            for j in range(n_m):
-                col = lp.add_variable(f"w[{s},{j}]", 0.0, math.inf,
-                                      objective=-epsilon * float(pi[s]))
-                vm.w[s, j] = col
-        for s in range(n_s):
-            for j in range(n_m):
-                pos = {vm.w[s, j]: 1.0}
-                neg = {vm.w[s, j]: 1.0}
-                for m, market in enumerate(instance.markets):
-                    if q[m, j] == 0.0:
-                        continue
-                    for k in range(scenarios.steps(market)):
-                        for t in range(n_t):
-                            pos[vm.y_spot[m, k, t, s]] = -q[m, j]
-                            neg[vm.y_spot[m, k, t, s]] = q[m, j]
-                lp.add_row(f"norm_pos[{s},{j}]", pos, ">=", 0.0)
-                lp.add_row(f"norm_neg[{s},{j}]", neg, ">=", 0.0)
-    else:
-        for s in range(n_s):
-            for t in range(n_t):
-                for j in range(n_m):
-                    col = lp.add_variable(f"w[{s},{t},{j}]", 0.0, math.inf,
-                                          objective=-epsilon * float(pi[s]))
-                    vm.w[s, t, j] = col
-        for s in range(n_s):
-            for t in range(n_t):
-                for j in range(n_m):
-                    pos = {vm.w[s, t, j]: 1.0}
-                    neg = {vm.w[s, t, j]: 1.0}
-                    for m, market in enumerate(instance.markets):
-                        if q[m, j] == 0.0:
-                            continue
-                        for k in range(scenarios.steps(market)):
-                            pos[vm.y_spot[m, k, t, s]] = -q[m, j]
-                            neg[vm.y_spot[m, k, t, s]] = q[m, j]
-                    lp.add_row(f"norm_pos[{s},{t},{j}]", pos, ">=", 0.0)
-                    lp.add_row(f"norm_neg[{s},{t},{j}]", neg, ">=", 0.0)
+    # row (s, g, j, side): w[s,g,j] -/+ sum_e q[owner_e, j] * y_e >= 0 over
+    # the spot columns e of group g in scenario s, market after market
+    blocks = [[vm.y_spot[m][:, g, :].reshape(-1, n_s) for m in range(n_m)] for g, _ in groups]
+    spot = np.stack([np.concatenate(block).T for block in blocks], axis=1)  # (S, G, E)
+    owner = np.repeat(np.arange(n_m), [block.shape[0] for block in blocks[0]])
+    q_spot = q[owner].T  # (M, E): row j holds q[owner_e, j]
+    coeffs = np.concatenate([np.ones((n_m, 2, 1)), np.stack([-q_spot, q_spot], axis=1)],
+                            axis=-1)  # (M, 2, 1 + E)
+    columns = np.concatenate(
+        [vm.w[..., None], np.broadcast_to(spot[:, :, None, :], vm.w.shape + spot.shape[-1:])],
+        axis=-1)  # (S, G, M, 1 + E)
+    width = columns.shape[-1]
+    _add_sided_rows(lp, tags, [("norm_pos", ">=", 0.0), ("norm_neg", ">=", 0.0)],
+                    columns.reshape(-1, width),
+                    np.broadcast_to(coeffs, vm.w.shape[:2] + coeffs.shape).reshape(-1, width))
     return lp, vm
 
 
@@ -429,34 +406,16 @@ def extract_report(instance: MarketInstance, scenarios: ScenarioSet,
     x = solution.values
     markets = instance.markets
     n_t, n_s = instance.periods, scenarios.num_scenarios
-    n_i = len(instance.supply_steps)
-    by_market = [[c for c in instance.contracts if c.market == market]
-                 for market in markets]
-
-    commitments = {}
-    term = {}
-    spot = {}
-    trans = {}
-    for m, market in enumerate(markets):
-        n_c = len(by_market[m])
-        n_k = scenarios.steps(market)
-        commitments[market] = np.array([x[vm.x_min[m, c]] for c in range(n_c)])
-        term[market] = np.array(
-            [[[x[vm.x_term[m, c, t, s]] for s in range(n_s)] for t in range(n_t)]
-             for c in range(n_c)])
-        spot[market] = np.array(
-            [[[x[vm.y_spot[m, k, t, s]] for s in range(n_s)] for t in range(n_t)]
-             for k in range(n_k)])
-        trans[market] = np.array(
-            [[x[vm.u_trans[m, t, s]] for s in range(n_s)] for t in range(n_t)])
-    production = np.array(
-        [[[x[vm.u_prod[i, t, s]] for s in range(n_s)] for t in range(n_t)]
-         for i in range(n_i)])
+    commitments = {market: x[vm.x_min[m]] for m, market in enumerate(markets)}
+    term = {market: x[vm.x_term[m]] for m, market in enumerate(markets)}
+    spot = {market: x[vm.y_spot[m]] for m, market in enumerate(markets)}
+    trans = {market: x[vm.u_trans[m]] for m, market in enumerate(markets)}
+    production = x[vm.u_prod]
 
     profits = np.zeros(n_s)
     for m, market in enumerate(markets):
         prices = scenarios.prices[market]
-        wholesale = np.array([c.wholesale_price for c in by_market[m]])  # (C_m, T)
+        wholesale = np.array([c.wholesale_price for c in instance.market_contracts(market)])
         if wholesale.size:
             profits += np.einsum("ct,cts->s", wholesale, term[market])
         profits += np.einsum("kts,kts->s", prices, spot[market])
@@ -464,7 +423,7 @@ def extract_report(instance: MarketInstance, scenarios: ScenarioSet,
     costs = np.array([s.unit_cost for s in instance.supply_steps])
     profits -= np.einsum("i,its->s", costs, production)
 
-    solver_z = np.array([x[vm.z[s]] for s in range(n_s)])
+    solver_z = x[vm.z]
     bad = np.abs(profits - solver_z) > PROFIT_TOL * np.maximum(1.0, np.abs(profits))
     if bad.any():
         s = int(np.nonzero(bad)[0][0])
@@ -495,13 +454,9 @@ def extract_report(instance: MarketInstance, scenarios: ScenarioSet,
         q = config.q_matrix
         penalty = 0.0
         for s in range(n_s):
-            if config.dro_penalty == PER_SCENARIO:
-                ytilde = np.array([spot[market][:, :, s].sum() for market in markets])
+            for group, _ in _penalty_groups(n_t, config.dro_penalty):
+                ytilde = np.array([spot[market][:, group, s].sum() for market in markets])
                 penalty += float(pi[s]) * float(np.abs(q.T @ ytilde).sum())
-            else:
-                for t in range(n_t):
-                    ytilde = np.array([spot[market][:, t, s].sum() for market in markets])
-                    penalty += float(pi[s]) * float(np.abs(q.T @ ytilde).sum())
         objective = expected - config.epsilon * penalty
 
     spot_volume = float(sum(pi @ spot[mk].sum(axis=(0, 1)) for mk in markets))

@@ -3,14 +3,13 @@
 A program is a list of named variables with box bounds ``l_j <= x_j <= u_j``
 (either side may be infinite) and named rows ``sum_j a_ij x_j {<=,==,>=} b_i``.
 The objective is always maximized.  Builders keep their own column maps; this
-module only stores the matrix, validates it, and renders a plain-text dump
-for diagnostics.
+module only stores the matrix and validates it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,49 +58,91 @@ class LpSolution:
 class LinearProgram:
     """Maximization LP under construction.
 
-    ``add_variable`` and ``add_row`` return the index they were assigned so
-    builders can record coordinates.
+    Columns arrive in blocks through ``add_variables`` and rows in blocks
+    through ``add_rows``; both return the indices they assigned so builders
+    can record coordinates.  ``add_variable`` and ``add_row`` are their
+    one-element forms.  Bounds and objective are float arrays.
     """
 
     def __init__(self):
         self.variable_names: list[str] = []
-        self.lower: list[float] = []
-        self.upper: list[float] = []
-        self.objective: list[float] = []
+        self.lower = np.empty(0)
+        self.upper = np.empty(0)
+        self.objective = np.empty(0)
         self.rows: list[_Row] = []
 
     # ------------------------------------------------------------------
     # construction
 
+    def add_variables(self, names, lower=0.0, upper=math.inf,
+                      objective=0.0) -> np.ndarray:
+        """Append one column per name; lower, upper and objective are
+        scalars or arrays broadcast over the names."""
+        names = list(names)
+        lower, upper, objective = (np.full(len(names), v) for v in (lower, upper, objective))
+        bad = np.isnan(lower) | np.isnan(upper) | ~np.isfinite(objective)
+        if bad.any():
+            raise ValueError(f"variable {names[np.argmax(bad)]}: bad bounds or objective")
+        crossed = lower > upper
+        if crossed.any():
+            j = int(np.argmax(crossed))
+            raise ValueError(f"variable {names[j]}: lower bound {lower[j]} "
+                             f"exceeds upper {upper[j]}")
+        first = len(self.variable_names)
+        self.variable_names += names
+        self.lower = np.concatenate([self.lower, lower])
+        self.upper = np.concatenate([self.upper, upper])
+        self.objective = np.concatenate([self.objective, objective])
+        return np.arange(first, first + len(names))
+
     def add_variable(self, name: str, lower: float = 0.0,
                      upper: float = math.inf, objective: float = 0.0) -> int:
-        if math.isnan(lower) or math.isnan(upper) or not math.isfinite(objective):
-            raise ValueError(f"variable {name}: bad bounds or objective")
-        if lower > upper:
-            raise ValueError(f"variable {name}: lower bound {lower} exceeds upper {upper}")
-        self.variable_names.append(name)
-        self.lower.append(float(lower))
-        self.upper.append(float(upper))
-        self.objective.append(float(objective))
-        return len(self.variable_names) - 1
+        return int(self.add_variables([name], lower, upper, objective)[0])
+
+    def add_rows(self, names, columns, coeffs, relations, rhs) -> np.ndarray:
+        """Append one row per name.  columns is (rows, width); coeffs,
+        relations (one string or one per row) and rhs broadcast against it.
+        Zero coefficients are dropped and repeated columns summed."""
+        names = list(names)
+        columns = np.asarray(columns)
+        coeffs = np.full(columns.shape, coeffs, dtype=float)
+        if isinstance(relations, str):
+            relations = [relations] * len(names)
+        rhs = np.full(len(names), rhs, dtype=float)
+        bad_relation = np.array([r not in RELATIONS for r in relations], dtype=bool)
+        bad_rhs = ~np.isfinite(rhs)
+        out_of_range = (columns < 0) | (columns >= len(self.variable_names))
+        bad_entry = out_of_range | ~np.isfinite(coeffs)
+        bad = bad_relation | bad_rhs | bad_entry.any(axis=1)
+        if bad.any():  # the first problem of the first bad row, as a row-by-row check finds it
+            i = int(np.argmax(bad))
+            j = int(np.argmax(bad_entry[i])) if columns.shape[1] else 0
+            problem = (f"unknown relation {relations[i]!r}" if bad_relation[i]
+                       else "non-finite right-hand side" if bad_rhs[i]
+                       else f"column {columns[i, j]} out of range" if out_of_range[i, j]
+                       else f"non-finite coefficient on column {columns[i, j]}")
+            raise ValueError(f"row {names[i]}: {problem}")
+        first = len(self.rows)
+        keep = coeffs != 0.0
+        cols, values = columns[keep].tolist(), coeffs[keep].tolist()
+        start = 0
+        for name, relation, b, end in zip(names, relations, rhs.tolist(),
+                                          np.cumsum(keep.sum(axis=1)).tolist()):
+            packed = dict(zip(cols[start:end], values[start:end]))
+            if len(packed) < end - start:  # a repeated column: sum its entries in order
+                packed = {}
+                for col, coef in zip(cols[start:end], values[start:end]):
+                    packed[col] = packed.get(col, 0.0) + coef
+            self.rows.append(_Row(name, packed, relation, b))
+            start = end
+        return np.arange(first, len(self.rows))
 
     def add_row(self, name: str, coeffs, relation: str, rhs: float) -> int:
-        if relation not in RELATIONS:
-            raise ValueError(f"row {name}: unknown relation {relation!r}")
-        if not math.isfinite(rhs):
-            raise ValueError(f"row {name}: non-finite right-hand side")
-        n = len(self.variable_names)
-        packed: dict[int, float] = {}
-        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-        for col, coef in items:
-            if not 0 <= col < n:
-                raise ValueError(f"row {name}: column {col} out of range")
-            if not math.isfinite(coef):
-                raise ValueError(f"row {name}: non-finite coefficient on column {col}")
-            if coef != 0.0:
-                packed[col] = packed.get(col, 0.0) + float(coef)
-        self.rows.append(_Row(name, packed, relation, float(rhs)))
-        return len(self.rows) - 1
+        items = list(coeffs.items() if isinstance(coeffs, dict) else coeffs)
+        columns = np.array([col for col, _ in items], dtype=np.int64)
+        values = np.array([coef for _, coef in items], dtype=float)
+        return int(self.add_rows([name], columns[None, :], values[None, :],
+                                 [relation], rhs)[0])
 
     # ------------------------------------------------------------------
     # inspection
@@ -128,7 +169,7 @@ class LinearProgram:
         return a, b, relations
 
     def bounds_arrays(self):
-        return np.asarray(self.lower, dtype=float), np.asarray(self.upper, dtype=float)
+        return self.lower.copy(), self.upper.copy()
 
     def objective_array(self):
-        return np.asarray(self.objective, dtype=float)
+        return self.objective.copy()

@@ -9,6 +9,7 @@ import numpy as np
 from spothedge.domain import (Contract, MarketInstance, ScenarioSet,
                               SupplyStep, load_instance, validate_instance,
                               validate_scenarios)
+from spothedge.formulations import CVAR, DRO, PER_SCENARIO, FormulationConfig
 from spothedge.linprog import LinearProgram
 from spothedge.pipeline import (ReducedScenarios, estimate_q, ingest_lmp_csv,
                                 kmeans_reduce, scenarios_from_representatives)
@@ -38,8 +39,14 @@ def random_lp(rng: np.random.Generator) -> LinearProgram:
 
 
 def random_allocation_case(rng: np.random.Generator) -> tuple[MarketInstance, ScenarioSet]:
-    """Random feasible allocation instance: <=2 markets, <=3 contracts,
-    <=3 supply steps, <=2 periods, <=4 scenarios, 1-2 spot tranches."""
+    """Random allocation instance: <=2 markets, <=3 contracts, <=3 supply
+    steps, <=2 periods, <=4 scenarios, 1-2 spot tranches.
+
+    It passes validation and no period's production floor exceeds what that
+    period alone could sell, but it is not always feasible: the contract
+    windows tie the periods together, so a high floor in one period can
+    force more contract volume than another period's ceiling admits
+    (draw 26 of ``np.random.default_rng(616)`` is such a case)."""
     markets = tuple(f"m{j}" for j in range(int(rng.integers(1, 3))))
     periods = int(rng.integers(1, 3))
     n_s = int(rng.integers(1, 5))
@@ -95,6 +102,27 @@ def random_allocation_case(rng: np.random.Generator) -> tuple[MarketInstance, Sc
     assert validate_instance(instance) == []
     assert validate_scenarios(instance, scenarios) == []
     return instance, scenarios
+
+
+def expected_columns(instance: MarketInstance, scenarios: ScenarioSet,
+                     config: FormulationConfig) -> int:
+    """The documented column count: with C contracts, K spot tranches over
+    all markets, I supply steps, T periods, S scenarios and M markets the
+    shared core has C + C*T*S + K*T*S + I*T*S + M*T*S + S columns; cvar adds
+    1 + S, dro adds S*M per-scenario or S*T*M per-period penalty columns."""
+    n_c = len(instance.contracts)
+    n_t = instance.periods
+    n_s = scenarios.num_scenarios
+    n_m = len(instance.markets)
+    n_k = sum(scenarios.steps(m) for m in instance.markets)
+    n_i = len(instance.supply_steps)
+    total = n_c + n_c * n_t * n_s + n_k * n_t * n_s + n_i * n_t * n_s \
+        + n_m * n_t * n_s + n_s
+    if config.kind == CVAR:
+        total += 1 + n_s
+    elif config.kind == DRO:
+        total += n_s * n_m if config.dro_penalty == PER_SCENARIO else n_s * n_t * n_m
+    return total
 
 
 def toy_case(k: int) -> tuple[MarketInstance, ScenarioSet, np.ndarray]:

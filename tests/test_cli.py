@@ -9,7 +9,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -501,3 +504,35 @@ def test_q_file_market_order_is_aligned(tmp_path):
                                  "q": [[1.0, 0.0], [2.0, 3.0]]}))
     q = _load_q(qpath, instance)
     np.testing.assert_allclose(q, [[2.0, 3.0], [1.0, 0.0]])
+
+
+# prepare, solve and sweep on the bundled data, then the scipy modules loaded
+NUMPY_ONLY_SCRIPT = """
+import contextlib, io, json, sys
+from spothedge.cli import main
+data, out = sys.argv[1], sys.argv[2]
+instance = ["--instance", data + "/toy_instance.json"]
+scenarios = ["--scenarios", out + "/scenarios.json"]
+runs = (["prepare", *instance, "--raw-csv", data + "/toy_lmp.csv", "--k", "4",
+         "--seed", "7", "--out", out],
+        ["solve", *instance, *scenarios, "--kind", "dro", "--epsilon", "1",
+         "--q", out + "/q.json"],
+        ["sweep", *instance, *scenarios, "--alpha-grid", "0.25,1.0",
+         "--epsilon-grid", "0,1", "--q", out + "/q.json", "--out", out])
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("scipy"))))
+"""
+
+
+def test_cli_runs_on_numpy_alone(tmp_path):
+    """The README promises no external solver: a prepare, solve and sweep
+    run loads no scipy module, whether or not scipy is installed."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", NUMPY_ONLY_SCRIPT, str(DATA), str(tmp_path)],
+                            capture_output=True, text=True, env=env, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == []

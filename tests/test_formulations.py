@@ -7,12 +7,15 @@ oracle below evaluates the clean model formula at both endpoints and keeps
 the best.  LP answers must match it to high precision.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from conftest import micro_instance, micro_scenarios
+from helpers import expected_columns, toy_case
+from spothedge import metrics
 from spothedge.domain import Contract, MarketInstance, ScenarioSet, SupplyStep
 from spothedge.formulations import (
     CVAR,
@@ -26,7 +29,6 @@ from spothedge.formulations import (
     build_cvar,
     build_dro,
     build_risk_neutral,
-    expected_columns,
     solve_allocation,
 )
 from spothedge.simplex import solve
@@ -240,3 +242,56 @@ def test_production_cost_reduces_profits():
     scenarios = micro_scenarios((40.0, 10.0))
     report = solve_allocation(instance, scenarios, FormulationConfig(kind=RISK_NEUTRAL))
     assert report.objective_value == pytest.approx(2500.0, abs=1e-6)
+
+
+def lp_digest(lp) -> str:
+    """sha256 over everything that defines a program: the dense matrix and
+    right-hand side, the relations, the bounds, the objective and the names."""
+    a, b, relations = lp.dense()
+    lower, upper = lp.bounds_arrays()
+    digest = hashlib.sha256(repr(a.shape).encode())
+    for part in (a, b, lower, upper, lp.objective_array()):
+        digest.update(part.tobytes())
+    for names in (relations, lp.variable_names, [row.name for row in lp.rows]):
+        digest.update("\n".join(names).encode() + b"\0")
+    return digest.hexdigest()
+
+
+# sha256 (lp_digest) of the toy LPs at 8 scenarios, recorded from the
+# element-by-element builder that the block-wise one replaced: column order,
+# row order, coefficients, bounds, objective and names are pinned bit for bit
+LP_DIGESTS = {
+    "risk_neutral": "44c24622fd360c2857c02594558e31997d0b9be201af4a52e73b5cb841bdcf0e",
+    "cvar": "df86db8bb5aad612122460ce8e6f3c46f9958b4a403d336bb74622e6ea555e00",
+    "dro_per_scenario": "3e8c3cd2f0b0faabff36a40debcce5e7d1dbb9d4230eda362eae2b0c9b98f2da",
+    "dro_per_period": "e1b9f2e24eb8af6084f43bbd1a349fcf805cf23ba73f752ae8b181efd20a7650",
+    "risk_free": "6d3c6f5c143ac3f0844005d0729ecc0d53045d93331e4d9362ac1b0fc722a9db",
+}
+
+
+def toy_lp(case):
+    instance, scenarios, q = toy_case(8)
+    if case == "risk_free":  # the one-scenario program risk_free_profit solves
+        built = []
+
+        def capture(lp, *args, **kwargs):
+            built.append(lp)
+            return solve(lp, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "solve", capture)
+            metrics.risk_free_profit(instance, scenarios)
+        return built[0]
+    config = {
+        "risk_neutral": FormulationConfig(kind=RISK_NEUTRAL),
+        "cvar": FormulationConfig(kind=CVAR, alpha=0.25, lam=0.2),
+        "dro_per_scenario": FormulationConfig(kind=DRO, epsilon=1.0, q_matrix=q),
+        "dro_per_period": FormulationConfig(kind=DRO, epsilon=1.0, q_matrix=q,
+                                            dro_penalty="per_period"),
+    }[case]
+    return build(instance, scenarios, config)[0]
+
+
+@pytest.mark.parametrize("case", list(LP_DIGESTS))
+def test_toy_lp_matches_recorded_digest(case):
+    assert lp_digest(toy_lp(case)) == LP_DIGESTS[case]

@@ -170,6 +170,33 @@ def test_start_made_infeasible_by_a_tighter_bound_falls_back():
     assert np.array_equal(warm.values, cold.values)
 
 
+def test_block_of_rows_equals_rows_added_one_by_one():
+    columns = np.array([[0, 1], [1, 1], [0, 0]])
+    coeffs = np.array([[1.0, 0.0], [2.0, 3.0], [-0.0, 4.0]])
+    relations, rhs = ["<=", ">=", "=="], [1.0, 2.0, 3.0]
+    block, single = small_knapsack(), small_knapsack()
+    assert block.add_rows(["a", "b", "c"], columns, coeffs, relations, rhs).tolist() == [1, 2, 3]
+    for name, cols, values, relation, b in zip("abc", columns, coeffs, relations, rhs):
+        single.add_row(name, list(zip(cols, values)), relation, b)
+    assert block.rows == single.rows
+    assert block.rows[2].coeffs == {1: 5.0}  # zeros dropped, a repeated column summed
+
+
+def test_block_validation_names_the_first_problem_of_the_first_bad_row():
+    columns = np.array([[0, 1], [1, 7], [5, 0]])
+    coeffs = np.array([[1.0, 1.0], [np.nan, 1.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match=r"^row b: non-finite coefficient on column 1$"):
+        small_knapsack().add_rows("abc", columns, coeffs, "<=", 0.0)
+    with pytest.raises(ValueError, match=r"^row b: unknown relation '<'$"):
+        small_knapsack().add_rows("abc", columns, coeffs, ["<=", "<", "=="], 0.0)
+    with pytest.raises(ValueError, match=r"^row b: column 7 out of range$"):
+        small_knapsack().add_rows("abc", columns, np.ones((3, 2)), "<=", 0.0)
+    with pytest.raises(ValueError, match=r"^row a: non-finite right-hand side$"):
+        small_knapsack().add_rows("abc", columns, coeffs, "<=", [np.inf, 0.0, 0.0])
+    with pytest.raises(ValueError, match=r"^variable v1: lower bound 2.0 exceeds upper 1.0$"):
+        LinearProgram().add_variables(["v0", "v1", "v2"], [0.0, 2.0, 3.0], 1.0)
+
+
 def test_start_from_another_shape_is_rejected():
     start = solve(small_knapsack()).basis
     wider = small_knapsack()

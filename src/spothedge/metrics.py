@@ -13,6 +13,10 @@ For a solved allocation with scenario profits z and probabilities pi:
     rho_gamma       delta_zeta / delta_chi, reward per unit of tail risk;
                     undefined (None) when delta_chi is negligible
 
+When the production floors cannot be met without spot sales, the spot-free
+model is infeasible and zeta_riskfree, delta_zeta, delta_chi and rho_gamma
+are all undefined (None).
+
 A sweep solves the CVaR model over an alpha grid and the robust model over
 an epsilon grid, anchors both curves with the risk-neutral solution, and
 tabulates one row per (model point, gamma).
@@ -40,10 +44,11 @@ from .formulations import (
     extract_report,
     solve_allocation,
 )
-from .linprog import NumericalFailure
+from .linprog import INFEASIBLE, NumericalFailure
 from .simplex import extend_basis, solve
 
 RHO_FLOOR = 1e-9
+_SOLVE = object()  # metric_row's default riskfree: solve the spot-free model
 
 CSV_HEADER = ("source", "alpha", "lambda", "epsilon", "gamma", "spot_fraction",
               "zeta", "chi", "zeta_riskfree", "delta_zeta", "delta_chi", "rho")
@@ -82,12 +87,14 @@ def empirical_cvar(profits, probabilities, gamma: float) -> float:
     return acc / beta
 
 
-def risk_free_profit(instance: MarketInstance, scenarios: ScenarioSet) -> float:
-    """Optimum of the risk-neutral model with spot sales forced to zero.
+def risk_free_profit(instance: MarketInstance, scenarios: ScenarioSet) -> float | None:
+    """Optimum of the risk-neutral model with spot sales forced to zero, or
+    None when that model is infeasible.
 
     No revenue term is stochastic once y = 0, so every scenario block of the
     LP is identical and the model is solved on scenario 0 alone, with
-    probability 1.
+    probability 1.  It is infeasible when some period's production floor
+    exceeds what contracts alone can absorb.
     """
     first = ScenarioSet(
         probabilities=np.ones(1),
@@ -97,6 +104,8 @@ def risk_free_profit(instance: MarketInstance, scenarios: ScenarioSet) -> float:
     for col in vm.y_spot.values():
         lp.upper[col] = 0.0
     solution = solve(lp)
+    if solution.status == INFEASIBLE:
+        return None
     report = extract_report(instance, first, FormulationConfig(kind=RISK_NEUTRAL),
                             vm, solution)
     return report.objective_value
@@ -112,21 +121,22 @@ class MetricRow:
     spot_fraction: float
     zeta: float
     chi: float
-    zeta_riskfree: float
-    delta_zeta: float
-    delta_chi: float
-    rho: float | None  # None when delta_chi is below the floor
+    zeta_riskfree: float | None  # None when the spot-free model is infeasible
+    delta_zeta: float | None
+    delta_chi: float | None
+    rho: float | None  # None also when delta_chi is below the floor
 
 
-def _row_from_report(report: AllocationReport, gamma: float, riskfree: float,
+def _row_from_report(report: AllocationReport, gamma: float, riskfree: float | None,
                      source: str, alpha=None, lam=None, epsilon=None) -> MetricRow:
     zeta = report.expected_profit
     chi = empirical_cvar(report.profits, report.probabilities, gamma)
-    delta_zeta = zeta - riskfree
-    delta_chi = abs(chi - riskfree)
-    rho = None
-    if delta_chi >= RHO_FLOOR * max(1.0, abs(riskfree)):
-        rho = delta_zeta / delta_chi
+    delta_zeta = delta_chi = rho = None
+    if riskfree is not None:
+        delta_zeta = zeta - riskfree
+        delta_chi = abs(chi - riskfree)
+        if delta_chi >= RHO_FLOOR * max(1.0, abs(riskfree)):
+            rho = delta_zeta / delta_chi
     return MetricRow(source=source, alpha=alpha, lam=lam, epsilon=epsilon,
                      gamma=gamma, spot_fraction=report.spot_fraction, zeta=zeta,
                      chi=chi, zeta_riskfree=riskfree, delta_zeta=delta_zeta,
@@ -136,11 +146,14 @@ def _row_from_report(report: AllocationReport, gamma: float, riskfree: float,
 def metric_row(instance: MarketInstance, scenarios: ScenarioSet,
                config: FormulationConfig, gamma: float,
                report: AllocationReport | None = None,
-               riskfree: float | None = None) -> MetricRow:
-    """Metrics of one solved model at one gamma; solves on demand."""
+               riskfree: float | None | object = _SOLVE) -> MetricRow:
+    """Metrics of one solved model at one gamma; solves on demand.
+
+    riskfree is risk_free_profit's result, None included; left out, it is
+    solved for here."""
     if report is None:
         report = solve_allocation(instance, scenarios, config)
-    if riskfree is None:
+    if riskfree is _SOLVE:
         riskfree = risk_free_profit(instance, scenarios)
     alpha = config.alpha if config.kind == CVAR else None
     lam = config.lam if config.kind == CVAR else None
@@ -248,7 +261,7 @@ def _cell(value) -> str:
 
 def write_metrics_csv(rows, path) -> None:
     """Write rows with the fixed header; 9 significant digits, empty cell for
-    an undefined rho."""
+    an undefined value."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_HEADER)

@@ -13,19 +13,29 @@ may move either way).
 
 Pricing is Dantzig's largest reduced cost, switching to Bland's rule after
 3*(rows+columns) consecutive non-improving iterations so that degenerate
-programs terminate.
+programs terminate.  Each priced column carries a sense: +1 when it rests
+at its lower bound and can move, -1 at its upper bound, 0 when it is basic,
+fixed or free.  The sense is set at the start of each phase and updated at
+every status change, so that a column's score is d_j times its sense
+(|d_j| for a free nonbasic column) and the entering column is the first
+argmax of the scores, or under Bland's rule the first score above
+OPTIMALITY_TOL.
 
 The equality-form matrix is stored column-sparse (CSC arrays): the
 structural columns, then one unit column per slack and per artificial.
 Reduced costs d = c - A^T y come from one bincount over the nonzeros.  The
 basis inverse is kept in product form: B0^-1 from the last refactorization,
-followed by an eta file with one (row, column) entry per pivot since then.
-FTRAN (B^-1 a) applies B0^-1 to the nonzeros of a and then the etas in
-order; BTRAN (c_B B^-1) applies the etas in reverse and then B0^-1.  Every
-50 pivots the basis is refactorized from scratch, which empties the eta file
-and recomputes the basic values.  A refactorization eliminates the basic
-slack and artificial unit columns directly and hands only the remaining
-structural block to np.linalg.inv.
+followed by an eta file with one entry per pivot since then, held as
+arrays (see _State), so that FTRAN (B^-1 a) and BTRAN (c_B B^-1) each take
+a fixed number of matrix-vector products however many etas there are.
+Every REFACTOR_EVERY pivots the basis is refactorized from scratch, which
+empties the eta file and recomputes the basic values.  A refactorization
+eliminates the basic slack and artificial unit columns directly.  The
+remaining structural block is nearly triangular: rounds of row singletons
+order it into levels, a few spike columns are set aside where no singleton
+is left, and its inverse comes from one matrix product per level plus the
+bordered inverse around a p x p Schur complement for the p spikes, the only
+dense inversion (Hellerman and Rarick 1971; Suhl and Suhl 1990).
 
 At exit, basic values within 1e-9 * max(1, |bound|) of a finite bound are
 snapped onto it, so that rounding noise never reaches the reported values.
@@ -71,7 +81,7 @@ FEASIBILITY_TOL = 1e-7
 OPTIMALITY_TOL = 1e-9
 PIVOT_TOL = 1e-11
 SNAP_TOL = 1e-9
-REFACTOR_EVERY = 50
+REFACTOR_EVERY = 100
 
 # nonbasic rest states; basic columns are tracked through the basis array
 _AT_LOWER = 0
@@ -88,9 +98,25 @@ class _State:
     structural basics S meet the rest of the basis only through the kernel
     K = A[R, S] and the coupling A[U, S], so that
 
-        B0^-1 a = (K^-1 a_R,  s * (a_U - A[U, S] K^-1 a_R))   on (S, U)
+        B0^-1 a = (K^-1 a_R,  s * (a_U - A[U, S] K^-1 a_R))   on (S, U).
 
-    and only K goes through np.linalg.inv.
+    kernel_rows (R) and struct_pos (S) are kept in the order _peel gives K:
+    level by level, each peeled row with its column, then the spike columns
+    with the rows left unpeeled.  kinv_t holds K^-T in that order
+    (_kernel_inverse_t); only the spikes' Schur complement is inverted
+    densely.
+
+    The eta file holds the e pivots since the last refactorization in
+    preallocated arrays.  Pivot j entered a column with w_j = B_j^-1 a at
+    row r_j: eta_t[j] = w_j - e_{r_j}, eta_rows[j] = r_j.  With M the e x e
+    lower-triangular matrix M[k, k] = w_k[r_k], M[k, j] = eta_t[j, r_k] for
+    j < k, the pivots' multipliers solve a triangular system, so that
+
+        FTRAN  w = B0^-1 a,  t = M^-1 w[rows],     B^-1 a = w - t @ eta_t
+        BTRAN  s = (eta_t @ u) M^-1,                u B^-1 = (u - e_rows s) B0^-1
+
+    minv holds M^-1, grown by one bordered row per pivot; its upper
+    triangle stays zero.  A row may be pivoted more than once.
     """
 
     def __init__(self, indptr, indices, data, b, lower, upper, n_real):
@@ -107,7 +133,10 @@ class _State:
         self.x = np.zeros(self.ncols)
         self.status = np.full(self.ncols, _AT_LOWER, dtype=np.int8)
         self.basis = np.zeros(self.m, dtype=int)
-        self.etas: list[tuple[int, float, np.ndarray]] = []  # (row, w[row], w) per pivot
+        self.etas = 0  # pivots in the eta file
+        self.eta_t = np.empty((REFACTOR_EVERY, self.m))
+        self.eta_rows = np.empty(REFACTOR_EVERY, dtype=int)
+        self.minv = np.zeros((REFACTOR_EVERY, REFACTOR_EVERY))
         # the block form of B0^-1 (kinv_t is K^-T) is set by refactor()
 
     def matvec(self, x):
@@ -148,18 +177,18 @@ class _State:
         """B^-1 a_j."""
         lo, hi = self.indptr[j], self.indptr[j + 1]
         w = self.b0_solve(self.indices[lo:hi], self.data[lo:hi])
-        for row, pivot, eta in self.etas:
-            t = w[row] / pivot
-            if t != 0.0:
-                w -= t * eta
-                w[row] = t
+        e = self.etas
+        if e:
+            t = self.minv[:e, :e] @ w[self.eta_rows[:e]]
+            w -= t @ self.eta_t[:e]
         return w
 
     def btran(self, u):
-        """u B^-1 for a row vector u over basis positions; u is overwritten."""
-        for row, pivot, eta in reversed(self.etas):
-            u_row = u[row]
-            u[row] = u_row + (u_row - u @ eta) / pivot
+        """u B^-1 for a row vector u over basis positions."""
+        e = self.etas
+        if e:
+            s = (self.eta_t[:e] @ u) @ self.minv[:e, :e]
+            u = u - np.bincount(self.eta_rows[:e], weights=s, minlength=self.m)
         y_u = self.sign * u[self.unit_pos]
         cu, cs, cv = self.coupling
         v = u[self.struct_pos] - np.bincount(cs, weights=cv * y_u[cu],
@@ -175,29 +204,35 @@ class _State:
         m, n = self.m, self.n_real - self.m
         unit = self.basis >= n
         self.unit_pos = np.nonzero(unit)[0]
-        self.struct_pos = np.nonzero(~unit)[0]
+        struct_pos = np.nonzero(~unit)[0]
         self.unit_rows = (self.basis[self.unit_pos] - n) % m
         self.sign = self.data[self.indptr[self.basis[self.unit_pos]]]
         self.unit_index = np.full(m, -1)
         self.unit_index[self.unit_rows] = np.arange(self.unit_rows.size)
-        self.kernel_rows = np.nonzero(self.unit_index < 0)[0]
-        k = self.struct_pos.size
-        if self.kernel_rows.size != k:
+        kernel_rows = np.nonzero(self.unit_index < 0)[0]
+        k = struct_pos.size
+        if kernel_rows.size != k:
             raise NumericalFailure("singular basis at refactorization")
-        self.kernel_index = np.full(m, -1)
-        self.kernel_index[self.kernel_rows] = np.arange(k)
+        kernel_index = np.full(m, -1)
+        kernel_index[kernel_rows] = np.arange(k)
 
-        local, rows, vals = self.entries(self.basis[self.struct_pos])
-        in_kernel = self.kernel_index[rows] >= 0
-        kernel_t = np.zeros((k, k))
-        kernel_t[local[in_kernel], self.kernel_index[rows[in_kernel]]] = vals[in_kernel]
-        try:
-            self.kinv_t = np.linalg.inv(kernel_t)
-        except np.linalg.LinAlgError:
-            raise NumericalFailure("singular basis at refactorization") from None
+        local, rows, vals = self.entries(self.basis[struct_pos])
+        in_kernel = kernel_index[rows] >= 0
+        row_order, col_order, starts = _peel(kernel_index[rows[in_kernel]],
+                                             local[in_kernel], k)
+        # relabel K's rows and columns into peel order
+        self.kernel_rows = kernel_rows[row_order]
+        self.struct_pos = struct_pos[col_order]
+        self.kernel_index = kernel_index
+        kernel_index[self.kernel_rows] = np.arange(k)
+        col_label = np.empty(k, dtype=int)
+        col_label[col_order] = np.arange(k)
+        local = col_label[local]
+        self.kinv_t = _kernel_inverse_t(kernel_index[rows[in_kernel]], local[in_kernel],
+                                        vals[in_kernel], starts, k)
         coupled = ~in_kernel
         self.coupling = (self.unit_index[rows[coupled]], local[coupled], vals[coupled])
-        self.etas.clear()
+        self.etas = 0
 
         nonbasic = self.x.copy()
         nonbasic[self.basis] = 0.0
@@ -205,37 +240,190 @@ class _State:
 
     def pivot(self, row, w):
         """Record the basis change at row whose entering column has B^-1 a = w."""
-        self.etas.append((row, float(w[row]), w))
-        if len(self.etas) == REFACTOR_EVERY:
+        e = self.etas
+        eta = self.eta_t[e]
+        eta[:] = w
+        eta[row] -= 1.0
+        self.eta_rows[e] = row
+        # border M^-1 with the row of the new pivot p = w[row]:
+        # [M 0; c p]^-1 = [M^-1 0; -c M^-1 / p  1/p], with c = eta_t[:e, row]
+        np.matmul(self.eta_t[:e, row], self.minv[:e, :e], out=self.minv[e, :e])
+        self.minv[e, :e] /= -w[row]
+        self.minv[e, e] = 1.0 / w[row]
+        self.etas = e + 1
+        if self.etas == REFACTOR_EVERY:
             self.refactor()
 
 
-def _price(state, c, priced, bland):
-    """Pick the entering column among the first `priced`, or None when optimal."""
-    y = state.btran(c[state.basis])
-    d = c[:priced] - state.rmatvec(y, priced)
+def _peel(rows, cols, k):
+    """Order the rows and columns of a k x k kernel given by its nonzeros
+    (rows, cols) so that it is block lower triangular up to a border.
+
+    Each round takes every live row with a single live nonzero, together
+    with that nonzero's column (one row per column, the first in entry
+    order); the rows of one round form a level, and the kernel restricted
+    to a level's rows and columns is diagonal.  A round that finds no such
+    row sets spike columns aside instead (_spike_columns) and peeling goes
+    on.  Peeled rows and columns come first, level by level, each row with
+    its column in the same place; the p spike columns come last, with the
+    p rows left unpeeled.  Returns (row order, column order, level starts),
+    the last start being k - p.
+    """
+    row_live = np.ones(k, dtype=bool)
+    col_live = np.ones(k, dtype=bool)
+    live = np.ones(rows.size, dtype=bool)
+    row_levels, col_levels, spikes, starts = [], [], [], [0]
+    left = k
+    while left:
+        live_rows, live_cols = rows[live], cols[live]
+        single = np.bincount(live_rows, minlength=k)[live_rows] == 1
+        if single.any():
+            level_cols, first = np.unique(live_cols[single], return_index=True)
+            level_rows = live_rows[single][first]
+            row_levels.append(level_rows)
+            col_levels.append(level_cols)
+            starts.append(starts[-1] + level_cols.size)
+            row_live[level_rows] = False
+            taken = level_cols
+        else:
+            taken = _spike_columns(live_rows, live_cols, col_live)
+            spikes.append(taken)
+        col_live[taken] = False
+        left -= taken.size
+        live = row_live[rows] & col_live[cols]
+    row_order = np.concatenate(row_levels + [np.nonzero(row_live)[0]])
+    col_order = np.concatenate(col_levels + spikes + [np.empty(0, dtype=int)])
+    return row_order, col_order, starts
+
+
+def _spike_columns(rows, cols, col_live):
+    """Live columns to set aside as spikes, given the live nonzeros.
+
+    The densest column (the lowest index on ties) comes first, then, in
+    that order, every column none of whose rows an earlier one took.
+    The same set results from rounds that each take every undecided
+    column ranked first in all of its rows, and drop every column that
+    shares a row with one taken.
+    """
+    k = col_live.size
+    count = np.bincount(cols, minlength=k)
+    live = np.nonzero(col_live)[0]
+    rank = np.empty(k, dtype=int)
+    rank[live[np.lexsort((live, -count[live]))]] = np.arange(live.size)
+    undecided = col_live.copy()
+    chosen = np.zeros(k, dtype=bool)
+    while undecided.any():
+        keep = undecided[cols]
+        r, c = rows[keep], cols[keep]
+        best = np.full(k, k)  # per row, the best rank among its undecided columns
+        np.minimum.at(best, r, rank[c])
+        take = undecided.copy()
+        take[c[best[r] < rank[c]]] = False
+        chosen |= take
+        undecided &= ~take
+        row_taken = np.zeros(k, dtype=bool)
+        row_taken[r[take[c]]] = True
+        undecided[c[row_taken[r]]] = False
+    return np.nonzero(chosen)[0]
+
+
+def _kernel_inverse_t(rows, cols, vals, starts, k):
+    """K^-T of a k x k kernel in peel order (see _peel), from its nonzeros.
+
+    With T the peeled block, K = [[T, B], [C, D]].  T is lower triangular
+    by levels, and its block at level l is the diagonal matrix P_l of the
+    level's pivots, so the rows of Z = T^-T at level l follow from those of
+    the later levels by one GEMM, last level first:
+
+        Z_l = P_l^-1 (I_l - T_{>l,l}^T Z_{>l}).
+
+    The p spike columns are closed by the bordered inverse around the
+    Schur complement S = D - C T^-1 B, whose p x p inverse is the only
+    dense inversion.  Besides the result, one temporary of up to k x k
+    exists at a time.  Raises NumericalFailure when S is singular.
+    """
+    q = starts[-1]
+    p = k - q
+    kinv_t = np.zeros((k, k))
+    diagonal = (rows == cols) & (rows < q)  # each peeled row meets its column
+    pivots = np.empty(q)
+    pivots[rows[diagonal]] = vals[diagonal]
+    below = (rows > cols) & (rows < q)
+    for a, b in zip(starts[-2::-1], starts[:0:-1]):
+        level = np.arange(a, b)
+        kinv_t[level, level] = 1.0 / pivots[a:b]
+        if b < q:
+            sel = below & (cols >= a) & (cols < b)
+            block = np.zeros((b - a, q - b))
+            block[cols[sel] - a, rows[sel] - b] = vals[sel]
+            out = kinv_t[a:b, b:q]
+            np.matmul(block, kinv_t[b:q, b:q], out=out)
+            out *= (-1.0 / pivots[a:b])[:, None]
+    if p:
+        z = kinv_t[:q, :q]
+        border_row, border_col = rows >= q, cols >= q
+        c_t = np.zeros((q, p))
+        sel = border_row & ~border_col
+        c_t[cols[sel], rows[sel] - q] = vals[sel]
+        b_t = np.zeros((p, q))
+        sel = ~border_row & border_col
+        b_t[cols[sel] - q, rows[sel]] = vals[sel]
+        schur_t = np.zeros((p, p))
+        sel = border_row & border_col
+        schur_t[cols[sel] - q, rows[sel] - q] = vals[sel]
+        g = kinv_t[:q, q:]  # T^-T C^T, then -T^-T C^T S^-T
+        h = kinv_t[q:, :q]  # B^T T^-T, then -S^-T B^T T^-T
+        np.matmul(z, c_t, out=g)
+        np.matmul(b_t, z, out=h)
+        schur_t -= h @ c_t
+        try:
+            kinv_t[q:, q:] = np.linalg.inv(schur_t)
+        except np.linalg.LinAlgError:
+            raise NumericalFailure("singular basis at refactorization") from None
+        g[...] = -(g @ kinv_t[q:, q:])
+        z -= g @ h
+        h[...] = -(kinv_t[q:, q:] @ h)
+    return kinv_t
+
+
+def _sense(state, priced):
+    """(sense, free) of the first `priced` columns: sense is +1 for a
+    column at its lower bound that can move, -1 for one at its upper bound
+    that can move, and 0 for a basic, fixed or free one; free lists the
+    free nonbasic columns."""
     status = state.status[:priced]
     movable = state.upper[:priced] - state.lower[:priced] > 0.0
-    up = (status == _AT_LOWER) & movable & (d > OPTIMALITY_TOL)
-    down = (status == _AT_UPPER) & movable & (d < -OPTIMALITY_TOL)
-    free = (status == _FREE) & (np.abs(d) > OPTIMALITY_TOL)
-    eligible = np.nonzero(up | down | free)[0]
-    if eligible.size == 0:
+    sense = np.where(movable & (status == _AT_LOWER), 1.0,
+                     np.where(movable & (status == _AT_UPPER), -1.0, 0.0))
+    return sense, np.nonzero(status == _FREE)[0]
+
+
+def _entering(d, sense, free, bland):
+    """The entering column for reduced costs d, or None when none improves.
+
+    A column's score is d times its sense, |d| for a free one; Dantzig's
+    rule takes the largest score, Bland's rule the first score above
+    OPTIMALITY_TOL, the lowest index on ties.
+    """
+    if not d.size:
         return None
-    j = int(eligible[0]) if bland else int(eligible[np.argmax(np.abs(d[eligible]))])
-    direction = 1.0 if d[j] > 0 else -1.0
-    return j, direction
+    score = d * sense
+    score[free] = np.abs(d[free])
+    j = int(np.argmax(score > OPTIMALITY_TOL)) if bland else int(np.argmax(score))
+    return j if score[j] > OPTIMALITY_TOL else None
 
 
 def _ratio_test(state, j, direction, w, bland):
-    """Largest step t >= 0 for entering column j; returns (t, blocking_row, hit)."""
+    """Largest step t >= 0 for entering column j; returns (t, blocking_row, hit).
+
+    Called with divide and invalid floating-point warnings off: an infinite
+    bound gives an infinite step, as for an unblocked row.
+    """
     k = state.basis
     step = direction * w
     x_k = state.x[k]
-    # an infinite bound gives an infinite step, as for an unblocked row
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(step > PIVOT_TOL, (x_k - state.lower[k]) / step,
-                     np.where(step < -PIVOT_TOL, (state.upper[k] - x_k) / -step, np.inf))
+    t = (x_k - np.where(step > 0.0, state.lower[k], state.upper[k])) / step
+    t[np.abs(step) <= PIVOT_TOL] = np.inf
     np.maximum(t, 0.0, out=t)  # degenerate drift within tolerance never steps backwards
 
     span = state.upper[j] - state.lower[j]  # inf for free or half-bounded columns
@@ -258,12 +446,15 @@ def _run_phase(state, c, priced, iteration_limit):
     bland = False
     stall = 0
     stall_switch = 3 * (state.m + state.ncols)
+    sense, free = _sense(state, priced)
     z = float(c @ state.x)
     for it in range(iteration_limit):
-        picked = _price(state, c, priced, bland)
-        if picked is None:
+        y = state.btran(c[state.basis])
+        d = c[:priced] - state.rmatvec(y, priced)
+        j = _entering(d, sense, free, bland)
+        if j is None:
             return OPTIMAL, it
-        j, direction = picked
+        direction = 1.0 if d[j] > 0 else -1.0
         w = state.ftran(j)
         t, row, hit = _ratio_test(state, j, direction, w, bland)
         if not np.isfinite(t):
@@ -280,16 +471,23 @@ def _run_phase(state, c, priced, iteration_limit):
             else:
                 state.x[j] = state.lower[j]
                 state.status[j] = _AT_LOWER
+            sense[j] = -direction
         else:
             leaving = state.basis[row]
             state.x[leaving] = state.lower[leaving] if hit == _AT_LOWER else state.upper[leaving]
             state.status[leaving] = hit
+            if state.status[j] == _FREE:
+                free = free[free != j]
             state.basis[row] = j
             state.status[j] = _BASIC
+            sense[j] = 0.0
             if leaving >= state.n_real:
                 # artificial out of the basis: freeze it so it never returns
                 state.lower[leaving] = state.upper[leaving] = 0.0
                 state.x[leaving] = 0.0
+            if leaving < priced:
+                movable = state.upper[leaving] - state.lower[leaving] > 0.0
+                sense[leaving] = (1.0 if hit == _AT_LOWER else -1.0) if movable else 0.0
             state.pivot(row, w)
 
         z_new = float(c @ state.x)
@@ -568,6 +766,32 @@ def extend_basis(start: Basis, lp: LinearProgram) -> Basis:
     return Basis(basic=basic, status=status.astype(np.int8), signs=signs)
 
 
+def _equality_form(lp):
+    """The _State of lp's equality form, every column at its lower bound.
+
+    Columns are lp's structural ones, one slack per row and one artificial
+    per row; the artificials are bounded by [0, inf) until a start fixes
+    them."""
+    n = lp.num_variables
+    a_struct, b, relations = lp.dense()
+    m = lp.num_rows
+    # CSC of [A | I | diag(+-1)]; np.nonzero on A^T walks it column by column
+    cols, rows = np.nonzero(a_struct.T)
+    units = np.arange(m)
+    indices = np.concatenate([rows, units, units])
+    data = np.concatenate([a_struct[rows, cols], np.ones(2 * m)])
+    indptr = np.concatenate([np.searchsorted(cols, np.arange(n)),
+                             cols.size + np.arange(2 * m + 1)])
+
+    slack_lo = {"<=": 0.0, "==": 0.0, ">=": -np.inf}
+    slack_hi = {"<=": np.inf, "==": 0.0, ">=": 0.0}
+    lower = np.concatenate([np.asarray(lp.lower), [slack_lo[r] for r in relations],
+                            np.zeros(m)])
+    upper = np.concatenate([np.asarray(lp.upper), [slack_hi[r] for r in relations],
+                            np.full(m, np.inf)])
+    return _State(indptr, indices, data, b.copy(), lower, upper, n + m)
+
+
 def solve(lp: LinearProgram, iteration_limit: int | None = None,
           start: Basis | None = None) -> LpSolution:
     """Solve a LinearProgram, maximizing its objective.
@@ -600,60 +824,45 @@ def solve(lp: LinearProgram, iteration_limit: int | None = None,
         When start comes from a program of another shape.
     """
     n = lp.num_variables
-    a_struct, b, relations = lp.dense()
     m = lp.num_rows
     if start is not None:
         _check_start(start, n + 2 * m, m)
-
-    # CSC of [A | I | diag(+-1)]; np.nonzero on A^T walks it column by column
-    cols, rows = np.nonzero(a_struct.T)
-    units = np.arange(m)
-    indices = np.concatenate([rows, units, units])
-    data = np.concatenate([a_struct[rows, cols], np.ones(2 * m)])
-    indptr = np.concatenate([np.searchsorted(cols, np.arange(n)),
-                             cols.size + np.arange(2 * m + 1)])
-    del a_struct  # not kept through the iterations
-
-    slack_lo = {"<=": 0.0, "==": 0.0, ">=": -np.inf}
-    slack_hi = {"<=": np.inf, "==": 0.0, ">=": 0.0}
-    lower = np.concatenate([np.asarray(lp.lower), [slack_lo[r] for r in relations],
-                            np.zeros(m)])
-    upper = np.concatenate([np.asarray(lp.upper), [slack_hi[r] for r in relations],
-                            np.full(m, np.inf)])
-
-    state = _State(indptr, indices, data, b.copy(), lower, upper, n + m)
+    state = _equality_form(lp)
     if iteration_limit is None:
         iteration_limit = 10_000 + 50 * (m + state.ncols)
 
-    rest = _rest_status(lower, upper)
-    iterations = 0
-    if start is None or not _warm_start(state, start, rest):
-        _cold_start(state, rest)
-        if m:
-            c_phase1 = np.zeros(state.ncols)
-            c_phase1[n + m:] = -1.0
-            status, its = _run_phase(state, c_phase1, state.ncols, iteration_limit)
-            iterations += its
-            if status != OPTIMAL:
-                raise NumericalFailure("phase 1 terminated abnormally")
-            infeasibility = state.x[n + m:].sum()
-            if infeasibility > FEASIBILITY_TOL * (1.0 + np.abs(b).sum()):
-                return LpSolution(status=INFEASIBLE, iterations=iterations)
-            _drive_out_artificials(state)
-            state.upper[n + m:] = 0.0
-            state.lower[n + m:] = 0.0
-            state.x[n + m:] = 0.0
+    # the ratio tests divide by zero steps and subtract infinite bounds;
+    # they handle both, so the warnings are off for every iteration
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rest = _rest_status(state.lower, state.upper)
+        iterations = 0
+        if start is None or not _warm_start(state, start, rest):
+            _cold_start(state, rest)
+            if m:
+                c_phase1 = np.zeros(state.ncols)
+                c_phase1[n + m:] = -1.0
+                status, its = _run_phase(state, c_phase1, state.ncols, iteration_limit)
+                iterations += its
+                if status != OPTIMAL:
+                    raise NumericalFailure("phase 1 terminated abnormally")
+                infeasibility = state.x[n + m:].sum()
+                if infeasibility > FEASIBILITY_TOL * (1.0 + np.abs(state.b).sum()):
+                    return LpSolution(status=INFEASIBLE, iterations=iterations)
+                _drive_out_artificials(state)
+                state.upper[n + m:] = 0.0
+                state.lower[n + m:] = 0.0
+                state.x[n + m:] = 0.0
 
-    c_phase2 = np.zeros(state.ncols)
-    c_phase2[:n] = lp.objective_array()
-    status, its = _run_phase(state, c_phase2, n + m, iteration_limit)
-    iterations += its
-    if status == UNBOUNDED:
-        return LpSolution(status=UNBOUNDED, iterations=iterations)
+        c_phase2 = np.zeros(state.ncols)
+        c_phase2[:n] = lp.objective_array()
+        status, its = _run_phase(state, c_phase2, n + m, iteration_limit)
+        iterations += its
+        if status == UNBOUNDED:
+            return LpSolution(status=UNBOUNDED, iterations=iterations)
 
     values = _vertex_values(state, n)
     objective = float(lp.objective_array() @ values)
     basis = Basis(basic=state.basis.copy(), status=state.status.copy(),
-                  signs=state.data[indptr[n + m]:].copy())
+                  signs=state.data[state.indptr[n + m]:].copy())
     return LpSolution(status=OPTIMAL, objective=objective, values=values,
                       iterations=iterations, basis=basis)

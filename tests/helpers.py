@@ -13,6 +13,7 @@ from spothedge.formulations import CVAR, DRO, PER_SCENARIO, FormulationConfig
 from spothedge.linprog import LinearProgram
 from spothedge.pipeline import (ReducedScenarios, estimate_q, ingest_lmp_csv,
                                 kmeans_reduce, scenarios_from_representatives)
+from spothedge.simplex import _AT_LOWER, _AT_UPPER, _FREE, OPTIMALITY_TOL
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -219,3 +220,23 @@ def lp_to_text(lp: LinearProgram) -> str:
     for name, lo, hi in zip(lp.variable_names, lp.lower, lp.upper):
         lines.append(f"bound: {_fmt(lo)} <= {name} <= {_fmt(hi)}")
     return "\n".join(lines) + "\n"
+
+
+def mask_rule_entering(d, status, lower, upper, bland: bool):
+    """Reference pricing: the entering column by eligibility masks, or None.
+
+    A column is eligible when it rests at its lower bound, can move and
+    d > OPTIMALITY_TOL; rests at its upper bound, can move and
+    d < -OPTIMALITY_TOL; or is free and |d| > OPTIMALITY_TOL.  Dantzig's
+    rule takes the eligible column of largest |d|, Bland's rule the first
+    eligible one, the lowest index on ties.  The simplex's sense-vector
+    pricing must pick the same column.
+    """
+    movable = upper - lower > 0.0
+    up = (status == _AT_LOWER) & movable & (d > OPTIMALITY_TOL)
+    down = (status == _AT_UPPER) & movable & (d < -OPTIMALITY_TOL)
+    free = (status == _FREE) & (np.abs(d) > OPTIMALITY_TOL)
+    eligible = np.nonzero(up | down | free)[0]
+    if eligible.size == 0:
+        return None
+    return int(eligible[0]) if bland else int(eligible[np.argmax(np.abs(d[eligible]))])

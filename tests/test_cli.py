@@ -17,10 +17,13 @@ import sys
 import numpy as np
 import pytest
 from conftest import micro_instance, micro_scenarios
+from helpers import random_allocation_case
 
+from spothedge import formulations
 from spothedge.cli import main
 from spothedge.domain import (load_scenarios, save_instance, save_scenarios,
                               validate_scenarios, load_instance)
+from spothedge.linprog import INFEASIBLE, LpSolution
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -185,6 +188,52 @@ def test_solve_infeasible_exits_three(capsys, tmp_path):
                        "--scenarios", str(spath))
     assert code == 2
     assert stderr_json(err)["error"] == "data"
+
+
+def test_infeasible_spot_free_model_leaves_its_metrics_undefined(capsys, tmp_path,
+                                                                monkeypatch):
+    """Draw 0 of random_allocation_case(default_rng(515)) solves to 1207.28,
+    but its period floors exceed what contracts alone can absorb, so the
+    spot-free reference model is infeasible: solve and sweep still succeed,
+    with zeta_riskfree, delta_zeta, delta_chi and rho null in JSON and
+    empty in CSV.  An infeasible model still exits 3."""
+    instance, scenarios = random_allocation_case(np.random.default_rng(515))
+    ipath, spath, qpath = tmp_path / "i.json", tmp_path / "s.json", tmp_path / "q.json"
+    save_instance(instance, ipath)
+    save_scenarios(scenarios, spath)
+    qpath.write_text(json.dumps({"markets": list(instance.markets), "q": [[1.0]]}))
+    undefined = ("zeta_riskfree", "delta_zeta", "delta_chi", "rho")
+
+    code, stdout, _ = run(capsys, "solve", "--instance", str(ipath), "--scenarios",
+                          str(spath), "--gamma", "0.5,0.9")
+    assert code == 0
+    doc = json.loads(stdout)
+    assert doc["objective_value"] == pytest.approx(1207.2842401114167, rel=1e-12)
+    assert len(doc["metrics"]) == 2
+    for row in doc["metrics"]:
+        assert all(row[key] is None for key in undefined)
+        assert isinstance(row["zeta"], float) and isinstance(row["chi"], float)
+
+    out = tmp_path / "sweep"
+    code, stdout, _ = run(capsys, "sweep", "--instance", str(ipath), "--scenarios",
+                          str(spath), "--alpha-grid", "0.5", "--epsilon-grid", "1",
+                          "--q", str(qpath), "--out", str(out))
+    assert code == 0 and json.loads(stdout)["failures"] == 0
+    with open(out / "metrics.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 3
+    for row in rows:
+        assert all(row[key] == "" for key in undefined) and row["zeta"] != ""
+    with open(out / "tradeoff.csv", newline="") as handle:
+        for row in csv.DictReader(handle):
+            assert (row["delta_zeta"], row["delta_chi"], row["rho"]) == ("", "", "")
+
+    # an infeasible model itself still exits 3
+    monkeypatch.setattr(formulations, "solve",
+                        lambda lp: LpSolution(status=INFEASIBLE, iterations=0))
+    code, _, err = run(capsys, "solve", "--instance", str(ipath), "--scenarios", str(spath))
+    assert code == 3
+    assert stderr_json(err)["error"] == "solver" and stderr_json(err)["status"] == "infeasible"
 
 
 def test_missing_input_file_is_io_error(capsys):

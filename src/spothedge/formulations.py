@@ -7,11 +7,13 @@ each indexed in VariableMap by an integer array shaped like the decision
 
     xmin[m,c]        x_min[m] (C_m,)        committed contract volume
                                             (first stage, scenario-free)
-    xterm[m,c,t,s]   x_term[m] (C_m, T, S)  delivered contract volume
+    xterm[m,c,t,s]   x_term[m] (C_m, T, S)  delivered volume of a contract
+                                            with flex; one without flex
+                                            delivers its commitment, so its
+                                            x_term entries all name xmin[m,c]
     y[m,k,t,s]       y_spot[m] (K_m, T, S)  spot sales in tranche k at its
                                             scenario price
     uprod[i,t,s]     u_prod (I, T, S)       production on cost-curve step i
-    utrans[m,t,s]    u_trans (M, T, S)      volume transported toward m
     z[s]             z (S,)                 scenario profit (free)
 
 cvar then appends var and ell (S,), dro appends w (S, G, M), where G is 1
@@ -19,11 +21,15 @@ for the per-scenario penalty and T for the per-period one.  The shared rows:
 
     profit[s]     z[s] equals contract + spot revenue minus production and
                   transport cost, summed over periods
-    window?       xmin <= xterm <= xmin + flex (an equality when flex is 0)
+    winlo/winhi   xmin <= xterm <= xmin + flex, for contracts with flex
     balance[t,s]  production equals contract plus spot sales
-    transport[t,s] production equals transported volume
     prod rows     lower <= total production <= upper (folded into variable
                   bounds when the cost curve has a single step)
+
+Transport appears nowhere but in the cost, so every MW goes through the
+cheapest market: each unit of production carries that market's transport
+rate, and extract_report books all production there (the lowest market
+index on ties).
 
 Objectives:
 
@@ -136,16 +142,17 @@ class VariableMap:
     """Column indices of one built LP, shaped like the decisions they hold.
 
     With C_m contracts and K_m spot tranches in market m, I supply steps,
-    T periods, S scenarios and M markets, each block is contiguous and the
-    blocks follow in this order: x_min, x_term, y_spot (each market after
-    market), u_prod, u_trans, z, then var and ell for cvar or w for dro.
+    T periods and S scenarios, the columns follow in this order: x_min,
+    the delivered volumes of the contracts with flex, y_spot (each market
+    after market), u_prod, z, then var and ell for cvar or w for dro.
+    x_term is therefore not one contiguous block: the (T, S) slice of a
+    contract without flex repeats its x_min column.
     """
 
     x_min: dict  # m -> (C_m,) committed volumes
     x_term: dict  # m -> (C_m, T, S) delivered contract volumes
     y_spot: dict  # m -> (K_m, T, S) spot sales
     u_prod: np.ndarray  # (I, T, S)
-    u_trans: np.ndarray  # (M, T, S)
     z: np.ndarray  # (S,)
     var_col: int | None = None  # CVaR threshold
     ell: np.ndarray | None = None  # (S,) CVaR tail shortfalls
@@ -186,8 +193,7 @@ def _add_sided_rows(lp: LinearProgram, tags: list[str], sides, columns, coeffs) 
                 [rhs for _ in tags for _, _, rhs in sides])
 
 
-def _build_core(instance: MarketInstance, scenarios: ScenarioSet,
-                z_objective, tie_break_weight: float):
+def _build_core(instance: MarketInstance, scenarios: ScenarioSet, z_objective):
     """Shared variables and rows; z objective coefficients supplied per model."""
     _check_inputs(instance, scenarios)
     lp = LinearProgram()
@@ -200,19 +206,24 @@ def _build_core(instance: MarketInstance, scenarios: ScenarioSet,
     n_c = [len(cs) for cs in contracts]
     n_k = [scenarios.steps(market) for market in markets]
     volume = np.array([c.max_volume for cs in contracts for c in cs], dtype=float)
+    flexible = np.array([c.flex_above_min > 0.0 for cs in contracts for c in cs], dtype=bool)
     lo_t, hi_t = np.array(instance.production_limits, dtype=float).T
     ts_tags = [f"{t},{s}" for t in range(n_t) for s in range(n_s)]
+    haul = min(instance.transport(market) for market in markets)
 
     x_min = lp.add_variables([f"xmin[{m},{c}]" for m in range(n_m) for c in range(n_c[m])],
                              0.0, volume)
-    x_term = lp.add_variables([f"xterm[{m},{c},{tag}]" for m in range(n_m)
-                               for c in range(n_c[m]) for tag in ts_tags],
-                              0.0, np.repeat(volume, n_t * n_s))
+    x_flex = lp.add_variables([f"xterm[{m},{c},{tag}]" for m in range(n_m)
+                               for c, contract in enumerate(contracts[m])
+                               if contract.flex_above_min > 0.0 for tag in ts_tags],
+                              0.0, np.repeat(volume[flexible], n_t * n_s))
+    x_term = np.repeat(x_min, n_t * n_s).reshape(-1, n_t * n_s)  # a fixed contract delivers xmin
+    x_term[flexible] = x_flex.reshape(-1, n_t * n_s)
     y_spot = lp.add_variables(
         [f"y[{m},{k},{tag}]" for m in range(n_m) for k in range(n_k[m])
          for tag in ts_tags],
         0.0, np.concatenate([scenarios.widths[market].ravel() for market in markets]),
-        -tie_break_weight)
+        -TIE_BREAK_WEIGHT)
     if single_step:  # the production-limit row has one coefficient: fold it away
         prod_lo, prod_hi = lo_t, np.minimum(steps[0].capacity, hi_t)  # (T,)
     else:
@@ -220,16 +231,12 @@ def _build_core(instance: MarketInstance, scenarios: ScenarioSet,
     u_prod = lp.add_variables([f"uprod[{i},{tag}]" for i in range(n_i) for tag in ts_tags],
                               *(np.repeat(np.full((n_i, n_t), v), n_s)
                                 for v in (prod_lo, prod_hi)))
-    u_trans = lp.add_variables(
-        [f"utrans[{m},{tag}]" for m in range(n_m) for tag in ts_tags],
-        0.0, np.tile(np.repeat(hi_t, n_s), n_m))
     z = lp.add_variables([f"z[{s}]" for s in range(n_s)], -math.inf, math.inf,
                          z_objective)
     vm = VariableMap(x_min=_per_market(x_min, n_c, ()),
-                     x_term=_per_market(x_term, n_c, (n_t, n_s)),
+                     x_term=_per_market(x_term.ravel(), n_c, (n_t, n_s)),
                      y_spot=_per_market(y_spot, n_k, (n_t, n_s)),
-                     u_prod=u_prod.reshape(n_i, n_t, n_s),
-                     u_trans=u_trans.reshape(n_m, n_t, n_s), z=z)
+                     u_prod=u_prod.reshape(n_i, n_t, n_s), z=z)
 
     def by_scenario(a):  # (..., S) -> (S, ...)
         return a.reshape(-1, n_s).T
@@ -241,28 +248,24 @@ def _build_core(instance: MarketInstance, scenarios: ScenarioSet,
     for m, market in enumerate(markets):
         wholesale = np.array([c.wholesale_price for c in contracts[m]], dtype=float)
         parts += [(by_scenario(vm.x_term[m]), -wholesale.ravel()),
-                  (by_scenario(vm.y_spot[m]), -by_scenario(scenarios.prices[market])),
-                  (by_scenario(vm.u_trans[m]), instance.transport(market))]
-    parts.append((by_scenario(vm.u_prod), np.repeat([s.unit_cost for s in steps], n_t)))
+                  (by_scenario(vm.y_spot[m]), -by_scenario(scenarios.prices[market]))]
+    parts.append((by_scenario(vm.u_prod),
+                  np.repeat([s.unit_cost + haul for s in steps], n_t)))
     lp.add_rows([f"profit[{s}]" for s in range(n_s)], *_row_block(parts), "==", 0.0)
 
     for m in range(n_m):
         for c, contract in enumerate(contracts[m]):
-            flex = contract.flex_above_min
-            sides = ([("window", "==", 0.0)] if flex == 0.0
-                     else [("winlo", ">=", 0.0), ("winhi", "<=", flex)])
-            term = vm.x_term[m][c].ravel()
-            _add_sided_rows(lp, [f"{m},{c},{tag}" for tag in ts_tags], sides,
-                            np.column_stack([term, np.full_like(term, vm.x_min[m][c])]),
-                            [1.0, -1.0])
+            if contract.flex_above_min > 0.0:
+                term = vm.x_term[m][c].ravel()
+                _add_sided_rows(lp, [f"{m},{c},{tag}" for tag in ts_tags],
+                                [("winlo", ">=", 0.0), ("winhi", "<=", contract.flex_above_min)],
+                                np.column_stack([term, np.full_like(term, vm.x_min[m][c])]),
+                                [1.0, -1.0])
 
     sold = [(by_period(cols[m]), -1.0) for m in range(n_m)
             for cols in (vm.x_term, vm.y_spot)]
     lp.add_rows([f"balance[{tag}]" for tag in ts_tags],
                 *_row_block([(by_period(vm.u_prod), 1.0)] + sold), "==", 0.0)
-    lp.add_rows([f"transport[{tag}]" for tag in ts_tags],
-                *_row_block([(by_period(vm.u_prod), 1.0), (by_period(vm.u_trans), -1.0)]),
-                "==", 0.0)
 
     if not single_step:
         prod = by_period(vm.u_prod).reshape(n_t, n_s, n_i)
@@ -275,22 +278,21 @@ def _build_core(instance: MarketInstance, scenarios: ScenarioSet,
     return lp, vm
 
 
-def build_risk_neutral(instance: MarketInstance, scenarios: ScenarioSet,
-                       tie_break_weight: float = TIE_BREAK_WEIGHT):
+def build_risk_neutral(instance: MarketInstance, scenarios: ScenarioSet):
     """Expected-profit maximization; returns (LinearProgram, VariableMap)."""
     pi = scenarios.probabilities
-    return _build_core(instance, scenarios, pi, tie_break_weight)
+    return _build_core(instance, scenarios, pi)
 
 
 def build_cvar(instance: MarketInstance, scenarios: ScenarioSet, alpha: float,
-               lam: float, tie_break_weight: float = TIE_BREAK_WEIGHT):
+               lam: float):
     """Tail-weighted model: lam * E[z] + (1-lam) * CVaR_alpha(z)."""
     if not 0.0 < alpha < 1.0:
         raise ParameterOutOfRange(f"alpha must lie strictly inside (0, 1), got {alpha}")
     if not 0.0 <= lam <= 1.0:
         raise ParameterOutOfRange(f"lambda must lie in [0, 1], got {lam}")
     pi = scenarios.probabilities
-    lp, vm = _build_core(instance, scenarios, lam * pi, tie_break_weight)
+    lp, vm = _build_core(instance, scenarios, lam * pi)
     n_s = scenarios.num_scenarios
     vm.var_col = lp.add_variable("var", -math.inf, math.inf, objective=(1.0 - lam))
     vm.ell = lp.add_variables([f"ell[{s}]" for s in range(n_s)], 0.0, math.inf,
@@ -310,8 +312,7 @@ def _penalty_groups(n_t: int, dro_penalty: str):
 
 
 def build_dro(instance: MarketInstance, scenarios: ScenarioSet, epsilon: float,
-              q_matrix, dro_penalty: str = PER_SCENARIO,
-              tie_break_weight: float = TIE_BREAK_WEIGHT):
+              q_matrix, dro_penalty: str = PER_SCENARIO):
     """Wasserstein-penalized model: E[z] - epsilon * E[||Q^T ytilde||_1].
 
     Each scenario s, period group g and market j gets a column w[s,g,j] >=
@@ -328,7 +329,7 @@ def build_dro(instance: MarketInstance, scenarios: ScenarioSet, epsilon: float,
     if not np.isfinite(q).all():
         raise DimensionMismatch("q matrix contains non-finite entries")
     pi = scenarios.probabilities
-    lp, vm = _build_core(instance, scenarios, pi, tie_break_weight)
+    lp, vm = _build_core(instance, scenarios, pi)
     n_s = scenarios.num_scenarios
     groups = _penalty_groups(instance.periods, dro_penalty)
     tags = [f"{s},{label}{j}" for s in range(n_s) for _, label in groups for j in range(n_m)]
@@ -409,8 +410,11 @@ def extract_report(instance: MarketInstance, scenarios: ScenarioSet,
     commitments = {market: x[vm.x_min[m]] for m, market in enumerate(markets)}
     term = {market: x[vm.x_term[m]] for m, market in enumerate(markets)}
     spot = {market: x[vm.y_spot[m]] for m, market in enumerate(markets)}
-    trans = {market: x[vm.u_trans[m]] for m, market in enumerate(markets)}
     production = x[vm.u_prod]
+    produced_ts = production.sum(axis=0)  # (T, S)
+    cheapest = min(markets, key=instance.transport)  # the lowest index on ties
+    trans = {market: produced_ts if market == cheapest else np.zeros((n_t, n_s))
+             for market in markets}
 
     profits = np.zeros(n_s)
     for m, market in enumerate(markets):
@@ -419,8 +423,7 @@ def extract_report(instance: MarketInstance, scenarios: ScenarioSet,
         if wholesale.size:
             profits += np.einsum("ct,cts->s", wholesale, term[market])
         profits += np.einsum("kts,kts->s", prices, spot[market])
-        profits -= instance.transport(market) * trans[market].sum(axis=0)
-    costs = np.array([s.unit_cost for s in instance.supply_steps])
+    costs = np.array([s.unit_cost for s in instance.supply_steps]) + instance.transport(cheapest)
     profits -= np.einsum("i,its->s", costs, production)
 
     solver_z = x[vm.z]
@@ -431,14 +434,10 @@ def extract_report(instance: MarketInstance, scenarios: ScenarioSet,
             f"scenario {s}: solver profit {solver_z[s]!r} disagrees with "
             f"recomputed {profits[s]!r}")
 
-    produced_ts = production.sum(axis=0)  # (T, S)
     sold_ts = sum(term[mk].sum(axis=0) + spot[mk].sum(axis=0) for mk in markets)
-    moved_ts = sum(trans[mk] for mk in markets)
     scale = 1.0 + np.abs(produced_ts)
     if (np.abs(produced_ts - sold_ts) > BALANCE_TOL * scale).any():
         raise ConsistencyError("supply-demand balance violated beyond tolerance")
-    if (np.abs(produced_ts - moved_ts) > BALANCE_TOL * scale).any():
-        raise ConsistencyError("transport balance violated beyond tolerance")
 
     pi = scenarios.probabilities
     expected = float(pi @ profits)

@@ -504,19 +504,17 @@ def estimate_q(nodal, system) -> QEstimate:
 
 
 def scenarios_from_representatives(instance: MarketInstance, representatives,
-                                   probabilities,
-                                   markets: tuple[str, ...] | None = None) -> ScenarioSet:
+                                   probabilities) -> ScenarioSet:
     """Expand representative top-tranche prices into a full ScenarioSet.
 
     Column m of representatives is the top-of-staircase spot price for
-    markets[m] in every period; lower tranches follow the instance's
+    instance.markets[m] in every period; lower tranches follow the instance's
     elasticity rule, price dropping by the market decrement per step with
     constant width.
     """
     reps = np.asarray(representatives, dtype=float)
     probs = np.asarray(probabilities, dtype=float)
-    if markets is None:
-        markets = instance.markets
+    markets = instance.markets
     if reps.ndim != 2 or reps.shape[1] != len(markets):
         raise ValueError(f"representatives must be (scenarios x {len(markets)})")
     if probs.shape != (reps.shape[0],):

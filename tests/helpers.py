@@ -107,18 +107,19 @@ def random_allocation_case(rng: np.random.Generator) -> tuple[MarketInstance, Sc
 
 def expected_columns(instance: MarketInstance, scenarios: ScenarioSet,
                      config: FormulationConfig) -> int:
-    """The documented column count: with C contracts, K spot tranches over
-    all markets, I supply steps, T periods, S scenarios and M markets the
-    shared core has C + C*T*S + K*T*S + I*T*S + M*T*S + S columns; cvar adds
-    1 + S, dro adds S*M per-scenario or S*T*M per-period penalty columns."""
+    """The documented column count: with C contracts of which F have flex,
+    K spot tranches over all markets, I supply steps, T periods, S scenarios
+    and M markets the shared core has C + F*T*S + K*T*S + I*T*S + S columns;
+    cvar adds 1 + S, dro adds S*M per-scenario or S*T*M per-period penalty
+    columns."""
     n_c = len(instance.contracts)
+    n_f = sum(c.flex_above_min > 0.0 for c in instance.contracts)
     n_t = instance.periods
     n_s = scenarios.num_scenarios
     n_m = len(instance.markets)
     n_k = sum(scenarios.steps(m) for m in instance.markets)
     n_i = len(instance.supply_steps)
-    total = n_c + n_c * n_t * n_s + n_k * n_t * n_s + n_i * n_t * n_s \
-        + n_m * n_t * n_s + n_s
+    total = n_c + (n_f + n_k + n_i) * n_t * n_s + n_s
     if config.kind == CVAR:
         total += 1 + n_s
     elif config.kind == DRO:

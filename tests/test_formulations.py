@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import micro_instance, micro_scenarios
-from helpers import expected_columns, toy_case
+from helpers import expected_columns, random_allocation_case, toy_case
 from spothedge import metrics
 from spothedge.domain import Contract, MarketInstance, ScenarioSet, SupplyStep
 from spothedge.formulations import (
@@ -184,7 +184,7 @@ def test_single_scenario_cvar_equals_risk_neutral():
 
 def test_column_and_row_counts_match_documented_formula():
     # 1 market, 1 contract with flex, 2 spot tranches, 1 supply step, 1 period,
-    # 2 scenarios: 13 columns, 10 structural rows (production folds into bounds)
+    # 2 scenarios: 11 columns, 8 structural rows (production folds into bounds)
     instance = micro_instance(flex=10.0)
     scenarios = ScenarioSet(
         probabilities=np.array([0.5, 0.5]),
@@ -193,17 +193,17 @@ def test_column_and_row_counts_match_documented_formula():
     )
     config = FormulationConfig(kind=RISK_NEUTRAL)
     lp, _vm = build(instance, scenarios, config)
-    assert lp.num_variables == 13
-    assert expected_columns(instance, scenarios, config) == 13
-    assert lp.num_rows == 10
+    assert lp.num_variables == 11
+    assert expected_columns(instance, scenarios, config) == 11
+    assert lp.num_rows == 8
 
     cvar_cfg = FormulationConfig(kind=CVAR, alpha=0.5, lam=0.5)
     lp2, _ = build(instance, scenarios, cvar_cfg)
-    assert lp2.num_variables == expected_columns(instance, scenarios, cvar_cfg) == 16
+    assert lp2.num_variables == expected_columns(instance, scenarios, cvar_cfg) == 14
 
     dro_cfg = FormulationConfig(kind=DRO, epsilon=1.0, q_matrix=np.eye(1))
     lp3, _ = build(instance, scenarios, dro_cfg)
-    assert lp3.num_variables == expected_columns(instance, scenarios, dro_cfg) == 15
+    assert lp3.num_variables == expected_columns(instance, scenarios, dro_cfg) == 13
 
 
 def test_parameter_range_errors(canonical):
@@ -257,15 +257,14 @@ def lp_digest(lp) -> str:
     return digest.hexdigest()
 
 
-# sha256 (lp_digest) of the toy LPs at 8 scenarios, recorded from the
-# element-by-element builder that the block-wise one replaced: column order,
-# row order, coefficients, bounds, objective and names are pinned bit for bit
+# sha256 (lp_digest) of the toy LPs at 8 scenarios: column order, row order,
+# coefficients, bounds, objective and names are pinned bit for bit
 LP_DIGESTS = {
-    "risk_neutral": "44c24622fd360c2857c02594558e31997d0b9be201af4a52e73b5cb841bdcf0e",
-    "cvar": "df86db8bb5aad612122460ce8e6f3c46f9958b4a403d336bb74622e6ea555e00",
-    "dro_per_scenario": "3e8c3cd2f0b0faabff36a40debcce5e7d1dbb9d4230eda362eae2b0c9b98f2da",
-    "dro_per_period": "e1b9f2e24eb8af6084f43bbd1a349fcf805cf23ba73f752ae8b181efd20a7650",
-    "risk_free": "6d3c6f5c143ac3f0844005d0729ecc0d53045d93331e4d9362ac1b0fc722a9db",
+    "risk_neutral": "eeff4aa60cc90f5d897580ad77684adbfbe7c855fd5e91ae93b119fb84db066a",
+    "cvar": "daea4c150bef8b88c7d6bd6953c1556636d6fd3fedf56230b1763ca2ddd224bf",
+    "dro_per_scenario": "c9beead2e91a3bdd6341fd0442aaa758eb4a838594f59ce56f41e9f0daea1477",
+    "dro_per_period": "d81b49157f0b99424fe94d6cf2f8d61c61cc83b969b72bc3b4044064aa21aa94",
+    "risk_free": "293075bdce64461b81ce673e8d4d8dc48770909173819a3fadd9388c8fb2cced",
 }
 
 
@@ -295,3 +294,72 @@ def toy_lp(case):
 @pytest.mark.parametrize("case", list(LP_DIGESTS))
 def test_toy_lp_matches_recorded_digest(case):
     assert lp_digest(toy_lp(case)) == LP_DIGESTS[case]
+
+
+@pytest.mark.parametrize("transport_cost, haul, carrier", [
+    ({}, 0.0, "east"),
+    ({"east": 1.5, "west": 1.5}, 1.5, "east"),
+    ({"east": 2.0, "west": 0.5}, 0.5, "west"),
+])
+def test_transport_is_booked_at_the_cheapest_market(transport_cost, haul, carrier):
+    instance = MarketInstance(  # 100 MW of fixed production, no contracts
+        markets=("east", "west"), contracts=(), supply_steps=(SupplyStep(100.0, 2.0),),
+        transport_cost=transport_cost, production_limits=((100.0, 100.0),), periods=1)
+    scenarios = ScenarioSet(
+        probabilities=np.array([0.5, 0.5]),
+        prices={"east": np.array([[[40.0, 20.0]]]), "west": np.array([[[25.0, 30.0]]])},
+        widths={"east": np.full((1, 1, 2), 100.0), "west": np.full((1, 1, 2), 100.0)})
+    report = solve_allocation(instance, scenarios, FormulationConfig(kind=RISK_NEUTRAL))
+    produced = report.production.sum(axis=0)
+    np.testing.assert_array_equal(produced, [[100.0, 100.0]])
+    for market in instance.markets:
+        want = produced if market == carrier else np.zeros_like(produced)
+        np.testing.assert_array_equal(report.transport[market], want)
+    # each scenario sells 100 MW at its better price, less production and haul
+    np.testing.assert_allclose(report.profits, [4000.0 - 100.0 * (2.0 + haul),
+                                                3000.0 - 100.0 * (2.0 + haul)], rtol=1e-12)
+
+
+def test_contract_without_flex_delivers_its_commitment_exactly():
+    checked = 0
+    for seed in range(12):
+        instance, scenarios = random_allocation_case(np.random.default_rng(seed))
+        report = solve_allocation(instance, scenarios, FormulationConfig(kind=RISK_NEUTRAL))
+        for market in instance.markets:
+            for c, contract in enumerate(instance.market_contracts(market)):
+                if contract.flex_above_min == 0.0:
+                    delivered = report.term_dispatch[market][c]
+                    assert (delivered == report.commitments[market][c]).all()
+                    checked += 1
+    assert checked >= 5
+
+
+# objective_value of random_allocation_case(np.random.default_rng(seed)) for
+# risk_neutral, cvar alpha .25 lambda .2 and dro epsilon 1 with q = I,
+# recorded from the layout that still had transport columns and a delivery
+# column per fixed contract: dropping them must leave every optimum in place
+RANDOM_CASE_OBJECTIVES = {
+    0: (3745.8432380129207, 3577.301976836392, 3610.955205301939),
+    1: (6176.763119514444, 5100.695840983806, 6069.914705297379),
+    2: (3527.166932114912, 3527.1669321149116, 3456.2078199303505),
+    3: (1368.5920313485194, 1368.5920313485194, 1333.2679427189169),
+    4: (2738.1205802515133, 2616.843266636693, 2673.126028050745),
+    5: (3302.5045155839002, 3302.5045155838993, 3206.2428822593756),
+    6: (1114.3762972411912, 606.8919395199468, 1082.2254807607635),
+    7: (2832.66825268511, 2542.1523048558197, 2760.6508879608677),
+    8: (1843.1816291480263, 1843.1816291480266, 1821.1185084525796),
+    9: (5132.553135455392, 3689.3031563965624, 5056.511906670269),
+    10: (4826.259831342947, 4189.10080799491, 4727.729309030253),
+    11: (1551.5748733381392, 1401.399743340386, 1531.718608839564),
+}
+
+
+@pytest.mark.parametrize("seed", list(RANDOM_CASE_OBJECTIVES))
+def test_random_case_objectives_match_recorded(seed):
+    instance, scenarios = random_allocation_case(np.random.default_rng(seed))
+    configs = (FormulationConfig(kind=RISK_NEUTRAL),
+               FormulationConfig(kind=CVAR, alpha=0.25, lam=0.2),
+               FormulationConfig(kind=DRO, epsilon=1.0, q_matrix=np.eye(len(instance.markets))))
+    for config, want in zip(configs, RANDOM_CASE_OBJECTIVES[seed]):
+        report = solve_allocation(instance, scenarios, config)
+        assert report.objective_value == pytest.approx(want, rel=1e-12), config.kind

@@ -588,15 +588,6 @@ def test_expansion_output_passes_validation():
     assert validate_scenarios(instance, scen) == []
 
 
-def test_expansion_respects_explicit_market_order():
-    instance = expansion_instance()
-    reps = np.array([[35.0, 40.0]])  # columns swapped: west first
-    scen = scenarios_from_representatives(instance, reps, [1.0],
-                                          markets=("west", "east"))
-    assert scen.prices["west"][0, 0, 0] == 35.0
-    assert scen.prices["east"][0, 0, 0] == 40.0
-
-
 def test_expansion_requires_elasticity_and_matching_shapes():
     instance = expansion_instance()
     bare = MarketInstance(

@@ -108,15 +108,19 @@ def _load_instance(path) -> MarketInstance:
     return instance
 
 
-def _load_scenario_set(path, instance: MarketInstance) -> ScenarioSet:
-    if path is None:
-        raise CliError("usage", "--scenarios is required")
+def _read_scenarios(path) -> ScenarioSet:
     try:
-        scenarios = load_scenarios(path)
+        return load_scenarios(path)
     except OSError as exc:
         raise CliError("io", f"cannot read scenarios {path}: {exc}") from exc
     except (ValueError, TypeError) as exc:
         raise CliError("parse", f"scenarios {path}: {exc}") from exc
+
+
+def _load_scenario_set(path, instance: MarketInstance) -> ScenarioSet:
+    if path is None:
+        raise CliError("usage", "--scenarios is required")
+    scenarios = _read_scenarios(path)
     problems = validate_scenarios(instance, scenarios)
     if problems:
         raise CliError("data", f"scenarios {path} do not fit the instance",
@@ -421,13 +425,7 @@ def _cmd_validate(args) -> int:
     instance = _load_instance(args.instance)  # raises on structural problems
     problems = []
     if args.scenarios is not None:
-        try:
-            scenarios = load_scenarios(args.scenarios)
-        except OSError as exc:
-            raise CliError("io", f"cannot read scenarios {args.scenarios}: {exc}") from exc
-        except (ValueError, TypeError) as exc:
-            raise CliError("parse", f"scenarios {args.scenarios}: {exc}") from exc
-        problems = validate_scenarios(instance, scenarios)
+        problems = validate_scenarios(instance, _read_scenarios(args.scenarios))
     if problems:
         raise CliError("data", "validation failed", problems=problems)
     _emit({"ok": True, "problems": []})

@@ -450,12 +450,15 @@ def extract_report(instance: MarketInstance, scenarios: ScenarioSet,
         tail = var_threshold - float(pi @ shortfall) / config.alpha
         objective = config.lam * expected + (1.0 - config.lam) * tail
     else:
-        q = config.q_matrix
-        penalty = 0.0
-        for s in range(n_s):
-            for group, _ in _penalty_groups(n_t, config.dro_penalty):
-                ytilde = np.array([spot[market][:, group, s].sum() for market in markets])
-                penalty += float(pi[s]) * float(np.abs(q.T @ ytilde).sum())
+        groups = [g for g, _ in _penalty_groups(n_t, config.dro_penalty)]
+        # ytilde[s, g, m]: market m's spot sales in scenario s and period
+        # group g, each summed tranche-major from a contiguous copy
+        ytilde = np.stack([np.stack([
+            np.ascontiguousarray(spot[mk][:, g, :].transpose(2, 0, 1)).reshape(n_s, -1).sum(1)
+            for mk in markets], axis=-1) for g in groups], axis=1)
+        norms = np.abs(config.q_matrix.T @ ytilde[..., None])[..., 0].sum(-1)  # (S, G)
+        # cumsum adds pi_s * norm_sg one at a time in (s, g) order
+        penalty = float(np.cumsum(pi[:, None] * norms)[-1])
         objective = expected - config.epsilon * penalty
 
     spot_volume = float(sum(pi @ spot[mk].sum(axis=(0, 1)) for mk in markets))

@@ -2,14 +2,18 @@
 
 Two-phase method on the equality form obtained by giving every row a slack
 (``<=`` rows get a slack in [0, inf), ``>=`` rows in (-inf, 0], ``==`` rows a
-slack fixed at 0).  A cold solve starts from a crash basis: each free
-structural column is basic in one of its rows, every other row has its
-slack, and a row whose slack would lie outside its bounds gets an artificial
-variable sized to the residual instead.  Phase 1 minimizes the sum of those
-artificials (it ends at once when there are none); phase 2 maximizes the
-real objective with the artificials fixed at zero and left out of pricing.
-Nonbasic variables sit at a finite bound (free variables sit at zero and
-may move either way).
+slack fixed at 0) and one artificial, the same unit column as the row's
+slack.  A cold solve starts from a crash basis: each free structural column
+is basic in one of its rows, every other row has its slack, and a row whose
+slack would lie outside its bounds gets its artificial instead, holding the
+row's residual r and bounded by [0, inf) when r > 0, by (-inf, 0] when
+r < 0.  Phase 1 minimizes the sum of the artificials' absolute values (it
+ends at once when there are none).  A row whose artificial is still basic
+when phase 1 ends is handed back to its slack: both are the row's unit
+column, so the basis matrix and its factors stay as they are.  Phase 2
+maximizes the real objective with every artificial nonbasic, fixed at zero
+and left out of pricing.  Nonbasic variables sit at a finite bound (free
+variables sit at zero and may move either way).
 
 Pricing is Dantzig's largest reduced cost, switching to Bland's rule after
 3*(rows+columns) consecutive non-improving iterations so that degenerate
@@ -41,13 +45,13 @@ At exit, basic values within 1e-9 * max(1, |bound|) of a finite bound are
 snapped onto it, so that rounding noise never reaches the reported values.
 
 An optimal solve returns its final basis (LpSolution.basis): the basic
-column of each row, the rest status of every column and the signs of the
-artificial columns.  Passed back as ``start``, it lets a program with the
-same matrix, right-hand side and bounds, and another objective, skip
-phase 1: the nonbasic columns are put on their bounds, the basis is
-refactorized once and, when every basic value lies within FEASIBILITY_TOL
-of its bounds, phase 2 runs from there with the artificials fixed at zero.
-A start over another number of rows or columns raises ValueError.
+column of each row and the rest status of every structural and slack
+column; artificials never appear in it.  Passed back as ``start``, it lets a
+program with the same matrix, right-hand side and bounds, and another
+objective, skip phase 1: the nonbasic columns are put on their bounds, the
+basis is refactorized once and, when every basic value lies within
+FEASIBILITY_TOL of its bounds, phase 2 runs from there.  A start over
+another number of rows or columns raises ValueError.
 
 A program that appends columns and rows to another one, leaving the
 other's matrix, right-hand side and bounds as its leading block, takes the
@@ -93,12 +97,15 @@ _BASIC = 3
 class _State:
     """Equality-form matrix, bounds, point and factored basis of both phases.
 
-    B0^-1 is held in block form.  Basic slacks and artificials are signed
-    unit columns; with U the rows they cover and R the other rows, the
+    B0^-1 is held in block form.  Basic slacks and artificials are unit
+    columns; with U the rows they cover and R the other rows, the
     structural basics S meet the rest of the basis only through the kernel
     K = A[R, S] and the coupling A[U, S], so that
 
-        B0^-1 a = (K^-1 a_R,  s * (a_U - A[U, S] K^-1 a_R))   on (S, U).
+        B0^-1 a = (K^-1 a_R,  a_U - A[U, S] K^-1 a_R)   on (S, U).
+
+    Nothing writes the matrix after _equality_form builds it: an
+    artificial's direction lives in its bounds and its phase-1 cost.
 
     kernel_rows (R) and struct_pos (S) are kept in the order _peel gives K:
     level by level, each peeled row with its column, then the spike columns
@@ -169,8 +176,7 @@ class _State:
         cu, cs, cv = self.coupling
         w = np.empty(self.m)
         w[self.struct_pos] = w_s
-        w[self.unit_pos] = self.sign * (
-            a_u - np.bincount(cu, weights=cv * w_s[cs], minlength=a_u.size))
+        w[self.unit_pos] = a_u - np.bincount(cu, weights=cv * w_s[cs], minlength=a_u.size)
         return w
 
     def ftran(self, j):
@@ -189,7 +195,7 @@ class _State:
         if e:
             s = (self.eta_t[:e] @ u) @ self.minv[:e, :e]
             u = u - np.bincount(self.eta_rows[:e], weights=s, minlength=self.m)
-        y_u = self.sign * u[self.unit_pos]
+        y_u = u[self.unit_pos]
         cu, cs, cv = self.coupling
         v = u[self.struct_pos] - np.bincount(cs, weights=cv * y_u[cu],
                                              minlength=self.struct_pos.size)
@@ -206,7 +212,6 @@ class _State:
         self.unit_pos = np.nonzero(unit)[0]
         struct_pos = np.nonzero(~unit)[0]
         self.unit_rows = (self.basis[self.unit_pos] - n) % m
-        self.sign = self.data[self.indptr[self.basis[self.unit_pos]]]
         self.unit_index = np.full(m, -1)
         self.unit_index[self.unit_rows] = np.arange(self.unit_rows.size)
         kernel_rows = np.nonzero(self.unit_index < 0)[0]
@@ -440,9 +445,11 @@ def _ratio_test(state, j, direction, w, bland):
     return t_basic, row, _AT_LOWER if step[row] > 0 else _AT_UPPER
 
 
-def _run_phase(state, c, priced, iteration_limit):
+def _run_phase(state, c, priced):
     """Iterate to optimality for objective c, pricing the first `priced`
-    columns.  Returns (status, iterations)."""
+    columns, at most 10000 + 50*(rows + columns) times.  Returns (status,
+    iterations)."""
+    iteration_limit = 10_000 + 50 * (state.m + state.ncols)
     bland = False
     stall = 0
     stall_switch = 3 * (state.m + state.ncols)
@@ -501,26 +508,23 @@ def _run_phase(state, c, priced, iteration_limit):
     raise NumericalFailure(f"iteration limit {iteration_limit} exceeded")
 
 
-def _drive_out_artificials(state):
-    """Degenerate pivots replacing basic artificials by real columns where possible."""
-    for row in range(state.m):
-        j = state.basis[row]
-        if j < state.n_real:
-            continue
-        unit = np.zeros(state.m)
-        unit[row] = 1.0
-        tableau_row = np.abs(state.rmatvec(state.btran(unit), state.n_real))
-        candidates = (tableau_row > 1e-9) & (state.status[: state.n_real] != _BASIC)
-        if not candidates.any():
-            continue  # redundant row, artificial stays basic at zero
-        q = int(np.argmax(np.where(candidates, tableau_row, -1.0)))
-        w = state.ftran(q)
-        state.basis[row] = q
-        state.status[q] = _BASIC
-        state.status[j] = _AT_LOWER
-        state.lower[j] = state.upper[j] = 0.0
-        state.x[j] = 0.0
-        state.pivot(row, w)
+def _retire_artificials(state):
+    """After phase 1, hand each row whose artificial is still basic to the
+    row's slack, and fix every artificial at zero.
+
+    The slack is the same unit column, so the basis matrix, its factors and
+    the eta file stay as they are; the slack takes the artificial's value,
+    which phase 1 has left within tolerance of zero.
+    """
+    n_real = state.n_real
+    held = state.basis >= n_real
+    artificials = state.basis[held]
+    slacks = artificials - state.m
+    state.basis[held] = slacks
+    state.status[slacks] = _BASIC
+    state.x[slacks] = state.x[artificials]
+    state.status[n_real:] = _AT_LOWER
+    state.lower[n_real:] = state.upper[n_real:] = state.x[n_real:] = 0.0
 
 
 def _snap(values, lower, upper):
@@ -537,17 +541,17 @@ def _cold_start(state, rest):
     Every nonbasic column rests at its bound.  Each free structural column
     becomes basic in the first of its rows that no earlier free column has
     taken, and every other row starts with its slack.  Where that leaves a
-    slack outside its bounds, the row's artificial, signed so that its value
-    is positive, replaces it; both are unit columns of one row, so every
-    other basic value stays as it is.  The other artificials are fixed at
-    zero.  A singular free-column block falls back to slacks alone.
+    slack outside its bounds with the value r, the row's artificial replaces
+    it with the value r and the bounds [0, inf) when r > 0, (-inf, 0] when
+    r < 0.  Both are the row's unit column, so the factors and every other
+    basic value stay as they are.  The other artificials are fixed at zero.
+    A singular free-column block falls back to slacks alone.
     """
     n_real, m = state.n_real, state.m
     n = n_real - m
     state.status[:] = rest
     state.x[:] = _rest_values(state, rest)
     state.lower[n_real:] = state.upper[n_real:] = 0.0
-    state.data[state.indptr[n_real]:] = 1.0
     slacks = n + np.arange(m)
     state.basis[:] = slacks
     for j in np.nonzero(rest[:n] == _FREE)[0]:
@@ -564,21 +568,20 @@ def _cold_start(state, rest):
         state.status[slacks] = _BASIC
         state.refactor()
 
-    # a slack outside its bounds hands its row to the artificial; every slack
-    # rests at zero, so no other value moves and no refactorization is needed
+    # a slack outside its bounds hands its row and its value to the
+    # artificial; every slack rests at zero, so no other value moves
     x_b = state.x[state.basis]
     rows = np.nonzero((state.basis >= n) & ((x_b < state.lower[state.basis])
                                             | (x_b > state.upper[state.basis])))[0]
     artificials = n_real + rows
-    signs = np.sign(x_b[rows])
     state.status[slacks[rows]] = rest[slacks[rows]]
     state.x[slacks[rows]] = 0.0
     state.basis[rows] = artificials
     state.status[artificials] = _BASIC
-    state.x[artificials] = np.abs(x_b[rows])
-    state.upper[artificials] = np.inf
-    state.data[state.indptr[artificials]] = signs
-    state.sign[state.unit_index[rows]] = signs  # the factored unit columns' signs
+    state.x[artificials] = x_b[rows]
+    positive = x_b[rows] > 0.0
+    state.upper[artificials[positive]] = np.inf
+    state.lower[artificials[~positive]] = -np.inf
 
 
 def _warm_start(state, start, rest):
@@ -593,12 +596,11 @@ def _warm_start(state, start, rest):
     n_real = state.n_real
     state.lower[n_real:] = state.upper[n_real:] = 0.0
     status = start.status
-    at_upper = (status == _AT_UPPER) & np.isfinite(state.upper)
-    if not ((status == rest) | at_upper | (status == _BASIC)).all():
+    at_upper = (status == _AT_UPPER) & np.isfinite(state.upper[:n_real])
+    if not ((status == rest[:n_real]) | at_upper | (status == _BASIC)).all():
         return False
-    state.status[:] = status
-    state.x[:] = _rest_values(state, status)
-    state.data[state.indptr[n_real]:] = start.signs
+    state.status[:n_real] = status
+    state.x[:] = _rest_values(state, state.status)
     state.basis[:] = start.basic
     try:
         state.refactor()
@@ -725,8 +727,7 @@ def _vertex_values(state, n):
 
 def _check_start(start, ncols, m):
     """Raise ValueError unless start is a basis over m rows and ncols columns."""
-    if (start.basic.shape != (m,) or start.status.shape != (ncols,)
-            or start.signs.shape != (m,)):
+    if start.basic.shape != (m,) or start.status.shape != (ncols,):
         raise ValueError(f"start basis has {start.basic.size} rows and "
                          f"{start.status.size} columns; the program has {m} and {ncols}")
     if not np.array_equal(np.sort(start.basic), np.nonzero(start.status == _BASIC)[0]):
@@ -739,10 +740,9 @@ def extend_basis(start: Basis, lp: LinearProgram) -> Basis:
 
     The program behind start has lp's first columns and first rows, with
     the same coefficients, right-hand sides and bounds.  Its structural
-    columns keep their indices, its slack and artificial columns shift past
-    lp's extra columns, each extra row starts with its slack basic, and each
-    extra column rests at its bound.  A start of lp's own shape maps onto
-    itself.
+    columns keep their indices, its slacks shift past lp's extra columns,
+    each extra row starts with its slack basic, and each extra column rests
+    at its bound.  A start of lp's own shape maps onto itself.
 
     Raises
     ------
@@ -750,32 +750,29 @@ def extend_basis(start: Basis, lp: LinearProgram) -> Basis:
         When start has more rows or columns than lp.
     """
     m0 = start.basic.size
-    n0 = start.status.size - 2 * m0
+    n0 = start.status.size - m0
     m, n = lp.num_rows, lp.num_variables
     if not (0 <= n0 <= n and m0 <= m):
         raise ValueError(f"start basis has {m0} rows and {max(n0, 0)} structural "
                          f"columns; the program has only {m} and {n}")
     lower, upper = lp.bounds_arrays()
     status = np.concatenate([start.status[:n0], _rest_status(lower[n0:], upper[n0:]),
-                             start.status[n0:n0 + m0], np.full(m - m0, _BASIC),
-                             start.status[n0 + m0:], np.full(m - m0, _AT_LOWER)])
-    shift = np.where(start.basic < n0, 0,
-                     np.where(start.basic < n0 + m0, n - n0, n - n0 + m - m0))
-    basic = np.concatenate([start.basic + shift, n + np.arange(m0, m)])
-    signs = np.concatenate([start.signs, np.ones(m - m0)])
-    return Basis(basic=basic, status=status.astype(np.int8), signs=signs)
+                             start.status[n0:], np.full(m - m0, _BASIC)])
+    basic = np.concatenate([np.where(start.basic < n0, start.basic, start.basic + n - n0),
+                            n + np.arange(m0, m)])
+    return Basis(basic=basic, status=status.astype(np.int8))
 
 
 def _equality_form(lp):
     """The _State of lp's equality form, every column at its lower bound.
 
-    Columns are lp's structural ones, one slack per row and one artificial
-    per row; the artificials are bounded by [0, inf) until a start fixes
-    them."""
+    Columns are lp's structural ones, then one slack and one artificial per
+    row, both the row's unit column; the artificials are bounded by
+    [0, inf) until a start sets their bounds."""
     n = lp.num_variables
     a_struct, b, relations = lp.dense()
     m = lp.num_rows
-    # CSC of [A | I | diag(+-1)]; np.nonzero on A^T walks it column by column
+    # CSC of [A | I | I]; np.nonzero on A^T walks it column by column
     cols, rows = np.nonzero(a_struct.T)
     units = np.arange(m)
     indices = np.concatenate([rows, units, units])
@@ -792,8 +789,7 @@ def _equality_form(lp):
     return _State(indptr, indices, data, b.copy(), lower, upper, n + m)
 
 
-def solve(lp: LinearProgram, iteration_limit: int | None = None,
-          start: Basis | None = None) -> LpSolution:
+def solve(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     """Solve a LinearProgram, maximizing its objective.
 
     Parameters
@@ -801,8 +797,6 @@ def solve(lp: LinearProgram, iteration_limit: int | None = None,
     lp : LinearProgram
         Program with box bounds (either side may be infinite) and
         <=, ==, >= rows.
-    iteration_limit : int, optional
-        Cap per phase; defaults to 10000 + 50*(rows + columns).
     start : Basis, optional
         Final basis of an earlier solve of a program with the same matrix,
         right-hand side and bounds; only the objective may differ.  A basis
@@ -819,17 +813,16 @@ def solve(lp: LinearProgram, iteration_limit: int | None = None,
     Raises
     ------
     NumericalFailure
-        When the basis goes singular or the iteration cap is hit.
+        When the basis goes singular or a phase exceeds 10000 +
+        50*(rows + columns) iterations.
     ValueError
         When start comes from a program of another shape.
     """
     n = lp.num_variables
     m = lp.num_rows
     if start is not None:
-        _check_start(start, n + 2 * m, m)
+        _check_start(start, n + m, m)
     state = _equality_form(lp)
-    if iteration_limit is None:
-        iteration_limit = 10_000 + 50 * (m + state.ncols)
 
     # the ratio tests divide by zero steps and subtract infinite bounds;
     # they handle both, so the warnings are off for every iteration
@@ -840,29 +833,25 @@ def solve(lp: LinearProgram, iteration_limit: int | None = None,
             _cold_start(state, rest)
             if m:
                 c_phase1 = np.zeros(state.ncols)
-                c_phase1[n + m:] = -1.0
-                status, its = _run_phase(state, c_phase1, state.ncols, iteration_limit)
+                c_phase1[n + m:] = -np.sign(state.x[n + m:])
+                status, its = _run_phase(state, c_phase1, state.ncols)
                 iterations += its
                 if status != OPTIMAL:
                     raise NumericalFailure("phase 1 terminated abnormally")
-                infeasibility = state.x[n + m:].sum()
+                infeasibility = np.abs(state.x[n + m:]).sum()
                 if infeasibility > FEASIBILITY_TOL * (1.0 + np.abs(state.b).sum()):
                     return LpSolution(status=INFEASIBLE, iterations=iterations)
-                _drive_out_artificials(state)
-                state.upper[n + m:] = 0.0
-                state.lower[n + m:] = 0.0
-                state.x[n + m:] = 0.0
+                _retire_artificials(state)
 
         c_phase2 = np.zeros(state.ncols)
         c_phase2[:n] = lp.objective_array()
-        status, its = _run_phase(state, c_phase2, n + m, iteration_limit)
+        status, its = _run_phase(state, c_phase2, n + m)
         iterations += its
         if status == UNBOUNDED:
             return LpSolution(status=UNBOUNDED, iterations=iterations)
 
     values = _vertex_values(state, n)
     objective = float(lp.objective_array() @ values)
-    basis = Basis(basic=state.basis.copy(), status=state.status.copy(),
-                  signs=state.data[state.indptr[n + m]:].copy())
+    basis = Basis(basic=state.basis.copy(), status=state.status[:n + m].copy())
     return LpSolution(status=OPTIMAL, objective=objective, values=values,
                       iterations=iterations, basis=basis)

@@ -9,7 +9,8 @@ import numpy as np
 from spothedge.domain import (Contract, MarketInstance, ScenarioSet,
                               SupplyStep, load_instance, validate_instance,
                               validate_scenarios)
-from spothedge.formulations import CVAR, DRO, PER_SCENARIO, FormulationConfig
+from spothedge.formulations import (CVAR, DRO, PER_SCENARIO, FormulationConfig,
+                                    _penalty_groups)
 from spothedge.linprog import LinearProgram
 from spothedge.pipeline import (ReducedScenarios, estimate_q, ingest_lmp_csv,
                                 kmeans_reduce, scenarios_from_representatives)
@@ -137,6 +138,21 @@ def toy_case(k: int) -> tuple[MarketInstance, ScenarioSet, np.ndarray]:
     scenarios = scenarios_from_representatives(
         instance, reduced.representatives, reduced.probabilities)
     return instance, scenarios, estimate_q(matrix, history.system).q
+
+
+def dro_penalty_loop(report, q) -> float:
+    """The Wasserstein penalty of a DRO report, one scenario and period group
+    at a time: sum_s pi_s sum_g |q^T ytilde_sg|_1, with ytilde_sg each
+    market's spot sales of scenario s in group g."""
+    spot = report.spot_dispatch
+    markets = list(spot)
+    n_t = next(iter(spot.values())).shape[1]
+    penalty = 0.0
+    for s, pi in enumerate(report.probabilities):
+        for group, _ in _penalty_groups(n_t, report.config.dro_penalty):
+            ytilde = np.array([spot[market][:, group, s].sum() for market in markets])
+            penalty += float(pi) * float(np.abs(q.T @ ytilde).sum())
+    return penalty
 
 
 def kmeans_reduce_einsum(matrix, k: int, seed: int = 0) -> ReducedScenarios:

@@ -540,6 +540,23 @@ def test_validate_reports_problems(capsys, micro_files, tmp_path):
     assert any("do not match" in p for p in payload["problems"])
 
 
+@pytest.mark.parametrize("command", ["validate", "solve"])
+def test_unreadable_scenarios_are_io_and_parse_errors(capsys, micro_files, tmp_path, command):
+    ipath, _ = micro_files
+    missing, bad = tmp_path / "missing.json", tmp_path / "bad.json"
+    bad.write_text("{not json")
+    code, _, err = run(capsys, command, "--instance", str(ipath), "--scenarios", str(missing))
+    assert code == 2
+    assert stderr_json(err) == {
+        "error": "io", "message": f"cannot read scenarios {missing}: "
+                                  f"[Errno 2] No such file or directory: '{missing}'"}
+    code, _, err = run(capsys, command, "--instance", str(ipath), "--scenarios", str(bad))
+    assert code == 2
+    assert stderr_json(err) == {
+        "error": "parse", "message": f"scenarios {bad}: Expecting property name enclosed "
+                                     "in double quotes: line 1 column 2 (char 1)"}
+
+
 def test_q_file_market_order_is_aligned(tmp_path):
     # two markets, q given in reversed market order: rows must be permuted
     from spothedge.cli import _load_q

@@ -14,12 +14,14 @@ import numpy as np
 import pytest
 
 from conftest import micro_instance, micro_scenarios
-from helpers import expected_columns, random_allocation_case, toy_case
+from helpers import dro_penalty_loop, expected_columns, random_allocation_case, toy_case
 from spothedge import metrics
 from spothedge.domain import Contract, MarketInstance, ScenarioSet, SupplyStep
 from spothedge.formulations import (
     CVAR,
     DRO,
+    PER_PERIOD,
+    PER_SCENARIO,
     RISK_NEUTRAL,
     DimensionMismatch,
     FormulationConfig,
@@ -363,3 +365,13 @@ def test_random_case_objectives_match_recorded(seed):
     for config, want in zip(configs, RANDOM_CASE_OBJECTIVES[seed]):
         report = solve_allocation(instance, scenarios, config)
         assert report.objective_value == pytest.approx(want, rel=1e-12), config.kind
+
+
+@pytest.mark.parametrize("penalty", [PER_SCENARIO, PER_PERIOD])
+@pytest.mark.parametrize("k", [8, 16, 32])
+def test_dro_objective_equals_the_penalty_loop_bit_for_bit(k, penalty):
+    instance, scenarios, q = toy_case(k)
+    config = FormulationConfig(kind=DRO, epsilon=1.0, q_matrix=q, dro_penalty=penalty)
+    report = solve_allocation(instance, scenarios, config)
+    assert report.objective_value == (report.expected_profit
+                                      - config.epsilon * dro_penalty_loop(report, q))

@@ -139,6 +139,11 @@ def test_redundant_row_invariance():
         assert again.status == OPTIMAL
         assert again.objective == pytest.approx(base.objective,
                                                 abs=1e-7 * (1 + abs(base.objective)))
+        # no basis names an artificial column, even with a redundant row
+        for sol in (base, again):
+            columns = lp.num_variables + len(sol.basis.basic)
+            assert sol.basis.status.shape == (columns,)
+            assert sol.basis.basic.max() < columns
 
 
 def test_lp_text_render():
@@ -228,21 +233,21 @@ def test_extending_a_start_onto_a_smaller_program_is_rejected():
 
 
 def test_extend_basis_maps_each_kind_of_column():
-    # a basis of the knapsack (x, y | slack cap | artificial cap) whose
-    # artificial is basic, extended by column v and row extra0
+    # bases of the knapsack (x, y | slack cap), extended by column v and row extra0
     lp = extended_knapsack([("v", 0.0, math.inf, -1.0)], [({0: 1.0, 2: 1.0}, ">=", 3.0)])
     at_lower, at_upper, basic = simplex._AT_LOWER, simplex._AT_UPPER, simplex._BASIC
-    start = Basis(basic=np.array([3]), signs=np.array([-1.0]),
-                  status=np.array([at_upper, at_lower, at_lower, basic], dtype=np.int8))
-    extended = extend_basis(start, lp)
-    # x, y, v | slacks cap, extra0 | artificials cap, extra0
-    assert list(extended.basic) == [5, 4]
-    assert list(extended.status) == [at_upper, at_lower, at_lower, at_lower, basic,
-                                     basic, at_lower]
-    assert list(extended.signs) == [-1.0, 1.0]
+    slack_basic = Basis(basic=np.array([2]),
+                        status=np.array([at_upper, at_lower, basic], dtype=np.int8))
+    extended = extend_basis(slack_basic, lp)
+    # x, y, v | slacks cap, extra0
+    assert list(extended.basic) == [3, 4]
+    assert list(extended.status) == [at_upper, at_lower, at_lower, basic, basic]
     same = extend_basis(extended, lp)
-    for field in ("basic", "status", "signs"):
+    for field in ("basic", "status"):
         assert np.array_equal(getattr(same, field), getattr(extended, field))
+    y_basic = Basis(basic=np.array([1]),
+                    status=np.array([at_upper, basic, at_lower], dtype=np.int8))
+    assert list(extend_basis(y_basic, lp).basic) == [1, 4]
 
 
 @pytest.mark.parametrize("columns, rows, optimum", [

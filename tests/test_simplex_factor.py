@@ -32,8 +32,7 @@ def installed(lp, basis):
     """The equality form of lp with basis installed and factored."""
     state = simplex._equality_form(lp)
     state.basis[:] = basis.basic
-    state.status[:] = basis.status
-    state.data[state.indptr[state.n_real]:] = basis.signs
+    state.status[:state.n_real] = basis.status
     state.refactor()
     return state
 

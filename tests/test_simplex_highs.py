@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 import pytest
-from helpers import random_allocation_case, toy_case
+from helpers import random_allocation_case, random_lp, toy_case
 
-from spothedge import metrics
+from spothedge import metrics, simplex
 from spothedge.formulations import (CVAR, DRO, PER_PERIOD, PER_SCENARIO,
                                     RISK_NEUTRAL, FormulationConfig, build)
 from spothedge.linprog import INFEASIBLE, OPTIMAL, LpSolution
@@ -184,3 +184,34 @@ def test_random_allocation_cases_match_highs():
         for config in configs:
             lp, _vm = build(instance, scenarios, config)
             assert_agrees_with_highs(lp)
+
+
+def nth_random_lp(draw: int):
+    rng = np.random.default_rng(99)
+    for _ in range(draw):
+        random_lp(rng)
+    return random_lp(rng)
+
+
+# the draws of random_lp(default_rng(99)) among the first 1500 whose phase 1
+# ends with an artificial still basic (at zero)
+@pytest.mark.parametrize("draw", [175, 206, 743, 819, 977, 1083, 1412])
+def test_rows_phase_1_leaves_to_artificials_go_back_to_their_slacks(draw, monkeypatch):
+    lp = nth_random_lp(draw)
+    handed = []
+    retire = simplex._retire_artificials
+
+    def counting(state):
+        handed.append(int((state.basis >= state.n_real).sum()))
+        retire(state)
+
+    monkeypatch.setattr(simplex, "_retire_artificials", counting)
+    got = solve(lp)
+    assert handed[0] >= 1
+    assert got.status == OPTIMAL
+    want = highs_objective(lp)
+    assert abs(got.objective - want) <= RTOL * max(1.0, abs(want))
+    n, m = lp.num_variables, lp.num_rows
+    assert got.basis.status.shape == (n + m,)
+    assert got.basis.basic.max() < n + m
+    assert solve(lp, start=got.basis).iterations == 0

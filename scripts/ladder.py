@@ -7,10 +7,11 @@ For each scenario count S the bundled price history is reduced to S
 scenarios (k-means seed 7, as in the benchmark) and three models are built:
 risk-neutral, CVaR (alpha 0.25, lambda 0.2) and per-scenario robust
 (epsilon 1).  Each LP is solved once from scratch, and one line per case
-gives the LP's columns x rows, the simplex iterations, the wall seconds of
-the solve alone, the microseconds per iteration, the number of basis
-refactorizations and, over those refactorizations, the largest structural
-kernel k, the most peel levels and the most spike columns.
+gives the LP's columns x rows, the simplex iterations, those of them made
+in the dual phase, the wall seconds of the solve alone, the microseconds
+per iteration, the number of basis refactorizations and, over those
+refactorizations, the largest structural kernel k, the most peel levels
+and the most spike columns.
 
 NumPy is the only dependency.  The script is not part of the package; it
 imports it from the checkout's src/, and the toy case from tests/helpers.py.
@@ -32,8 +33,8 @@ from spothedge import simplex  # noqa: E402
 from spothedge.formulations import (CVAR, DRO, PER_SCENARIO,  # noqa: E402
                                     RISK_NEUTRAL, FormulationConfig, build)
 
-HEADER = ("S", "kind", "cols x rows", "status", "iters", "solve_s", "us_per_it",
-          "refactors", "max_k", "levels", "spikes")
+HEADER = ("S", "kind", "cols x rows", "status", "iters", "dual_its", "solve_s",
+          "us_per_it", "refactors", "max_k", "levels", "spikes")
 
 
 def configs(q):
@@ -44,23 +45,31 @@ def configs(q):
 
 
 def timed_solve(lp):
-    """(solution, seconds, [(k, levels, spikes) per refactorization])."""
+    """(solution, dual-phase iterations, seconds,
+    [(k, levels, spikes) per refactorization])."""
     factored = []
-    peel = simplex._peel
+    dual_its = 0
+    peel, dual_phase = simplex._peel, simplex._dual_phase
 
-    def recording(rows, cols, k):
+    def recording_peel(rows, cols, k):
         row_order, col_order, starts = peel(rows, cols, k)
         factored.append((k, len(starts) - 1, k - starts[-1]))
         return row_order, col_order, starts
 
-    simplex._peel = recording
+    def recording_dual_phase(state, c):
+        nonlocal dual_its
+        status, iterations = dual_phase(state, c)
+        dual_its += iterations
+        return status, iterations
+
+    simplex._peel, simplex._dual_phase = recording_peel, recording_dual_phase
     try:
         start = time.perf_counter()
         solution = simplex.solve(lp)
         seconds = time.perf_counter() - start
     finally:
-        simplex._peel = peel
-    return solution, seconds, factored
+        simplex._peel, simplex._dual_phase = peel, dual_phase
+    return solution, dual_its, seconds, factored
 
 
 def main(argv=None) -> int:
@@ -70,18 +79,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sizes = [int(s) for s in args.sizes.split(",")]
 
-    print("{:>4} {:<5} {:>12} {:<8} {:>6} {:>8} {:>9} {:>9} {:>6} {:>6} {:>6}"
+    print("{:>4} {:<5} {:>12} {:<8} {:>6} {:>8} {:>8} {:>9} {:>9} {:>6} {:>6} {:>6}"
           .format(*HEADER))
     for size in sizes:
         instance, scenarios, q = toy_case(size)
         for kind, config in configs(q).items():
             lp, _vm = build(instance, scenarios, config)
-            solution, seconds, factored = timed_solve(lp)
+            solution, dual_its, seconds, factored = timed_solve(lp)
             k, levels, spikes = (max(column) for column in zip(*factored))
             shape = f"{lp.num_variables}x{lp.num_rows}"
             per_it = 1e6 * seconds / max(solution.iterations, 1)
             print(f"{size:>4} {kind:<5} {shape:>12} {solution.status:<8} "
-                  f"{solution.iterations:>6} {seconds:>8.3f} {per_it:>9.1f} "
+                  f"{solution.iterations:>6} {dual_its:>8} {seconds:>8.3f} {per_it:>9.1f} "
                   f"{len(factored):>9} {k:>6} {levels:>6} {spikes:>6}", flush=True)
     return 0
 

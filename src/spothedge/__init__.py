@@ -4,7 +4,7 @@ Core pieces:
 
 * domain        immutable instance/scenario types, validators, JSON I/O
 * linprog       bounded-variable LP container and solution types
-* simplex       two-phase revised simplex over bounded variables
+* simplex       dual-then-primal revised simplex over bounded variables
 * formulations  risk-neutral, CVaR and robust allocation models
 * metrics       reward-to-risk metrics and parameter sweeps
 * pipeline      raw price CSV -> reduced scenarios and deviation factor

@@ -179,8 +179,8 @@ def sweep(instance: MarketInstance, scenarios: ScenarioSet, *,
     always raises, since no row can be computed without it.
 
     The points of one grid share the LP's matrix, right-hand side and bounds,
-    so each point's simplex starts from the previous point's final basis
-    and skips phase 1.  The CVaR and robust LPs append columns and rows to
+    so each point's simplex starts from the previous point's final basis,
+    which is primal feasible there, and skips the dual phase.  The CVaR and robust LPs append columns and rows to
     the risk-neutral one, so the first point of each grid starts from the
     anchor's final basis, extended over them (simplex.extend_basis).  The
     anchor and the point after a failure start cold.  The rows equal those

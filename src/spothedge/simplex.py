@@ -1,57 +1,76 @@
-"""Primal revised simplex for bounded-variable maximization LPs.
+"""Revised simplex for bounded-variable maximization LPs.
 
-Two-phase method on the equality form obtained by giving every row a slack
-(``<=`` rows get a slack in [0, inf), ``>=`` rows in (-inf, 0], ``==`` rows a
-slack fixed at 0) and one artificial, the same unit column as the row's
-slack.  A cold solve starts from a crash basis: each free structural column
-is basic in one of its rows, every other row has its slack, and a row whose
-slack would lie outside its bounds gets its artificial instead, holding the
-row's residual r and bounded by [0, inf) when r > 0, by (-inf, 0] when
-r < 0.  Phase 1 minimizes the sum of the artificials' absolute values (it
-ends at once when there are none).  A row whose artificial is still basic
-when phase 1 ends is handed back to its slack: both are the row's unit
-column, so the basis matrix and its factors stay as they are.  Phase 2
-maximizes the real objective with every artificial nonbasic, fixed at zero
-and left out of pricing.  Nonbasic variables sit at a finite bound (free
-variables sit at zero and may move either way).
+The equality form gives every row a slack, the row's unit column (``<=``
+rows get a slack in [0, inf), ``>=`` rows in (-inf, 0], ``==`` rows a slack
+fixed at 0).  Nonbasic variables sit at a finite bound (free variables sit
+at zero and may move either way).  A dual simplex phase reaches a primal
+feasible basis, and the primal simplex then runs to optimality from it.
 
-Pricing is Dantzig's largest reduced cost, switching to Bland's rule after
-3*(rows+columns) consecutive non-improving iterations so that degenerate
-programs terminate.  Each priced column carries a sense: +1 when it rests
-at its lower bound and can move, -1 at its upper bound, 0 when it is basic,
-fixed or free.  The sense is set at the start of each phase and updated at
-every status change, so that a column's score is d_j times its sense
-(|d_j| for a free nonbasic column) and the entering column is the first
-argmax of the scores, or under Bland's rule the first score above
-OPTIMALITY_TOL.
+A cold solve starts from a crash basis: each free structural column is
+basic in one of its rows and every other row has its slack, which may lie
+outside its bounds.  The dual phase first computes the reduced costs
+d = c - A^T y once, moves each nonbasic boxed column to the bound its d
+prefers (upper when d > 0) and recomputes the basic values.  A nonbasic
+column that is still dual infeasible, one whose d points past an infinite
+bound or a free one with d != 0, has its cost shifted to c_j - d_j for
+this phase only, so that the basis is dual feasible.  Each dual iteration
+takes the row with the largest bound violation, computes its row
+alpha = e_r B^-1 A with one BTRAN and one A^T product, and picks the
+entering column by a bound-flipping ratio test: the candidates are sorted
+by |d_j| / |alpha_j|, and each boxed candidate whose breakpoint the dual
+step passes, while the violation it leaves stays positive, flips to its
+other bound (Fourer 1994; Koberstein 2005).  The flips update the basic
+values with one solve for their summed columns; the reduced costs follow
+the step d -= theta alpha and are recomputed at every refactorization.
+When no column can reduce a row's violation, the row of B^-1 is a Farkas
+ray, and INFEASIBLE is returned once the ray is checked: the interval its
+row combination takes over the bounds must miss its right-hand side by
+more than FEASIBILITY_TOL * (1 + |rho| |b|).  A ray that misses by less
+leaves a row whose violation lies within that tolerance; the row is set
+aside, and the phase ends as primal feasible when the violations of the
+rows set aside sum to at most FEASIBILITY_TOL * (1 + |b|_1).  Once the
+basis is primal feasible the primal simplex runs with the true costs; it
+normally has nothing left to do, and its first pricing is the optimality
+check.
+
+Primal pricing is Dantzig's largest reduced cost, switching to Bland's
+rule after 3*(rows+columns) consecutive non-improving iterations so that
+degenerate programs terminate.  Each column carries a sense: +1 when it
+rests at its lower bound and can move, -1 at its upper bound, 0 when it is
+basic, fixed or free.  The sense is set at the start of each phase and
+updated at every status change, so that a column's primal score is d_j
+times its sense (|d_j| for a free nonbasic column) and the entering column
+is the first argmax of the scores, or under Bland's rule the first score
+above OPTIMALITY_TOL; the dual ratio test takes its candidates by the same
+senses.
 
 The equality-form matrix is stored column-sparse (CSC arrays): the
-structural columns, then one unit column per slack and per artificial.
-Reduced costs d = c - A^T y come from one bincount over the nonzeros.  The
-basis inverse is kept in product form: B0^-1 from the last refactorization,
-followed by an eta file with one entry per pivot since then, held as
-arrays (see _State), so that FTRAN (B^-1 a) and BTRAN (c_B B^-1) each take
-a fixed number of matrix-vector products however many etas there are.
-Every REFACTOR_EVERY pivots the basis is refactorized from scratch, which
-empties the eta file and recomputes the basic values.  A refactorization
-eliminates the basic slack and artificial unit columns directly.  The
-remaining structural block is nearly triangular: rounds of row singletons
-order it into levels, a few spike columns are set aside where no singleton
-is left, and its inverse comes from one matrix product per level plus the
-bordered inverse around a p x p Schur complement for the p spikes, the only
-dense inversion (Hellerman and Rarick 1971; Suhl and Suhl 1990).
+structural columns, then one unit column per slack.  Reduced costs
+d = c - A^T y come from one bincount over the nonzeros.  The basis inverse
+is kept in product form: B0^-1 from the last refactorization, followed by
+an eta file with one entry per pivot since then, held as arrays (see
+_State), so that FTRAN (B^-1 a) and BTRAN (c_B B^-1) each take a fixed
+number of matrix-vector products however many etas there are.  Every
+REFACTOR_EVERY pivots the basis is refactorized from scratch, which empties
+the eta file and recomputes the basic values.  A refactorization
+eliminates the basic slack unit columns directly.  The remaining
+structural block is nearly triangular: rounds of row singletons order it
+into levels, a few spike columns are set aside where no singleton is left,
+and its inverse comes from one matrix product per level plus the bordered
+inverse around a p x p Schur complement for the p spikes, the only dense
+inversion (Hellerman and Rarick 1971; Suhl and Suhl 1990).
 
 At exit, basic values within 1e-9 * max(1, |bound|) of a finite bound are
 snapped onto it, so that rounding noise never reaches the reported values.
 
 An optimal solve returns its final basis (LpSolution.basis): the basic
 column of each row and the rest status of every structural and slack
-column; artificials never appear in it.  Passed back as ``start``, it lets a
-program with the same matrix, right-hand side and bounds, and another
-objective, skip phase 1: the nonbasic columns are put on their bounds, the
-basis is refactorized once and, when every basic value lies within
-FEASIBILITY_TOL of its bounds, phase 2 runs from there.  A start over
-another number of rows or columns raises ValueError.
+column.  Passed back as ``start``, it lets a program with the same matrix,
+right-hand side and bounds, and another objective, start from it: the
+nonbasic columns are put on their bounds, the basis is refactorized once
+and, when every basic value lies within FEASIBILITY_TOL of its bounds, the
+primal simplex runs from there; otherwise the dual phase starts from that
+basis.  A start over another number of rows or columns raises ValueError.
 
 A program that appends columns and rows to another one, leaving the
 other's matrix, right-hand side and bounds as its leading block, takes the
@@ -63,8 +82,8 @@ structural column (in column order) with a nonzero in the row, all of whose
 nonzeros lie in rows that still have a basic slack, and whose new value
 stays inside its own bounds, replaces the slack, which goes to its bound.
 Such a column moves only the slacks of its own rows, so the repair is exact
-and one refactorization follows.  A start that is still singular or
-infeasible falls back to the two-phase method from scratch.
+and one refactorization follows.  A start that is singular falls back to
+the crash basis of a cold solve.
 """
 
 from __future__ import annotations
@@ -95,17 +114,15 @@ _BASIC = 3
 
 
 class _State:
-    """Equality-form matrix, bounds, point and factored basis of both phases.
+    """Equality-form matrix [A | I], bounds, point and factored basis,
+    shared by the dual and the primal phase.
 
-    B0^-1 is held in block form.  Basic slacks and artificials are unit
-    columns; with U the rows they cover and R the other rows, the
-    structural basics S meet the rest of the basis only through the kernel
-    K = A[R, S] and the coupling A[U, S], so that
+    B0^-1 is held in block form.  Basic slacks are unit columns; with U the
+    rows they cover and R the other rows, the structural basics S meet the
+    rest of the basis only through the kernel K = A[R, S] and the coupling
+    A[U, S], so that
 
         B0^-1 a = (K^-1 a_R,  a_U - A[U, S] K^-1 a_R)   on (S, U).
-
-    Nothing writes the matrix after _equality_form builds it: an
-    artificial's direction lives in its bounds and its phase-1 cost.
 
     kernel_rows (R) and struct_pos (S) are kept in the order _peel gives K:
     level by level, each peeled row with its column, then the spike columns
@@ -126,7 +143,7 @@ class _State:
     triangle stays zero.  A row may be pivoted more than once.
     """
 
-    def __init__(self, indptr, indices, data, b, lower, upper, n_real):
+    def __init__(self, indptr, indices, data, b, lower, upper):
         self.indptr = indptr  # CSC: column j holds nonzeros indptr[j]:indptr[j+1]
         self.indices = indices  # row of each nonzero
         self.data = data
@@ -134,7 +151,6 @@ class _State:
         self.b = b
         self.lower = lower
         self.upper = upper
-        self.n_real = n_real  # structural + slack columns; the rest are artificial
         self.m = b.size
         self.ncols = indptr.size - 1
         self.x = np.zeros(self.ncols)
@@ -151,12 +167,10 @@ class _State:
         return np.bincount(self.indices, weights=self.data * x[self.col_of],
                            minlength=self.m)
 
-    def rmatvec(self, y, ncols):
-        """(A^T y)[:ncols]; columns are stored in order, so a prefix suffices."""
-        nnz = self.indptr[ncols]
-        return np.bincount(self.col_of[:nnz],
-                           weights=self.data[:nnz] * y[self.indices[:nnz]],
-                           minlength=ncols)
+    def rmatvec(self, y):
+        """A^T y over every column."""
+        return np.bincount(self.col_of, weights=self.data * y[self.indices],
+                           minlength=self.ncols)
 
     def entries(self, cols):
         """Nonzeros of the given columns as (position in cols, row, value)."""
@@ -182,7 +196,11 @@ class _State:
     def ftran(self, j):
         """B^-1 a_j."""
         lo, hi = self.indptr[j], self.indptr[j + 1]
-        w = self.b0_solve(self.indices[lo:hi], self.data[lo:hi])
+        return self.b_solve(self.indices[lo:hi], self.data[lo:hi])
+
+    def b_solve(self, rows, vals):
+        """B^-1 a for the vector a with entries vals at rows (no repeats)."""
+        w = self.b0_solve(rows, vals)
         e = self.etas
         if e:
             t = self.minv[:e, :e] @ w[self.eta_rows[:e]]
@@ -207,11 +225,11 @@ class _State:
     def refactor(self):
         """Factor the basis from scratch, empty the eta file and recompute
         the basic values."""
-        m, n = self.m, self.n_real - self.m
+        m, n = self.m, self.ncols - self.m
         unit = self.basis >= n
         self.unit_pos = np.nonzero(unit)[0]
         struct_pos = np.nonzero(~unit)[0]
-        self.unit_rows = (self.basis[self.unit_pos] - n) % m
+        self.unit_rows = self.basis[self.unit_pos] - n
         self.unit_index = np.full(m, -1)
         self.unit_index[self.unit_rows] = np.arange(self.unit_rows.size)
         kernel_rows = np.nonzero(self.unit_index < 0)[0]
@@ -391,13 +409,12 @@ def _kernel_inverse_t(rows, cols, vals, starts, k):
     return kinv_t
 
 
-def _sense(state, priced):
-    """(sense, free) of the first `priced` columns: sense is +1 for a
-    column at its lower bound that can move, -1 for one at its upper bound
-    that can move, and 0 for a basic, fixed or free one; free lists the
-    free nonbasic columns."""
-    status = state.status[:priced]
-    movable = state.upper[:priced] - state.lower[:priced] > 0.0
+def _sense(state):
+    """(sense, free) of the columns: sense is +1 for a column at its lower
+    bound that can move, -1 for one at its upper bound that can move, and 0
+    for a basic, fixed or free one; free lists the free nonbasic columns."""
+    status = state.status
+    movable = state.upper - state.lower > 0.0
     sense = np.where(movable & (status == _AT_LOWER), 1.0,
                      np.where(movable & (status == _AT_UPPER), -1.0, 0.0))
     return sense, np.nonzero(status == _FREE)[0]
@@ -445,19 +462,42 @@ def _ratio_test(state, j, direction, w, bland):
     return t_basic, row, _AT_LOWER if step[row] > 0 else _AT_UPPER
 
 
-def _run_phase(state, c, priced):
-    """Iterate to optimality for objective c, pricing the first `priced`
-    columns, at most 10000 + 50*(rows + columns) times.  Returns (status,
-    iterations)."""
-    iteration_limit = 10_000 + 50 * (state.m + state.ncols)
+def _iteration_limit(state):
+    """The iteration cap of one phase."""
+    return 10_000 + 50 * (state.m + state.ncols)
+
+
+def _exchange(state, row, j, w, hit, sense, free):
+    """Pivot column j, with B^-1 a_j = w, into the basis at row; the
+    column basic there leaves onto its lower bound (hit == _AT_LOWER) or
+    its upper bound.  Updates the senses and returns the free nonbasic
+    columns."""
+    leaving = state.basis[row]
+    state.x[leaving] = state.lower[leaving] if hit == _AT_LOWER else state.upper[leaving]
+    state.status[leaving] = hit
+    movable = state.upper[leaving] - state.lower[leaving] > 0.0
+    sense[leaving] = (1.0 if hit == _AT_LOWER else -1.0) if movable else 0.0
+    if state.status[j] == _FREE:
+        free = free[free != j]
+    state.basis[row] = j
+    state.status[j] = _BASIC
+    sense[j] = 0.0
+    state.pivot(row, w)
+    return free
+
+
+def _run_phase(state, c):
+    """Iterate the primal simplex to optimality for objective c from a
+    primal feasible basis, at most 10000 + 50*(rows + columns) times.
+    Returns (status, iterations)."""
+    iteration_limit = _iteration_limit(state)
     bland = False
     stall = 0
     stall_switch = 3 * (state.m + state.ncols)
-    sense, free = _sense(state, priced)
+    sense, free = _sense(state)
     z = float(c @ state.x)
     for it in range(iteration_limit):
-        y = state.btran(c[state.basis])
-        d = c[:priced] - state.rmatvec(y, priced)
+        d = _reduced_costs(state, c)
         j = _entering(d, sense, free, bland)
         if j is None:
             return OPTIMAL, it
@@ -480,22 +520,7 @@ def _run_phase(state, c, priced):
                 state.status[j] = _AT_LOWER
             sense[j] = -direction
         else:
-            leaving = state.basis[row]
-            state.x[leaving] = state.lower[leaving] if hit == _AT_LOWER else state.upper[leaving]
-            state.status[leaving] = hit
-            if state.status[j] == _FREE:
-                free = free[free != j]
-            state.basis[row] = j
-            state.status[j] = _BASIC
-            sense[j] = 0.0
-            if leaving >= state.n_real:
-                # artificial out of the basis: freeze it so it never returns
-                state.lower[leaving] = state.upper[leaving] = 0.0
-                state.x[leaving] = 0.0
-            if leaving < priced:
-                movable = state.upper[leaving] - state.lower[leaving] > 0.0
-                sense[leaving] = (1.0 if hit == _AT_LOWER else -1.0) if movable else 0.0
-            state.pivot(row, w)
+            free = _exchange(state, row, j, w, hit, sense, free)
 
         z_new = float(c @ state.x)
         if z_new <= z + 1e-12 * (1.0 + abs(z)):
@@ -508,23 +533,142 @@ def _run_phase(state, c, priced):
     raise NumericalFailure(f"iteration limit {iteration_limit} exceeded")
 
 
-def _retire_artificials(state):
-    """After phase 1, hand each row whose artificial is still basic to the
-    row's slack, and fix every artificial at zero.
+def _reduced_costs(state, c):
+    """d = c - A^T y with y = c_B B^-1."""
+    return c - state.rmatvec(state.btran(c[state.basis]))
 
-    The slack is the same unit column, so the basis matrix, its factors and
-    the eta file stay as they are; the slack takes the artificial's value,
-    which phase 1 has left within tolerance of zero.
+
+def _dual_start(state, c):
+    """Put the basis on a dual feasible footing for costs c; returns the
+    shifted costs and their reduced costs.
+
+    Each nonbasic boxed column moves to the bound its reduced cost prefers
+    (upper when d > 0, lower when d < 0) and the basic values are
+    recomputed.  A nonbasic column that is still dual infeasible, one with
+    an infinite bound whose d points past it or a free one with d != 0,
+    gets the cost c_j - d_j, so that its reduced cost is zero.
     """
-    n_real = state.n_real
-    held = state.basis >= n_real
-    artificials = state.basis[held]
-    slacks = artificials - state.m
-    state.basis[held] = slacks
-    state.status[slacks] = _BASIC
-    state.x[slacks] = state.x[artificials]
-    state.status[n_real:] = _AT_LOWER
-    state.lower[n_real:] = state.upper[n_real:] = state.x[n_real:] = 0.0
+    d = _reduced_costs(state, c)
+    boxed = np.isfinite(state.lower) & np.isfinite(state.upper) \
+        & (state.upper > state.lower)
+    to_upper = boxed & (d > 0.0) & (state.status == _AT_LOWER)
+    to_lower = boxed & (d < 0.0) & (state.status == _AT_UPPER)
+    if to_upper.any() or to_lower.any():
+        state.status[to_upper] = _AT_UPPER
+        state.status[to_lower] = _AT_LOWER
+        state.x[to_upper] = state.upper[to_upper]
+        state.x[to_lower] = state.lower[to_lower]
+        state.refactor()
+    sense, free = _sense(state)
+    shifted = d * sense > 0.0
+    shifted[free] = d[free] != 0.0
+    c = c.copy()
+    c[shifted] -= d[shifted]
+    d[shifted] = 0.0
+    return c, d
+
+
+def _dual_phase(state, c):
+    """Iterate the dual simplex until the basis is primal feasible, at
+    most 10000 + 50*(rows + columns) times.  Returns (status, pivots):
+    OPTIMAL when every basic value lies within FEASIBILITY_TOL of its
+    bounds, INFEASIBLE when a row's violation cannot be reduced by any
+    column and its row of B^-1 passes _proves_infeasible.  A row that no
+    column can repair and whose ray proves nothing is set aside; the
+    phase still ends OPTIMAL when the violations of such rows sum to at
+    most FEASIBILITY_TOL * (1 + |b|_1), and raises NumericalFailure
+    otherwise.
+
+    The costs are c shifted by _dual_start, so that the basis starts dual
+    feasible; the shift is not returned.  The leaving row is the one with
+    the largest bound violation (the first on ties).  The entering column
+    comes from a bound-flipping ratio test on the row alpha = e_r B^-1 A:
+    the candidates, sorted by |d_j| / |alpha_j|, are passed while the
+    violation left after flipping each one to its other bound stays
+    positive; the first candidate that cannot be passed enters.
+    """
+    iteration_limit = _iteration_limit(state)
+    c, d = _dual_start(state, c)
+    sense, free = _sense(state)
+    lower, upper = state.lower, state.upper
+    unit = np.zeros(state.m)
+    stuck = np.zeros(state.m, dtype=bool)
+    for it in range(iteration_limit):
+        basis = state.basis
+        x_b = state.x[basis]
+        below = lower[basis] - x_b
+        violation = np.maximum(below, x_b - upper[basis])
+        r = int(np.argmax(np.where(stuck, 0.0, violation)))
+        if stuck[r] or violation[r] <= FEASIBILITY_TOL:
+            left = np.maximum(violation[stuck], 0.0).sum()
+            if left > FEASIBILITY_TOL * (1.0 + np.abs(state.b).sum()):
+                raise NumericalFailure("rows that no column can repair stay violated, "
+                                       "but their rows of B^-1 prove no infeasibility")
+            return OPTIMAL, it - int(stuck.sum())
+        p = basis[r]
+        up = below[r] > 0.0  # x_p must rise to its lower bound
+
+        unit[r] = 1.0
+        rho = state.btran(unit)
+        unit[r] = 0.0
+        alpha = state.rmatvec(rho)
+        # a column moving off its bound in its own direction (up at the
+        # lower bound, down at the upper, either way when free) changes
+        # x_p by -alpha_j per unit, so it helps when -alpha_j has x_p's sign
+        gain = -alpha if up else alpha
+        score = sense * gain
+        score[free] = np.abs(gain[free])
+        candidates = np.nonzero(score > PIVOT_TOL)[0]
+        if not candidates.size:
+            if _proves_infeasible(state, rho):
+                return INFEASIBLE, it - int(stuck.sum())
+            stuck[r] = True  # violated within the ray's tolerance
+            continue
+        ratios = np.abs(d[candidates]) / np.abs(alpha[candidates])
+        candidates = candidates[np.argsort(ratios, kind="stable")]
+        span = upper[candidates] - lower[candidates]  # inf unless boxed
+        passed = np.cumsum(np.abs(alpha[candidates]) * span)
+        k = min(int(np.searchsorted(passed, violation[r])), candidates.size - 1)
+        q = candidates[k]
+
+        flips = candidates[:k]
+        if flips.size:
+            to_upper = state.status[flips] == _AT_LOWER
+            delta = np.where(to_upper, span[:k], -span[:k])
+            state.x[flips] = np.where(to_upper, upper[flips], lower[flips])
+            state.status[flips] = np.where(to_upper, _AT_UPPER, _AT_LOWER)
+            sense[flips] = -sense[flips]
+            local, rows, vals = state.entries(flips)
+            moved = np.bincount(rows, weights=vals * delta[local], minlength=state.m)
+            rows = np.nonzero(moved)[0]
+            state.x[basis] -= state.b_solve(rows, moved[rows])
+
+        w = state.ftran(q)
+        t = (state.x[p] - (lower[p] if up else upper[p])) / w[r]
+        state.x[q] += t
+        state.x[basis] -= t * w
+        theta = d[q] / alpha[q]
+        d -= theta * alpha
+        d[q] = 0.0
+        d[p] = -theta
+        free = _exchange(state, r, q, w, _AT_LOWER if up else _AT_UPPER, sense, free)
+        if state.etas == 0:  # refactorized
+            d = _reduced_costs(state, c)
+    raise NumericalFailure(f"iteration limit {iteration_limit} exceeded")
+
+
+def _proves_infeasible(state, rho):
+    """Whether rho proves the equality form infeasible: over the bounds,
+    rho A x ranges over an interval that misses rho b by more than
+    FEASIBILITY_TOL * (1 + |rho| |b|).  Entries of rho A within PIVOT_TOL
+    of zero count as zero, as in the ratio test."""
+    alpha = state.rmatvec(rho)
+    positive, negative = alpha > PIVOT_TOL, alpha < -PIVOT_TOL
+    low = np.where(positive, alpha * state.lower, np.where(negative, alpha * state.upper, 0.0))
+    high = np.where(positive, alpha * state.upper, np.where(negative, alpha * state.lower, 0.0))
+    target = rho @ state.b
+    gap = max(low.sum() - target, target - high.sum())
+    return bool(gap > FEASIBILITY_TOL * (1.0 + np.abs(rho) @ np.abs(state.b)))
 
 
 def _snap(values, lower, upper):
@@ -536,22 +680,18 @@ def _snap(values, lower, upper):
 
 
 def _cold_start(state, rest):
-    """Crash basis: free columns and slacks, artificials only where needed.
+    """Crash basis: free columns and slacks.
 
     Every nonbasic column rests at its bound.  Each free structural column
     becomes basic in the first of its rows that no earlier free column has
-    taken, and every other row starts with its slack.  Where that leaves a
-    slack outside its bounds with the value r, the row's artificial replaces
-    it with the value r and the bounds [0, inf) when r > 0, (-inf, 0] when
-    r < 0.  Both are the row's unit column, so the factors and every other
-    basic value stay as they are.  The other artificials are fixed at zero.
-    A singular free-column block falls back to slacks alone.
+    taken, and every other row starts with its slack, which may lie
+    outside its bounds.  A singular free-column block falls back to slacks
+    alone.
     """
-    n_real, m = state.n_real, state.m
-    n = n_real - m
+    m = state.m
+    n = state.ncols - m
     state.status[:] = rest
     state.x[:] = _rest_values(state, rest)
-    state.lower[n_real:] = state.upper[n_real:] = 0.0
     slacks = n + np.arange(m)
     state.basis[:] = slacks
     for j in np.nonzero(rest[:n] == _FREE)[0]:
@@ -568,38 +708,21 @@ def _cold_start(state, rest):
         state.status[slacks] = _BASIC
         state.refactor()
 
-    # a slack outside its bounds hands its row and its value to the
-    # artificial; every slack rests at zero, so no other value moves
-    x_b = state.x[state.basis]
-    rows = np.nonzero((state.basis >= n) & ((x_b < state.lower[state.basis])
-                                            | (x_b > state.upper[state.basis])))[0]
-    artificials = n_real + rows
-    state.status[slacks[rows]] = rest[slacks[rows]]
-    state.x[slacks[rows]] = 0.0
-    state.basis[rows] = artificials
-    state.status[artificials] = _BASIC
-    state.x[artificials] = x_b[rows]
-    positive = x_b[rows] > 0.0
-    state.upper[artificials[positive]] = np.inf
-    state.lower[artificials[~positive]] = -np.inf
-
 
 def _warm_start(state, start, rest):
-    """Install start as the basis with the artificials fixed at zero.
+    """Install start as the basis; returns whether it could be installed.
 
     Basic slacks outside their bounds are first repaired by _crash_slacks.
     Returns False, leaving the state for _cold_start, when the basis is
-    singular or its basic values leave the bounds by more than
-    FEASIBILITY_TOL.  A nonbasic column resting on an infinite bound, or
-    free while it has a finite one, also counts as infeasible.
+    singular, when a nonbasic column rests on an infinite bound, or when
+    it is free while it has a finite one.  The installed basis may still
+    be primal infeasible.
     """
-    n_real = state.n_real
-    state.lower[n_real:] = state.upper[n_real:] = 0.0
     status = start.status
-    at_upper = (status == _AT_UPPER) & np.isfinite(state.upper[:n_real])
-    if not ((status == rest[:n_real]) | at_upper | (status == _BASIC)).all():
+    at_upper = (status == _AT_UPPER) & np.isfinite(state.upper)
+    if not ((status == rest) | at_upper | (status == _BASIC)).all():
         return False
-    state.status[:n_real] = status
+    state.status[:] = status
     state.x[:] = _rest_values(state, state.status)
     state.basis[:] = start.basic
     try:
@@ -608,6 +731,11 @@ def _warm_start(state, start, rest):
             state.refactor()
     except NumericalFailure:
         return False
+    return True
+
+
+def _primal_feasible(state):
+    """Whether every basic value lies within FEASIBILITY_TOL of its bounds."""
     x_b = state.x[state.basis]
     return bool(((x_b >= state.lower[state.basis] - FEASIBILITY_TOL)
                  & (x_b <= state.upper[state.basis] + FEASIBILITY_TOL)).all())
@@ -626,7 +754,7 @@ def _crash_slacks(state, rest):
     then refactorizes.
     """
     m = state.m
-    n = state.n_real - m
+    n = state.ncols - m
     slack_x = state.x[n:n + m]  # a view: updated as columns enter
     slack_lo, slack_hi = state.lower[n:n + m], state.upper[n:n + m]
     basic_slack = state.status[n:n + m] == _BASIC
@@ -700,10 +828,9 @@ def _vertex_values(state, n):
     residual.  Two bases of one degenerate vertex therefore give the same
     bits, where their own factorizations differ in the last place.
     """
-    n_real = state.n_real
-    x = state.x[:n_real].copy()
-    _snap(x, state.lower[:n_real], state.upper[:n_real])
-    on_bound = (x == state.lower[:n_real]) | (x == state.upper[:n_real])
+    x = state.x.copy()
+    _snap(x, state.lower, state.upper)
+    on_bound = (x == state.lower) | (x == state.upper)
     interior = np.nonzero((state.status[:n] == _BASIC) & ~on_bound[:n])[0]
     col, row, val = state.entries(interior)
     tight = on_bound[n + row]  # entries in rows whose slack sits on a bound
@@ -712,8 +839,7 @@ def _vertex_values(state, n):
         return x[:n]
     block = np.zeros((rows.size, interior.size))
     block[local, col[tight]] = val[tight]
-    fixed = np.zeros(state.ncols)
-    fixed[:n_real] = x
+    fixed = x.copy()
     fixed[interior] = 0.0
     rhs = (state.b - state.matvec(fixed))[rows]
     q, r = np.linalg.qr(block)
@@ -766,27 +892,23 @@ def extend_basis(start: Basis, lp: LinearProgram) -> Basis:
 def _equality_form(lp):
     """The _State of lp's equality form, every column at its lower bound.
 
-    Columns are lp's structural ones, then one slack and one artificial per
-    row, both the row's unit column; the artificials are bounded by
-    [0, inf) until a start sets their bounds."""
+    Columns are lp's structural ones, then one slack per row, the row's
+    unit column."""
     n = lp.num_variables
     a_struct, b, relations = lp.dense()
     m = lp.num_rows
-    # CSC of [A | I | I]; np.nonzero on A^T walks it column by column
+    # CSC of [A | I]; np.nonzero on A^T walks it column by column
     cols, rows = np.nonzero(a_struct.T)
-    units = np.arange(m)
-    indices = np.concatenate([rows, units, units])
-    data = np.concatenate([a_struct[rows, cols], np.ones(2 * m)])
+    indices = np.concatenate([rows, np.arange(m)])
+    data = np.concatenate([a_struct[rows, cols], np.ones(m)])
     indptr = np.concatenate([np.searchsorted(cols, np.arange(n)),
-                             cols.size + np.arange(2 * m + 1)])
+                             cols.size + np.arange(m + 1)])
 
     slack_lo = {"<=": 0.0, "==": 0.0, ">=": -np.inf}
     slack_hi = {"<=": np.inf, "==": 0.0, ">=": 0.0}
-    lower = np.concatenate([np.asarray(lp.lower), [slack_lo[r] for r in relations],
-                            np.zeros(m)])
-    upper = np.concatenate([np.asarray(lp.upper), [slack_hi[r] for r in relations],
-                            np.full(m, np.inf)])
-    return _State(indptr, indices, data, b.copy(), lower, upper, n + m)
+    lower = np.concatenate([np.asarray(lp.lower), [slack_lo[r] for r in relations]])
+    upper = np.concatenate([np.asarray(lp.upper), [slack_hi[r] for r in relations]])
+    return _State(indptr, indices, data, b.copy(), lower, upper)
 
 
 def solve(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
@@ -802,7 +924,8 @@ def solve(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
         right-hand side and bounds; only the objective may differ.  A basis
         of a leading block of lp goes through extend_basis first.  When it
         is nonsingular and primal feasible here, after the slack crash,
-        phase 1 is skipped.
+        the primal simplex runs from it at once; when it is nonsingular
+        but infeasible, the dual phase starts from it.
 
     Returns
     -------
@@ -813,8 +936,10 @@ def solve(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     Raises
     ------
     NumericalFailure
-        When the basis goes singular or a phase exceeds 10000 +
-        50*(rows + columns) iterations.
+        When the basis goes singular, a phase exceeds 10000 +
+        50*(rows + columns) iterations, or rows that no column can repair
+        stay violated beyond tolerance without a ray that proves the
+        program infeasible.
     ValueError
         When start comes from a program of another shape.
     """
@@ -823,35 +948,28 @@ def solve(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     if start is not None:
         _check_start(start, n + m, m)
     state = _equality_form(lp)
+    c = np.zeros(n + m)
+    c[:n] = lp.objective_array()
 
     # the ratio tests divide by zero steps and subtract infinite bounds;
     # they handle both, so the warnings are off for every iteration
     with np.errstate(divide="ignore", invalid="ignore"):
         rest = _rest_status(state.lower, state.upper)
-        iterations = 0
-        if start is None or not _warm_start(state, start, rest):
+        warm = start is not None and _warm_start(state, start, rest)
+        if not warm:
             _cold_start(state, rest)
-            if m:
-                c_phase1 = np.zeros(state.ncols)
-                c_phase1[n + m:] = -np.sign(state.x[n + m:])
-                status, its = _run_phase(state, c_phase1, state.ncols)
-                iterations += its
-                if status != OPTIMAL:
-                    raise NumericalFailure("phase 1 terminated abnormally")
-                infeasibility = np.abs(state.x[n + m:]).sum()
-                if infeasibility > FEASIBILITY_TOL * (1.0 + np.abs(state.b).sum()):
-                    return LpSolution(status=INFEASIBLE, iterations=iterations)
-                _retire_artificials(state)
-
-        c_phase2 = np.zeros(state.ncols)
-        c_phase2[:n] = lp.objective_array()
-        status, its = _run_phase(state, c_phase2, n + m)
+        iterations = 0
+        if m and not (warm and _primal_feasible(state)):
+            status, iterations = _dual_phase(state, c)
+            if status == INFEASIBLE:
+                return LpSolution(status=INFEASIBLE, iterations=iterations)
+        status, its = _run_phase(state, c)
         iterations += its
         if status == UNBOUNDED:
             return LpSolution(status=UNBOUNDED, iterations=iterations)
 
     values = _vertex_values(state, n)
     objective = float(lp.objective_array() @ values)
-    basis = Basis(basic=state.basis.copy(), status=state.status[:n + m].copy())
+    basis = Basis(basic=state.basis.copy(), status=state.status.copy())
     return LpSolution(status=OPTIMAL, objective=objective, values=values,
                       iterations=iterations, basis=basis)

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from bruteforce import DimensionTooLarge, brute_force_solve
-from helpers import lp_to_text, random_lp
+from helpers import lp_to_text, random_lp, toy_case
 from spothedge import simplex
+from spothedge.formulations import (CVAR, DRO, PER_SCENARIO, RISK_NEUTRAL,
+                                    FormulationConfig, build)
 from spothedge.linprog import (INFEASIBLE, OPTIMAL, UNBOUNDED, Basis,
                                LinearProgram, NumericalFailure)
 from spothedge.simplex import extend_basis, solve
@@ -139,7 +141,8 @@ def test_redundant_row_invariance():
         assert again.status == OPTIMAL
         assert again.objective == pytest.approx(base.objective,
                                                 abs=1e-7 * (1 + abs(base.objective)))
-        # no basis names an artificial column, even with a redundant row
+        # every basis lists only structural and slack columns, even with a
+        # redundant row
         for sol in (base, again):
             columns = lp.num_variables + len(sol.basis.basic)
             assert sol.basis.status.shape == (columns,)
@@ -162,16 +165,43 @@ def test_start_from_own_basis_needs_no_pivot():
     assert np.array_equal(warm.values, cold.values)
 
 
-def test_start_made_infeasible_by_a_tighter_bound_falls_back():
-    # the knapsack optimum (2, 2) has y basic; y <= 1 puts that basis at y = 2
+def no_cold_start(state, rest):
+    raise AssertionError("the start fell back to the cold start")
+
+
+def highs_objective(lp) -> float:
+    """The HiGHS optimum of lp; the calling test is skipped without scipy."""
+    return pytest.importorskip("test_simplex_highs").highs_objective(lp)
+
+
+def dual_phases(monkeypatch):
+    """Record the iterations of every dual phase the simplex runs."""
+    seen = []
+    dual_phase = simplex._dual_phase
+
+    def recording(state, c):
+        status, iterations = dual_phase(state, c)
+        seen.append(iterations)
+        return status, iterations
+
+    monkeypatch.setattr(simplex, "_dual_phase", recording)
+    return seen
+
+
+def test_start_made_infeasible_by_a_tighter_bound_falls_back(monkeypatch):
+    # the knapsack optimum (2, 2) has y basic; y <= 1 puts that basis at
+    # y = 2, so the solve falls back on the dual phase from that basis
     start = solve(small_knapsack()).basis
     tight = small_knapsack()
     tight.upper[1] = 1.0
-    warm = solve(tight, start=start)
     cold = solve(tight)
+    monkeypatch.setattr(simplex, "_cold_start", no_cold_start)
+    phases = dual_phases(monkeypatch)
+    warm = solve(tight, start=start)
+    assert phases == [1]
     assert warm.status == OPTIMAL
     assert warm.objective == pytest.approx(8.0, abs=1e-9)
-    assert warm.iterations == cold.iterations  # the two-phase path from scratch
+    assert warm.objective == cold.objective
     assert np.array_equal(warm.values, cold.values)
 
 
@@ -221,10 +251,6 @@ def extended_knapsack(columns=(), rows=()):
     return lp
 
 
-def no_cold_start(state, rest):
-    raise AssertionError("the extended start fell back to the cold start")
-
-
 def test_extending_a_start_onto_a_smaller_program_is_rejected():
     start = solve(extended_knapsack([("v", 0.0, math.inf, -1.0)],
                                     [({0: 1.0, 2: 1.0}, ">=", 3.0)])).basis
@@ -272,7 +298,9 @@ def test_crash_repairs_appended_rows_without_phase_1(monkeypatch, columns, rows,
     cold = solve(lp)
     start = extend_basis(solve(small_knapsack()).basis, lp)
     monkeypatch.setattr(simplex, "_cold_start", no_cold_start)
+    phases = dual_phases(monkeypatch)
     warm = solve(lp, start=start)
+    assert phases == []  # the repaired start is feasible
     assert warm.status == OPTIMAL
     assert warm.objective == pytest.approx(optimum, abs=1e-9)
     assert warm.objective == cold.objective
@@ -280,17 +308,55 @@ def test_crash_repairs_appended_rows_without_phase_1(monkeypatch, columns, rows,
     assert warm.iterations < cold.iterations
 
 
-def test_extended_start_that_cannot_be_repaired_falls_back():
+def test_extended_start_that_cannot_be_repaired_falls_back(monkeypatch):
     # y >= 2.5 is violated at the knapsack optimum y = 2, and y is basic
-    # already, so no nonbasic column can take the new row's slack
+    # already, so no nonbasic column can take the new row's slack; the
+    # nonsingular, infeasible start falls back on the dual phase, not on
+    # a cold start
     lp = extended_knapsack(rows=[({1: 1.0}, ">=", 2.5)])
     start = extend_basis(solve(small_knapsack()).basis, lp)
-    warm = solve(lp, start=start)
     cold = solve(lp)
+    monkeypatch.setattr(simplex, "_cold_start", no_cold_start)
+    phases = dual_phases(monkeypatch)
+    warm = solve(lp, start=start)
+    assert phases == [1]
     assert warm.status == OPTIMAL
     assert warm.objective == pytest.approx(9.5, abs=1e-9)
-    assert warm.iterations == cold.iterations  # the two-phase path from scratch
+    assert warm.objective == cold.objective
     assert np.array_equal(warm.values, cold.values)
+    assert warm.objective == pytest.approx(highs_objective(lp), abs=1e-9)
+
+
+def test_bound_flipping_ratio_test_flips_the_boxed_columns_it_passes(monkeypatch):
+    # max -x1 - 2 x2 - 4 x3 with x1, x2 in [0, 1], x3 in [0, 5] and
+    # x1 + x2 + x3 >= 2.5.  From the crash basis (slack basic at 2.5, above
+    # its bound 0) the ratios are 1, 2, 4; passing x1 and x2 flips them to
+    # their upper bounds and leaves 0.5 to repair, so x3 enters at 0.5 and
+    # one dual iteration reaches the optimum -5
+    lp = LinearProgram()
+    x1 = lp.add_variable("x1", 0.0, 1.0, -1.0)
+    x2 = lp.add_variable("x2", 0.0, 1.0, -2.0)
+    x3 = lp.add_variable("x3", 0.0, 5.0, -4.0)
+    lp.add_row("cover", {x1: 1.0, x2: 1.0, x3: 1.0}, ">=", 2.5)
+    flipped = []
+    b_solve = simplex._State.b_solve
+
+    def recording(state, rows, vals):
+        flipped.append((rows.tolist(), vals.tolist()))
+        return b_solve(state, rows, vals)
+
+    monkeypatch.setattr(simplex._State, "b_solve", recording)
+    phases = dual_phases(monkeypatch)
+    sol = solve(lp)
+    # one b_solve for the flips (x1 and x2 each moved by +1 in row 0),
+    # the others are FTRANs of entering columns
+    assert ([0], [2.0]) in flipped
+    assert phases == [1] and sol.iterations == 1
+    assert sol.status == OPTIMAL
+    assert sol.values.tolist() == [1.0, 1.0, 0.5]
+    assert sol.objective == -5.0
+    assert brute_force_solve(lp).objective == pytest.approx(-5.0, abs=1e-12)
+    assert sol.objective == pytest.approx(highs_objective(lp), abs=1e-9)
 
 
 def boxed(lp, bound):
@@ -409,3 +475,102 @@ def test_simplex_matches_oracle_with_free_columns():
             tol = 1e-8 * (1.0 + abs(ref.objective))
             assert abs(got.objective - ref.objective) <= tol, lp_to_text(lp)
     assert statuses == {OPTIMAL, INFEASIBLE}
+
+
+def test_every_infeasible_random_program_is_certified_by_its_ray(monkeypatch):
+    """The first 1500 draws of random_lp(default_rng(99)) hold 949
+    infeasible programs; each INFEASIBLE comes with a checked Farkas ray."""
+    checks = []
+    proves = simplex._proves_infeasible
+
+    def recording(state, rho):
+        checks.append(proves(state, rho))
+        return checks[-1]
+
+    monkeypatch.setattr(simplex, "_proves_infeasible", recording)
+    rng = np.random.default_rng(99)
+    statuses = [solve(random_lp(rng)).status for _ in range(1500)]
+    assert statuses.count(INFEASIBLE) == 949
+    assert statuses.count(OPTIMAL) == 551
+    assert checks == [True] * 949
+
+
+def two_row_infeasible_lp():
+    # x, y in [0, 1] cannot meet x + y >= 3; x - y <= 5 holds everywhere.
+    # The dual phase ends with rho = (1, 0): over the bounds x + y + s0
+    # ranges over (-inf, 2], which misses rho b = 3
+    lp = LinearProgram()
+    x = lp.add_variable("x", 0.0, 1.0)
+    y = lp.add_variable("y", 0.0, 1.0)
+    lp.add_row("cover", {x: 1.0, y: 1.0}, ">=", 3.0)
+    lp.add_row("gap", {x: 1.0, y: -1.0}, "<=", 5.0)
+    return lp
+
+
+@pytest.mark.parametrize("perturb", [
+    lambda rho: 0.0 * rho,  # no ray at all
+    # adding row 1 gives its slack, in [0, inf), a positive coefficient:
+    # the interval reaches +inf
+    lambda rho: rho + np.array([0.0, 1.0]),
+    # subtracting it gives (0, 2, 1, -1) . (x, y, s0, s1) in (-inf, 2],
+    # which holds rho b = 3 - 5 = -2
+    lambda rho: rho - np.array([0.0, 1.0]),
+], ids=["zero", "plus_row_1", "minus_row_1"])
+def test_a_perturbed_ray_fails_the_infeasibility_check(monkeypatch, perturb):
+    lp = two_row_infeasible_lp()
+    rays = []
+    proves = simplex._proves_infeasible
+
+    def recording(state, rho):
+        rays.append(rho.copy())
+        return proves(state, rho)
+
+    monkeypatch.setattr(simplex, "_proves_infeasible", recording)
+    assert solve(lp).status == INFEASIBLE
+    assert rays[0] == pytest.approx([1.0, 0.0], abs=1e-12)
+
+    # the row the ray fails to prove stays violated by 1, far beyond the
+    # tolerance under which a row no column can repair is accepted
+    monkeypatch.setattr(simplex, "_proves_infeasible",
+                        lambda state, rho: proves(state, perturb(rho)))
+    with pytest.raises(NumericalFailure):
+        solve(lp)
+
+
+@pytest.mark.parametrize("relation", ["==", ">="])
+@pytest.mark.parametrize("cost", [1.0, -1.0])
+def test_a_row_violated_within_tolerance_is_accepted(relation, cost):
+    """x in [0, 1] with x == 1 + 1.5e-7 (or >=).  With cost 1 x starts at
+    its upper bound and the row's slack stays 1.5e-7 off its bound; with
+    cost -1 x enters at 1 + 1.5e-7.  Either way no column can then repair
+    the row, and its ray, rho = 1, misses by 1.5e-7, within
+    FEASIBILITY_TOL * (1 + |b|), so it proves nothing.  The violation is
+    within FEASIBILITY_TOL * (1 + |b|_1), which the two-phase simplex with
+    artificials also accepted: it returned OPTIMAL at x = 1."""
+    def one_row(rhs):
+        lp = LinearProgram()
+        x = lp.add_variable("x", 0.0, 1.0, cost)
+        lp.add_row("r", {x: 1.0}, relation, rhs)
+        return lp
+
+    got = solve(one_row(1.0 + 1.5e-7))
+    assert got.status == OPTIMAL
+    assert got.objective == pytest.approx(cost, abs=2e-7)
+    assert got.values == pytest.approx([1.0], abs=2e-7)
+    # twice the distance is a certified infeasibility
+    assert solve(one_row(1.0 + 3e-7)).status == INFEASIBLE
+
+
+@pytest.mark.parametrize("kind, before", [
+    (RISK_NEUTRAL, 403), (CVAR, 351), (PER_SCENARIO, 515)])
+def test_cold_toy_solves_take_at_most_half_the_primal_iterations(kind, before):
+    """Cold solves of the toy LPs at 16 scenarios, against the iterations
+    the two-phase primal simplex with artificials took on them."""
+    instance, scenarios, q = toy_case(16)
+    config = {RISK_NEUTRAL: FormulationConfig(),
+              CVAR: FormulationConfig(kind=CVAR, alpha=0.25, lam=0.2),
+              PER_SCENARIO: FormulationConfig(kind=DRO, epsilon=1.0, q_matrix=q,
+                                              dro_penalty=PER_SCENARIO)}[kind]
+    sol = solve(build(instance, scenarios, config)[0])
+    assert sol.status == OPTIMAL
+    assert sol.iterations <= before // 2

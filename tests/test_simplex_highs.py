@@ -16,7 +16,7 @@ from helpers import random_allocation_case, random_lp, toy_case
 from spothedge import metrics, simplex
 from spothedge.formulations import (CVAR, DRO, PER_PERIOD, PER_SCENARIO,
                                     RISK_NEUTRAL, FormulationConfig, build)
-from spothedge.linprog import INFEASIBLE, OPTIMAL, LpSolution
+from spothedge.linprog import INFEASIBLE, OPTIMAL, LinearProgram, LpSolution
 from spothedge.simplex import extend_basis, solve
 
 optimize = pytest.importorskip("scipy.optimize")
@@ -90,19 +90,18 @@ def test_warm_started_grid_chains_match_highs(k, kind):
         assert abs(got.objective - want) <= RTOL * max(1.0, abs(want))
         iterations.append(got.iterations)
         start = got.basis
-    # phase 1 runs only at the cold first point
+    # the dual phase runs only at the cold first point
     assert max(iterations[1:]) < iterations[0]
 
 
-def assert_first_point_from_anchor(anchor, lp) -> LpSolution:
-    """Solve lp from the anchor's extended basis; it must match HiGHS and
-    take fewer iterations than its own cold solve."""
+def first_point_from_anchor(anchor, lp) -> tuple[LpSolution, int]:
+    """Solve lp from the anchor's extended basis, which must match HiGHS;
+    returns the solution and the iterations of lp's own cold solve."""
     got = solve(lp, start=extend_basis(anchor.basis, lp))
     assert got.status == OPTIMAL
     want = highs_objective(lp)
     assert abs(got.objective - want) <= RTOL * max(1.0, abs(want))
-    assert got.iterations < solve(lp).iterations
-    return got
+    return got, solve(lp).iterations
 
 
 @pytest.mark.parametrize("kind", [CVAR, PER_SCENARIO, PER_PERIOD])
@@ -119,8 +118,10 @@ def test_chains_from_the_anchor_basis_match_highs(k, kind):
         first, *rest = [FormulationConfig(kind=DRO, epsilon=e, q_matrix=q,
                                           dro_penalty=kind)
                         for e in (0.25, 0.5, 1.0, 2.0, 4.0)]
-    start = assert_first_point_from_anchor(
-        anchor, build(instance, scenarios, first)[0]).basis
+    got, cold_iterations = first_point_from_anchor(
+        anchor, build(instance, scenarios, first)[0])
+    assert got.iterations < cold_iterations
+    start = got.basis
     for config in rest:
         lp, _vm = build(instance, scenarios, config)
         got = solve(lp, start=start)
@@ -131,7 +132,11 @@ def test_chains_from_the_anchor_basis_match_highs(k, kind):
 
 
 def test_random_allocation_cases_from_the_anchor_match_highs():
+    """The anchor's basis takes fewer iterations than a cold solve, except
+    where the cold solve takes a single dual iteration, which no start
+    beats (rng-616 draw 27 cvar); over all draws it saves most of them."""
     rng = np.random.default_rng(616)
+    warm_total = cold_total = 0
     for _ in range(40):
         instance, scenarios = random_allocation_case(rng)
         n_m = len(instance.markets)
@@ -150,7 +155,12 @@ def test_random_allocation_cases_from_the_anchor_match_highs():
                               dro_penalty=(PER_SCENARIO, PER_PERIOD)[int(rng.integers(2))]),
         )
         for config in configs:
-            assert_first_point_from_anchor(anchor, build(instance, scenarios, config)[0])
+            got, cold_iterations = first_point_from_anchor(
+                anchor, build(instance, scenarios, config)[0])
+            assert got.iterations < cold_iterations or cold_iterations <= 1
+            warm_total += got.iterations
+            cold_total += cold_iterations
+    assert 4 * warm_total < cold_total
 
 
 @pytest.mark.parametrize("k", [4, 8, 16])
@@ -193,21 +203,13 @@ def nth_random_lp(draw: int):
     return random_lp(rng)
 
 
-# the draws of random_lp(default_rng(99)) among the first 1500 whose phase 1
-# ends with an artificial still basic (at zero)
+# the draws of random_lp(default_rng(99)) among the first 1500 on which the
+# two-phase primal simplex with artificials ended phase 1 at a degenerate
+# vertex, an artificial still basic at zero
 @pytest.mark.parametrize("draw", [175, 206, 743, 819, 977, 1083, 1412])
-def test_rows_phase_1_leaves_to_artificials_go_back_to_their_slacks(draw, monkeypatch):
+def test_degenerate_random_programs_match_highs_and_restart_in_place(draw):
     lp = nth_random_lp(draw)
-    handed = []
-    retire = simplex._retire_artificials
-
-    def counting(state):
-        handed.append(int((state.basis >= state.n_real).sum()))
-        retire(state)
-
-    monkeypatch.setattr(simplex, "_retire_artificials", counting)
     got = solve(lp)
-    assert handed[0] >= 1
     assert got.status == OPTIMAL
     want = highs_objective(lp)
     assert abs(got.objective - want) <= RTOL * max(1.0, abs(want))
@@ -215,3 +217,63 @@ def test_rows_phase_1_leaves_to_artificials_go_back_to_their_slacks(draw, monkey
     assert got.basis.status.shape == (n + m,)
     assert got.basis.basic.max() < n + m
     assert solve(lp, start=got.basis).iterations == 0
+
+
+def dual_starts(monkeypatch):
+    """Record (costs, shifted costs, status) at every dual phase's start."""
+    seen = []
+    dual_start = simplex._dual_start
+
+    def recording(state, c):
+        shifted, d = dual_start(state, c)
+        seen.append((c.copy(), shifted.copy(), state.status.copy()))
+        return shifted, d
+
+    monkeypatch.setattr(simplex, "_dual_start", recording)
+    return seen
+
+
+def test_cost_shifting_repairs_a_dual_infeasible_crash_basis(monkeypatch):
+    """At 4 scenarios the cvar crash basis leaves a tail column ell[s],
+    bounded below only, with a reduced cost that wants it to grow; its
+    cost is shifted for the dual phase, and the primal phase and the
+    reported objective use the true costs."""
+    instance, scenarios, q = toy_case(4)
+    lp, vm = build(instance, scenarios, toy_config(CVAR, q))
+    starts = dual_starts(monkeypatch)
+    got = solve(lp)
+    (costs, shifted, status), = starts
+    moved = np.nonzero(shifted != costs)[0]
+    assert moved.size
+    assert np.isinf(simplex._equality_form(lp).upper[moved]).all()
+    assert set(moved) & set(vm.ell.ravel())
+    assert (status[moved] == simplex._AT_LOWER).all()
+    assert got.status == OPTIMAL
+    assert got.objective == float(lp.objective_array() @ got.values)
+    want = highs_objective(lp)
+    assert abs(got.objective - want) <= RTOL * max(1.0, abs(want))
+
+
+def test_free_nonbasic_column_enters_through_the_dual_phase(monkeypatch):
+    """z1 takes row 0 in the crash, and z2, whose only row that is, stays
+    nonbasic and free with reduced cost -1, which is shifted to 0.  The
+    crash leaves z1 = 1 below its floor 2; z2 repairs that row at ratio 0
+    and enters.  The optimum, 2 at z1 = 3, x = 0, z2 = -2, is unique."""
+    lp = LinearProgram()
+    z1 = lp.add_variable("z1", -math.inf, math.inf, 0.0)
+    z2 = lp.add_variable("z2", -math.inf, math.inf, -1.0)
+    x = lp.add_variable("x", 0.0, 4.0, -1.0)
+    lp.add_row("tie", {z1: 1.0, z2: 1.0, x: -1.0}, "==", 1.0)
+    lp.add_row("floor", {z1: 1.0}, ">=", 2.0)
+    lp.add_row("cap", {z1: 1.0}, "<=", 3.0)
+    starts = dual_starts(monkeypatch)
+    got = solve(lp)
+    (costs, shifted, status), = starts
+    assert status[z2] == simplex._FREE
+    assert costs[z2] == -1.0 and shifted[z2] == 0.0
+    assert got.status == OPTIMAL
+    assert z2 in got.basis.basic
+    assert got.objective == pytest.approx(2.0, abs=1e-12)
+    assert got.values == pytest.approx([3.0, -2.0, 0.0], abs=1e-12)
+    want = highs_objective(lp)
+    assert abs(got.objective - want) <= RTOL * max(1.0, abs(want))

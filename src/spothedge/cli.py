@@ -333,11 +333,23 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _whole_number(value, flag: str, alternative: str = "") -> int:
+    """A non-negative integer given as a JSON integer (a bool is not one) or
+    as its decimal digits on the command line."""
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+        return value
+    raise CliError("usage", f"{flag} expects a non-negative integer{alternative}, got {value!r}")
+
+
 def _cmd_prepare(args) -> int:
     instance = _load_instance(args.instance)
     if args.raw_csv is None:
         raise CliError("usage", "--raw-csv is required")
-    seed = int(args.seed) if args.seed is not None else 0
+    seed = _whole_number(args.seed, "--seed") if args.seed is not None else 0
+    raw_k = args.k if args.k is not None else "auto"
+    fixed_k = None if raw_k == "auto" else _whole_number(raw_k, "--k", " or 'auto'")
     columns = _parse_columns(args.columns)
     out = _out_dir(args)
     try:
@@ -357,8 +369,7 @@ def _cmd_prepare(args) -> int:
     matrix = history.nodal[:, cols]
     n_obs = matrix.shape[0]
 
-    raw_k = args.k if args.k is not None else "auto"
-    if str(raw_k) == "auto":
+    if fixed_k is None:
         ks = list(range(1, min(MAX_AUTO_K, n_obs) + 1))
         runs = [kmeans_reduce(matrix, k, seed=seed) for k in ks]
         chosen_k = knee_point(ks, [run.inertia for run in runs])
@@ -366,10 +377,7 @@ def _cmd_prepare(args) -> int:
         curve = [[k, run.inertia] for k, run in zip(ks, runs)]
         k_mode = "auto"
     else:
-        try:
-            chosen_k = int(raw_k)
-        except (TypeError, ValueError):
-            raise CliError("usage", f"--k expects an integer or 'auto', got {raw_k!r}") from None
+        chosen_k = fixed_k
         if not 1 <= chosen_k <= n_obs:
             raise CliError("data", f"--k must lie in 1..{n_obs}, got {chosen_k}")
         reduced = kmeans_reduce(matrix, chosen_k, seed=seed)
@@ -481,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     prep.add_argument("--columns",
                       help="rename CSV columns: timestamp=...,node=...,price=...,system=...")
     prep.add_argument("--k", help="cluster count, or 'auto' for knee selection")
-    prep.add_argument("--seed", type=int, help="clustering seed (default 0)")
+    prep.add_argument("--seed", help="clustering seed, a non-negative integer (default 0)")
     prep.set_defaults(func=_cmd_prepare)
 
     val = commands.add_parser("validate", help="check instance and scenario files")

@@ -17,12 +17,20 @@ inputs the allocation models need:
 2. kmeans_reduce: deterministic k-means (greedy farthest-point seeding from
    a fixed seed, lowest-index tie-breaks) whose clusters become scenarios;
    the representative of a cluster is the member closest to its centroid
-   and the scenario probability is cluster_size / n.  Each round screens
-   the assignment with one GEMM of ||c||^2 - 2 C x^T; a round in which some
-   row's best and runner-up lie within the rounding bound uses the exact
-   distances instead, so the labels are always the exact argmin.  Centroid
-   sums come from bincount, which adds the members in row order as a
-   boolean-mask mean does.  The exact distances are built in row blocks,
+   and the scenario probability is cluster_size / n.  Every row carries an
+   upper bound on its distance to its own centroid and a lower bound on
+   its distance to every other one; after each centroid update they grow
+   and shrink by how far the centroids moved (triangle inequality, rounded
+   outward).  A row whose bounds stay apart by more than the rounding of
+   the exact distances keeps its label unscreened (Hamerly, SDM 2010).  The
+   other rows are screened with one GEMM of ||c||^2 - 2 C x^T, which also
+   resets their bounds; a round in which some screened row's best and
+   runner-up lie within the rounding bound uses the exact distances of all
+   rows instead, so the labels are always the exact argmin.  The first
+   round and the round after an exact one or a re-seed screen every row.
+   Centroid sums come from bincount, which adds the members in row order
+   as a boolean-mask mean does.  The final pass needs each row's distance
+   to its own centroid only.  The exact distances are built in row blocks,
    never as a whole (n, k, M) tensor.
 3. knee_point: picks k on an inertia curve by the largest perpendicular
    distance to the chord between the curve's endpoints.
@@ -56,6 +64,11 @@ MAX_JITTER_DOUBLINGS = 20
 INGEST_CHUNK_ROWS = 1 << 14  # csv rows parsed per vectorized step
 KMEANS_MAX_ITER = 300
 KMEANS_BLOCK = 1 << 17  # floats in one block of exact differences
+# absolute slack on squared distances, far below any price scale, so that
+# rounding below the normal float range cannot decide a label
+KMEANS_TINY = 1e-300
+EPS = np.finfo(float).eps
+OUTWARD = 8 * EPS  # relative widening that rounds a bound outward
 
 
 class ParseError(ValueError):
@@ -300,38 +313,51 @@ def _sq_dist(x, points):
     return out
 
 
-def _nearest_screen(x_t, k: int):
-    """Labels function for the rows of x (given as x^T): one GEMM per round.
+def _own_sq_dist(x, centroids, labels):
+    """Exact squared distance of each row to its own centroid, bit for bit
+    the entry _sq_dist(x, centroids)[i, labels[i]].
 
-    g = ||c||^2 - 2 C x^T differs from the squared distances by ||x||^2, the
-    same down each column, so its argmin over axis 0 is the nearest centroid.
-    When the best and the runner-up of some row differ by no more than the
-    rounding bound 8(M+2) eps (||x||^2 + max ||c||^2), the labels function
-    returns None and the exact distances must decide.  The (k, n) work
-    arrays are allocated once, not every round.
+    The differences are laid out as x is, so that einsum adds each row's
+    squares in the order it takes in _sq_dist: along the row when x is
+    stored row by row, one column at a time when it is stored by columns.
     """
-    n_m, n = x_t.shape
-    slack = 8 * (n_m + 2) * np.finfo(float).eps
-    slack_x = slack * np.einsum("mn,mn->n", x_t, x_t)
-    g = np.empty((k, n))
-    near = np.empty((k, n), dtype=bool)
-    best = np.empty(n)
-    bound = np.empty(n)
-    index = np.arange(k)
+    order = "C" if abs(x.strides[1]) <= abs(x.strides[0]) else "F"
+    diff = np.subtract(x, centroids[labels], order=order)
+    return np.einsum("nm,nm->n", diff, diff)
 
-    def labels(centroids):
-        c_sq = np.einsum("km,km->k", centroids, centroids)
-        np.matmul(-2.0 * centroids, x_t, out=g)
-        np.add(g, c_sq[:, None], out=g)
-        np.min(g, axis=0, out=best)
-        np.add(slack_x, slack * c_sq.max(), out=bound)
-        np.add(bound, best, out=bound)
-        np.less_equal(g, bound, out=near)
-        if np.count_nonzero(near) != n:  # a near tie, or NaN from overflow
-            return None
-        return index @ near  # the one cluster near the best
 
-    return labels
+def _nearest_screen(points_t, points_sq, centroids):
+    """Nearest centroid of some rows by one GEMM, with distance bounds.
+
+    The rows are given as points^T, with their squared norms.
+    g = ||c||^2 - 2 C p^T differs from the squared distances by ||p||^2, the
+    same down each column, so its argmin over axis 0 is the nearest centroid.
+    Each entry of g lies within err/2 of its exact value, and g + ||p||^2
+    within err of the exact squared distance, where
+    err = 8(M+2) eps (||p||^2 + max ||c||^2) + KMEANS_TINY.  When some row's
+    best and runner-up differ by no more than err, the screen returns None
+    and the exact distances must decide.  Otherwise it returns the labels,
+    an upper bound sqrt(||p||^2 + best + err) on each row's distance to its
+    centroid and a lower bound sqrt(||p||^2 + runner-up - err) on its
+    distance to every other centroid, both rounded outward.
+    """
+    n_m = points_t.shape[0]
+    c_sq = np.einsum("km,km->k", centroids, centroids)
+    g = (-2.0 * centroids) @ points_t
+    g += c_sq[:, None]
+    best = g.min(axis=0)
+    err = 8 * (n_m + 2) * EPS * (points_sq + c_sq.max()) + KMEANS_TINY
+    near = g <= best + err
+    if np.count_nonzero(near) != points_t.shape[1]:  # a near tie, or NaN from overflow
+        return None
+    np.copyto(g, np.inf, where=near)
+    runner = g.min(axis=0)
+    # the one cluster near the best, as one BLAS product over near held in g
+    np.copyto(g, near)
+    labels = (np.arange(centroids.shape[0], dtype=float) @ g).astype(int)
+    upper = np.sqrt(points_sq + best + err) * (1 + OUTWARD)
+    lower = np.sqrt(np.maximum(points_sq + runner - err, 0.0)) * (1 - OUTWARD)
+    return labels, upper, lower
 
 
 def _farthest_point_seeds(x, k, seed):
@@ -368,13 +394,24 @@ def kmeans_reduce(matrix, k: int, seed: int = 0) -> ReducedScenarios:
     centroids = _farthest_point_seeds(x, k, seed)
     labels = np.full(n, -1, dtype=int)
     x_t = np.ascontiguousarray(x.T)
-    nearest = _nearest_screen(x_t, k)
+    x_sq = np.einsum("mn,mn->n", x_t, x_t)
+    # A row whose upper bound, times widen, lies below its lower bound keeps
+    # its label: its exact squared distances, each within a relative
+    # (M+2) eps of the true one, cannot put another centroid first or level
+    # with its own.
+    widen = 1 + 4 * (x.shape[1] + 2) * EPS
+    upper = np.full(n, np.inf)  # >= each row's distance to its own centroid
+    lower = np.zeros(n)  # <= its distance to every other centroid
     for _ in range(KMEANS_MAX_ITER):
-        new_labels = nearest(centroids)
-        d = None
-        if new_labels is None:
-            d = _sq_dist(x, centroids)
-            new_labels = np.argmin(d, axis=1)  # lowest cluster index wins ties
+        new_labels = labels.copy()
+        stale = np.flatnonzero(~(upper * widen < lower))  # a NaN bound proves nothing
+        screened = _nearest_screen(x_t[:, stale], x_sq[stale], centroids)
+        if screened is None:
+            new_labels = np.argmin(_sq_dist(x, centroids), axis=1)  # lowest index wins ties
+            upper.fill(np.inf)
+        else:
+            new_labels[stale], upper[stale], lower[stale] = screened
+        previous = centroids.copy()
         counts = np.bincount(new_labels, minlength=k)
         if counts.all() and x.shape[1] > 1:
             # bincount adds the members in row order, as x[mask].mean(axis=0)
@@ -383,13 +420,13 @@ def kmeans_reduce(matrix, k: int, seed: int = 0) -> ReducedScenarios:
                 centroids[:, m] = np.bincount(new_labels, weights=column, minlength=k)
             centroids /= counts[:, None]
         else:
-            if d is None and not counts.all():
-                d = _sq_dist(x, centroids)  # a re-seed needs the exact distances
+            if not counts.all():
+                upper.fill(np.inf)  # a re-seeded centroid jumps
             for j in range(k):
                 if counts[j] == 0:
                     # re-seed an emptied cluster at the farthest point, drawn
                     # only from clusters that can spare a member
-                    current = d[np.arange(n), new_labels]
+                    current = _own_sq_dist(x, previous, new_labels)
                     far = int(np.argmax(np.where(counts[new_labels] >= 2, current, -1.0)))
                     counts[new_labels[far]] -= 1
                     counts[j] = 1
@@ -400,15 +437,23 @@ def kmeans_reduce(matrix, k: int, seed: int = 0) -> ReducedScenarios:
         if (new_labels == labels).all():
             break
         labels = new_labels
+        # triangle inequality: no distance changed by more than its centroid
+        # moved; widen also covers the rounding of the move itself
+        shift = centroids - previous
+        moved = np.sqrt(np.einsum("km,km->k", shift, shift) + KMEANS_TINY) * widen
+        upper += moved[labels]
+        upper *= 1 + OUTWARD
+        lower -= moved.max()
+        lower *= 1 - OUTWARD
 
-    d = _sq_dist(x, centroids)
-    inertia = float(d[np.arange(n), labels].sum())
+    current = _own_sq_dist(x, centroids, labels)
+    inertia = float(current.sum())
     reps = np.empty(k, dtype=int)
     counts = np.empty(k, dtype=int)
     for j in range(k):
         members = np.nonzero(labels == j)[0]
         counts[j] = members.size
-        reps[j] = int(members[np.argmin(d[members, j])])  # lowest row on ties
+        reps[j] = int(members[np.argmin(current[members])])  # lowest row on ties
     probabilities = counts / n  # exact rationals cluster_size/n, then float
     return ReducedScenarios(representatives=x[reps], representative_indices=reps,
                             probabilities=probabilities, labels=labels,

@@ -12,7 +12,7 @@ from spothedge.domain import (Contract, MarketInstance, ScenarioSet,
 from spothedge.formulations import (CVAR, DRO, PER_SCENARIO, FormulationConfig,
                                     _penalty_groups)
 from spothedge.linprog import LinearProgram
-from spothedge.pipeline import (ReducedScenarios, estimate_q, ingest_lmp_csv,
+from spothedge.pipeline import (PriceHistory, ReducedScenarios, estimate_q, ingest_lmp_csv,
                                 kmeans_reduce, scenarios_from_representatives)
 from spothedge.simplex import _AT_LOWER, _AT_UPPER, _FREE, OPTIMALITY_TOL
 
@@ -128,11 +128,16 @@ def expected_columns(instance: MarketInstance, scenarios: ScenarioSet,
     return total
 
 
-def toy_case(k: int) -> tuple[MarketInstance, ScenarioSet, np.ndarray]:
-    """The bundled toy instance with k scenarios reduced from the bundled
-    price history (k-means seed 7), and the history's deviation factor q."""
+def toy_case(k: int, history: PriceHistory | None = None
+             ) -> tuple[MarketInstance, ScenarioSet, np.ndarray]:
+    """The bundled toy instance with k scenarios reduced from a price history
+    (k-means seed 7), and the history's deviation factor q.
+
+    The history defaults to the bundled one; another must hold the
+    instance's three markets, as a 3-node history from bench/gen.py does."""
     instance = load_instance(DATA / "toy_instance.json")
-    history = ingest_lmp_csv(DATA / "toy_lmp.csv")
+    if history is None:
+        history = ingest_lmp_csv(DATA / "toy_lmp.csv")
     matrix = history.nodal[:, [history.nodes.index(m) for m in instance.markets]]
     reduced = kmeans_reduce(matrix, k, seed=7)
     scenarios = scenarios_from_representatives(

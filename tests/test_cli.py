@@ -476,6 +476,26 @@ def test_prepare_column_map_and_errors(capsys, tmp_path):
     assert code == 2 and stderr_json(err)["error"] == "usage"
 
 
+@pytest.mark.parametrize("flags, config", [
+    (["--seed", "-3"], {}),
+    ([], {"seed": "abc"}),
+    ([], {"seed": 1.5}),
+    ([], {"k": 4.5}),
+    ([], {"k": True}),
+], ids=["seed_negative", "seed_text", "seed_fraction", "k_fraction", "k_bool"])
+def test_prepare_rejects_a_seed_or_k_that_is_not_a_whole_number(capsys, tmp_path, flags, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, _, err = run(capsys, "prepare", "--config", str(path),
+                       "--instance", str(DATA / "toy_instance.json"),
+                       "--raw-csv", str(DATA / "toy_lmp.csv"), *flags,
+                       "--out", str(tmp_path / "p"))
+    assert code == 2
+    doc = stderr_json(err)
+    assert doc["error"] == "usage" and "non-negative integer" in doc["message"]
+    assert not (tmp_path / "p").exists()
+
+
 def test_prepare_reports_bytes_that_are_not_utf8_as_a_parse_error(capsys, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_bytes(b"timestamp,node,price\nt1,ALPHA,1\nt1,BR\xffAVO,2\nt1,SYSTEM,3\n")

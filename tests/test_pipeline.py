@@ -381,7 +381,7 @@ def assert_same_reduction(x, k, seed):
 
 
 def count_exact_rounds(monkeypatch):
-    """Counts the calls of the exact distance kernel, the final pass included."""
+    """Counts the rounds decided by the exact distances: the calls of their kernel."""
     calls = []
     exact = pipeline._sq_dist
     monkeypatch.setattr(pipeline, "_sq_dist", lambda x, c: calls.append(1) or exact(x, c))
@@ -405,12 +405,10 @@ def test_kmeans_equals_the_oracle_on_exact_ties(order, monkeypatch):
     rng = np.random.default_rng(5)
     x = np.asarray(rng.integers(0, 4, size=(120, 2)).astype(float), order=order)
     calls = count_exact_rounds(monkeypatch)
-    runs = 0
     for k in (2, 3, 6, 16):
         for seed in (0, 7):
             assert_same_reduction(x, k, seed)
-            runs += 1
-    assert len(calls) > runs  # rounds besides the final passes were exact
+    assert calls  # some rounds were exact
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -430,10 +428,74 @@ def test_kmeans_screen_leaves_near_ties_to_the_exact_distances():
     # squared distances 1e6 and (1e3 + 5e-12)^2 = 1e6 + 1e-8: closer than the
     # rounding bound 8 (M+2) eps (||x||^2 + max ||c||^2), about 3.6e-8
     x_t = np.array([[1e3, 3.0], [0.0, 0.0]])
+    x_sq = np.einsum("mn,mn->n", x_t, x_t)
     centroids = np.array([[0.0, 0.0], [2e3 + 5e-12, 0.0]])
-    assert pipeline._nearest_screen(x_t, 2)(centroids) is None
+    assert pipeline._nearest_screen(x_t, x_sq, centroids) is None
     centroids[1, 0] = 2e3 + 1e-6  # 2e-3 apart: decided by the screen
-    assert pipeline._nearest_screen(x_t, 2)(centroids).tolist() == [0, 0]
+    labels, upper, lower = pipeline._nearest_screen(x_t, x_sq, centroids)
+    assert labels.tolist() == [0, 0]
+    exact = np.sqrt(pipeline._sq_dist(x_t.T, centroids))
+    assert (exact[:, 0] <= upper).all() and (upper < exact[:, 1]).all()
+    assert (exact[:, 0] < lower).all() and (lower <= exact[:, 1]).all()
+    # a subset of the rows: the second one alone
+    labels, upper, lower = pipeline._nearest_screen(x_t[:, 1:], x_sq[1:], centroids)
+    assert labels.tolist() == [0] and exact[1, 0] <= upper[0] and lower[0] <= exact[1, 1]
+
+
+def mixture(rng, n, m, centers=6, spread=6.0):
+    """Cents-rounded rows around a few price levels: many equal distances."""
+    middles = rng.normal(35.0, 8.0, size=(centers, m))
+    return np.round(middles[rng.integers(0, centers, n)] + rng.normal(0.0, spread, (n, m)), 2)
+
+
+# Inputs built to break a round that keeps a label without re-screening the
+# row when its bounds do not prove it: a centroid that jumps, rounding slack
+# larger than most gaps, many equal distances, one column, many clusters.
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_kmeans_bounds_hold_when_a_centroid_jumps(order):
+    rng = np.random.default_rng(8)
+    blob = rng.normal(35.0, 2.0, size=(400, 3))
+    blob[17] = [42.0, 41.0, 43.0]  # seeded early; the centroid then leaves it
+    two = np.concatenate([rng.normal(0.0, 1.0, (200, 3)), rng.normal(20.0, 1.0, (200, 3)),
+                          [[-40.0, -40.0, -40.0]]])  # the outlier keeps a seed
+    for x in (blob, two):
+        x = np.asarray(x, order=order)
+        for k in range(2, 7):
+            for seed in (0, 1, 2):
+                assert_same_reduction(x, k, seed)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_kmeans_bounds_hold_under_a_large_common_offset(order):
+    # at 1e6 the screen's rounding slack is about 1e-3, above many gaps
+    x = np.asarray(1e6 + mixture(np.random.default_rng(12), 2000, 3), order=order)
+    for k in (2, 5, 10):
+        assert_same_reduction(x, k, 3)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_kmeans_bounds_hold_on_one_column_and_many_clusters(order):
+    rng = np.random.default_rng(13)
+    one = np.asarray(mixture(rng, 3000, 1), order=order)
+    for k in (2, 5, 10):
+        assert_same_reduction(one, k, 0)
+    wide = np.asarray(mixture(rng, 3000, 3, centers=40, spread=3.0), order=order)
+    for k in (16, 32, 64):
+        assert_same_reduction(wide, k, 1)
+
+
+def test_kmeans_screens_few_rows_after_the_first_round(monkeypatch):
+    # cents-rounded 20 000 x 8 mixture: equal distances abound, and the
+    # reduction must still match the oracle while most rows skip the screen
+    x = mixture(np.random.default_rng(14), 20_000, 8)
+    screened = []
+    screen = pipeline._nearest_screen
+    monkeypatch.setattr(pipeline, "_nearest_screen",
+                        lambda p, sq, c: screened.append(p.shape[1]) or screen(p, sq, c))
+    assert_same_reduction(x, 10, 0)
+    first, *later = screened
+    assert first == x.shape[0] and len(later) >= 10
+    assert sum(later) < 0.25 * len(later) * x.shape[0]
 
 
 def test_kmeans_equals_the_oracle_on_the_toy_history():

@@ -47,6 +47,10 @@ Objectives:
                    periods per scenario, or one group per period when
                    configured
 
+alpha and lam (cvar) and epsilon (dro) appear only in the objective, so
+reprice derives the program of another parameter value from a built one
+without building it again.
+
 Every objective also carries a -1e-7 * total spot volume perturbation so
 that among profit-equal allocations the one selling least spot is chosen
 deterministically; reported objectives are recomputed from the clean model
@@ -284,6 +288,11 @@ def build_risk_neutral(instance: MarketInstance, scenarios: ScenarioSet):
     return _build_core(instance, scenarios, pi)
 
 
+def _cvar_objective(pi, alpha: float, lam: float):
+    """Objective coefficients of z, var and ell in the CVaR model."""
+    return lam * pi, 1.0 - lam, -(1.0 - lam) * pi / alpha
+
+
 def build_cvar(instance: MarketInstance, scenarios: ScenarioSet, alpha: float,
                lam: float):
     """Tail-weighted model: lam * E[z] + (1-lam) * CVaR_alpha(z)."""
@@ -291,12 +300,13 @@ def build_cvar(instance: MarketInstance, scenarios: ScenarioSet, alpha: float,
         raise ParameterOutOfRange(f"alpha must lie strictly inside (0, 1), got {alpha}")
     if not 0.0 <= lam <= 1.0:
         raise ParameterOutOfRange(f"lambda must lie in [0, 1], got {lam}")
-    pi = scenarios.probabilities
-    lp, vm = _build_core(instance, scenarios, lam * pi)
+    z_objective, var_objective, ell_objective = _cvar_objective(
+        scenarios.probabilities, alpha, lam)
+    lp, vm = _build_core(instance, scenarios, z_objective)
     n_s = scenarios.num_scenarios
-    vm.var_col = lp.add_variable("var", -math.inf, math.inf, objective=(1.0 - lam))
+    vm.var_col = lp.add_variable("var", -math.inf, math.inf, objective=var_objective)
     vm.ell = lp.add_variables([f"ell[{s}]" for s in range(n_s)], 0.0, math.inf,
-                              -(1.0 - lam) * pi / alpha)
+                              ell_objective)
     lp.add_rows([f"tail[{s}]" for s in range(n_s)],
                 np.column_stack([vm.ell, np.full(n_s, vm.var_col), vm.z]),
                 [1.0, -1.0, 1.0], ">=", 0.0)
@@ -309,6 +319,12 @@ def _penalty_groups(n_t: int, dro_penalty: str):
     if dro_penalty == PER_SCENARIO:
         return [(slice(0, n_t), "")]
     return [(slice(t, t + 1), f"{t},") for t in range(n_t)]
+
+
+def _dro_objective(pi, epsilon: float, terms: int):
+    """Objective coefficients of the w block in the robust model, whose
+    columns come in runs of terms per scenario."""
+    return np.repeat(-epsilon * pi, terms)
 
 
 def build_dro(instance: MarketInstance, scenarios: ScenarioSet, epsilon: float,
@@ -334,7 +350,7 @@ def build_dro(instance: MarketInstance, scenarios: ScenarioSet, epsilon: float,
     groups = _penalty_groups(instance.periods, dro_penalty)
     tags = [f"{s},{label}{j}" for s in range(n_s) for _, label in groups for j in range(n_m)]
     vm.w = lp.add_variables([f"w[{tag}]" for tag in tags], 0.0, math.inf,
-                            np.repeat(-epsilon * pi, len(groups) * n_m)
+                            _dro_objective(pi, epsilon, len(groups) * n_m)
                             ).reshape(n_s, len(groups), n_m)
 
     # row (s, g, j, side): w[s,g,j] -/+ sum_e q[owner_e, j] * y_e >= 0 over
@@ -365,6 +381,32 @@ def build(instance: MarketInstance, scenarios: ScenarioSet,
         raise DimensionMismatch("dro requires a q matrix")
     return build_dro(instance, scenarios, config.epsilon, config.q_matrix,
                      config.dro_penalty)
+
+
+def reprice(lp: LinearProgram, vm: VariableMap, scenarios: ScenarioSet,
+            config: FormulationConfig) -> LinearProgram:
+    """The program build(instance, scenarios, config) returns, derived from
+    one that build returned for the same instance and scenarios and a
+    config that differs from config in alpha and lam (cvar) or epsilon
+    (dro) alone.  Those parameters appear only in the objective, so the
+    result shares lp's rows and matrix cache read-only and copies its
+    bounds (LinearProgram.with_objective); vm maps its columns too.
+
+    Raises
+    ------
+    ValueError
+        When config is of another kind than lp.
+    """
+    pi = scenarios.probabilities
+    objective = lp.objective_array()
+    if config.kind == CVAR and vm.ell is not None:
+        objective[vm.z], objective[vm.var_col], objective[vm.ell] = _cvar_objective(
+            pi, config.alpha, config.lam)
+    elif config.kind == DRO and vm.w is not None:
+        objective[vm.w.ravel()] = _dro_objective(pi, config.epsilon, vm.w[0].size)
+    else:
+        raise ValueError(f"a {config.kind} config cannot reprice this program")
+    return lp.with_objective(objective)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,18 @@ A program is a list of named variables with box bounds ``l_j <= x_j <= u_j``
 (either side may be infinite) and named rows ``sum_j a_ij x_j {<=,==,>=} b_i``.
 The objective is always maximized.  Builders keep their own column maps; this
 module only stores the matrix and validates it.
+
+A program derived with ``with_objective`` shares its parent's names, rows
+and matrix cache, and has bounds and an objective of its own.  Nothing
+shared is changed in place: ``add_variables`` and ``add_rows`` give the
+program they are called on new lists and an empty cache, so a derived
+program and its parent grow apart without either seeing the other's
+additions.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -61,6 +69,10 @@ class LinearProgram:
     through ``add_rows``; both return the indices they assigned so builders
     can record coordinates.  ``add_variable`` and ``add_row`` are their
     one-element forms.  Bounds and objective are float arrays.
+
+    ``matrix_cache`` holds what a solver derives from the matrix, the
+    right-hand sides and the relations alone; it is dropped whenever a
+    column or row is added, and the rows are read-only.
     """
 
     def __init__(self):
@@ -69,6 +81,7 @@ class LinearProgram:
         self.upper = np.empty(0)
         self.objective = np.empty(0)
         self.rows: list[_Row] = []
+        self.matrix_cache: dict = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -88,10 +101,11 @@ class LinearProgram:
             raise ValueError(f"variable {names[j]}: lower bound {lower[j]} "
                              f"exceeds upper {upper[j]}")
         first = len(self.variable_names)
-        self.variable_names += names
+        self.variable_names = self.variable_names + names
         self.lower = np.concatenate([self.lower, lower])
         self.upper = np.concatenate([self.upper, upper])
         self.objective = np.concatenate([self.objective, objective])
+        self.matrix_cache = {}
         return np.arange(first, first + len(names))
 
     def add_variable(self, name: str, lower: float = 0.0,
@@ -124,6 +138,7 @@ class LinearProgram:
         first = len(self.rows)
         keep = coeffs != 0.0
         cols, values = columns[keep].tolist(), coeffs[keep].tolist()
+        added = []
         start = 0
         for name, relation, b, end in zip(names, relations, rhs.tolist(),
                                           np.cumsum(keep.sum(axis=1)).tolist()):
@@ -132,8 +147,10 @@ class LinearProgram:
                 packed = {}
                 for col, coef in zip(cols[start:end], values[start:end]):
                     packed[col] = packed.get(col, 0.0) + coef
-            self.rows.append(_Row(name, packed, relation, b))
+            added.append(_Row(name, packed, relation, b))
             start = end
+        self.rows = self.rows + added
+        self.matrix_cache = {}
         return np.arange(first, len(self.rows))
 
     def add_row(self, name: str, coeffs, relation: str, rhs: float) -> int:
@@ -142,6 +159,24 @@ class LinearProgram:
         values = np.array([coef for _, coef in items], dtype=float)
         return int(self.add_rows([name], columns[None, :], values[None, :],
                                  [relation], rhs)[0])
+
+    def with_objective(self, objective) -> LinearProgram:
+        """A program over this one's variables, rows and bounds that
+        maximizes another objective, one coefficient per variable.  It
+        shares the names, the rows and the matrix cache, and copies the
+        bounds."""
+        objective = np.array(objective, dtype=float)
+        if objective.shape != self.objective.shape:
+            raise ValueError(f"objective has shape {objective.shape}; the program "
+                             f"has {self.num_variables} variables")
+        bad = ~np.isfinite(objective)
+        if bad.any():
+            raise ValueError(f"variable {self.variable_names[np.argmax(bad)]}: "
+                             "bad bounds or objective")
+        other = copy.copy(self)
+        other.lower, other.upper = self.bounds_arrays()
+        other.objective = objective
+        return other
 
     # ------------------------------------------------------------------
     # inspection

@@ -42,6 +42,7 @@ from .formulations import (
     build,
     build_risk_neutral,
     extract_report,
+    reprice,
     solve_allocation,
 )
 from .linprog import INFEASIBLE, NumericalFailure
@@ -178,13 +179,17 @@ def sweep(instance: MarketInstance, scenarios: ScenarioSet, *,
     skipped and a record appended instead of raising; an anchor failure
     always raises, since no row can be computed without it.
 
-    The points of one grid share the LP's matrix, right-hand side and bounds,
-    so each point's simplex starts from the previous point's final basis,
-    which is primal feasible there, and skips the dual phase.  The CVaR and robust LPs append columns and rows to
-    the risk-neutral one, so the first point of each grid starts from the
-    anchor's final basis, extended over them (simplex.extend_basis).  The
-    anchor and the point after a failure start cold.  The rows equal those
-    of cold solves.
+    The points of one grid differ only in the objective: alpha and lambda
+    (CVaR) or epsilon (robust) appear nowhere else.  So one program is
+    built per grid, at its first solved point, and each later point
+    re-prices it (formulations.reprice) into a program of its own over the
+    same rows, whose equality-form matrix the simplex computes once.  Each
+    point's simplex starts from the previous point's final basis, which is
+    primal feasible there, and skips the dual phase.  The CVaR and robust
+    LPs append columns and rows to the risk-neutral one, so the first point
+    of each grid starts from the anchor's final basis, extended over them
+    (simplex.extend_basis).  The anchor and the point after a failure start
+    cold.  The rows equal those of cold solves.
     """
     for alpha in alphas:
         if not 0.0 < alpha <= 1.0:
@@ -195,11 +200,10 @@ def sweep(instance: MarketInstance, scenarios: ScenarioSet, *,
     if epsilons and q_matrix is None:
         raise ParameterOutOfRange("an epsilon grid requires a q matrix")
 
-    def attempt(config, record, start):
+    def attempt(config, lp, vm, record, start):
         """(report, final basis) of one grid point, or (None, None) when it
         fails and the failure is recorded."""
         try:
-            lp, vm = build(instance, scenarios, config)
             if start is not None:
                 start = extend_basis(start, lp)
             solution = solve(lp, start=start)
@@ -219,29 +223,37 @@ def sweep(instance: MarketInstance, scenarios: ScenarioSet, *,
     neutral = extract_report(instance, scenarios, anchor, vm, solution)
     anchor_basis = solution.basis
     del lp, vm, solution  # only the basis is kept through the grids
-
     solved = [(RISK_NEUTRAL, None, None, None, neutral)]
-    start = anchor_basis  # then the previous grid point's basis
-    for alpha in alphas:
-        if alpha == 1.0:
-            report = neutral  # CVaR over the full distribution is the expectation
-        else:
-            report, start = attempt(
-                FormulationConfig(kind=CVAR, alpha=alpha, lam=lam),
-                {"source": CVAR, "alpha": float(alpha), "lambda": float(lam)}, start)
-        if report is not None:
-            solved.append((CVAR, float(alpha), float(lam), None, report))
-    start = anchor_basis
-    for epsilon in epsilons:
-        if epsilon == 0.0:
-            report = neutral  # zero radius disables the penalty
-        else:
-            report, start = attempt(
-                FormulationConfig(kind=DRO, epsilon=float(epsilon),
-                                  q_matrix=q_matrix, dro_penalty=dro_penalty),
-                {"source": DRO, "epsilon": float(epsilon)}, start)
-        if report is not None:
-            solved.append((DRO, None, None, float(epsilon), report))
+
+    def run_grid(points):
+        """Solve one grid's points, each (row key, config, failure record),
+        in order; a None config marks a point that reuses the anchor."""
+        lp = vm = None
+        start = anchor_basis  # then the previous grid point's basis
+        for key, config, record in points:
+            if config is None:
+                report = neutral
+            else:
+                if lp is None:
+                    lp, vm = build(instance, scenarios, config)
+                else:
+                    lp = reprice(lp, vm, scenarios, config)
+                report, start = attempt(config, lp, vm, record, start)
+            if report is not None:
+                solved.append((*key, report))
+
+    # CVaR over the full distribution is the expectation, and a zero radius
+    # disables the penalty
+    run_grid([((CVAR, float(alpha), float(lam), None),
+               None if alpha == 1.0 else FormulationConfig(kind=CVAR, alpha=alpha, lam=lam),
+               {"source": CVAR, "alpha": float(alpha), "lambda": float(lam)})
+              for alpha in alphas])
+    run_grid([((DRO, None, None, float(epsilon)),
+               None if epsilon == 0.0 else FormulationConfig(
+                   kind=DRO, epsilon=float(epsilon), q_matrix=q_matrix,
+                   dro_penalty=dro_penalty),
+               {"source": DRO, "epsilon": float(epsilon)})
+              for epsilon in epsilons])
 
     rows = []
     for source, alpha, lam_out, epsilon, report in solved:

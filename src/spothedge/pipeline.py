@@ -27,7 +27,10 @@ inputs the allocation models need:
    resets their bounds; a round in which some screened row's best and
    runner-up lie within the rounding bound uses the exact distances of all
    rows instead, so the labels are always the exact argmin.  The first
-   round and the round after an exact one or a re-seed screen every row.
+   round and the round after a re-seed screen every row.  An exact round
+   keeps every bound: a row whose bounds held keeps its label in the exact
+   argmin too, and a row left stale stays stale, as its bounds only widen,
+   until a screen resets them.
    Centroid sums come from bincount, which adds the members in row order
    as a boolean-mask mean does.  The final pass needs each row's distance
    to its own centroid only.  The exact distances are built in row blocks,
@@ -407,8 +410,8 @@ def kmeans_reduce(matrix, k: int, seed: int = 0) -> ReducedScenarios:
         stale = np.flatnonzero(~(upper * widen < lower))  # a NaN bound proves nothing
         screened = _nearest_screen(x_t[:, stale], x_sq[stale], centroids)
         if screened is None:
+            # every bound stays valid: a row its bounds settle keeps its label here
             new_labels = np.argmin(_sq_dist(x, centroids), axis=1)  # lowest index wins ties
-            upper.fill(np.inf)
         else:
             new_labels[stale], upper[stale], lower[stale] = screened
         previous = centroids.copy()

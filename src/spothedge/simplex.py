@@ -45,7 +45,11 @@ above OPTIMALITY_TOL; the dual ratio test takes its candidates by the same
 senses.
 
 The equality-form matrix is stored column-sparse (CSC arrays): the
-structural columns, then one unit column per slack.  Reduced costs
+structural columns, then one unit column per slack.  It is computed once
+per program structure and kept, with the right-hand side and the slack
+bounds, in the program's matrix_cache, which the programs derived from it
+with another objective share; the structural bounds and the objective are
+read at every solve.  Reduced costs
 d = c - A^T y come from one bincount over the nonzeros.  The basis inverse
 is kept in product form: B0^-1 from the last refactorization, followed by
 an eta file with one entry per pivot since then, held as arrays (see
@@ -889,8 +893,10 @@ def extend_basis(start: Basis, lp: LinearProgram) -> Basis:
     return Basis(basic=basic, status=status.astype(np.int8))
 
 
-def _equality_form(lp):
-    """The _State of lp's equality form, every column at its lower bound.
+def _matrix_form(lp):
+    """(indptr, indices, data, b, slack lower, slack upper) of lp's equality
+    form: the CSC of [A | I], the right-hand side and the slack bounds, all
+    read-only.
 
     Columns are lp's structural ones, then one slack per row, the row's
     unit column."""
@@ -906,9 +912,26 @@ def _equality_form(lp):
 
     slack_lo = {"<=": 0.0, "==": 0.0, ">=": -np.inf}
     slack_hi = {"<=": np.inf, "==": 0.0, ">=": 0.0}
-    lower = np.concatenate([np.asarray(lp.lower), [slack_lo[r] for r in relations]])
-    upper = np.concatenate([np.asarray(lp.upper), [slack_hi[r] for r in relations]])
-    return _State(indptr, indices, data, b.copy(), lower, upper)
+    form = (indptr, indices, data, b, np.array([slack_lo[r] for r in relations]),
+            np.array([slack_hi[r] for r in relations]))
+    for arr in form:
+        arr.setflags(write=False)
+    return form
+
+
+def _equality_form(lp):
+    """The _State of lp's equality form, every column at its lower bound.
+
+    The matrix part is computed once per program structure and kept in
+    lp.matrix_cache, which programs derived with another objective share;
+    the structural bounds are read from lp at every call."""
+    form = lp.matrix_cache.get("equality_form")
+    if form is None:
+        form = lp.matrix_cache["equality_form"] = _matrix_form(lp)
+    indptr, indices, data, b, slack_lo, slack_hi = form
+    lower = np.concatenate([np.asarray(lp.lower), slack_lo])
+    upper = np.concatenate([np.asarray(lp.upper), slack_hi])
+    return _State(indptr, indices, data, b, lower, upper)
 
 
 def solve(lp: LinearProgram, start: Basis | None = None) -> LpSolution:

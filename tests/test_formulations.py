@@ -31,6 +31,7 @@ from spothedge.formulations import (
     build_cvar,
     build_dro,
     build_risk_neutral,
+    reprice,
     solve_allocation,
 )
 from spothedge.simplex import solve
@@ -296,6 +297,91 @@ def toy_lp(case):
 @pytest.mark.parametrize("case", list(LP_DIGESTS))
 def test_toy_lp_matches_recorded_digest(case):
     assert lp_digest(toy_lp(case)) == LP_DIGESTS[case]
+
+
+def assert_same_program(got, want):
+    """got is want bit for bit: objective, bounds, matrix and names."""
+    for mine, theirs in ((got.objective, want.objective), (got.lower, want.lower),
+                         (got.upper, want.upper)):
+        assert mine.tobytes() == theirs.tobytes()
+    (a, b, relations), (want_a, want_b, want_relations) = got.dense(), want.dense()
+    assert a.tobytes() == want_a.tobytes() and a.shape == want_a.shape
+    assert b.tobytes() == want_b.tobytes()
+    assert relations == want_relations
+    assert lp_digest(got) == lp_digest(want)
+
+
+GRID_ALPHAS = (0.05, 0.1, 0.25, 0.5, 0.75)
+GRID_EPSILONS = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.2, 1.0])
+def test_repriced_cvar_programs_equal_built_ones_bit_for_bit(lam):
+    instance, scenarios, _q = toy_case(8)
+    base, vm = build(instance, scenarios, FormulationConfig(kind=CVAR, alpha=0.9, lam=0.1))
+    chained = base
+    for alpha in GRID_ALPHAS:
+        config = FormulationConfig(kind=CVAR, alpha=alpha, lam=lam)
+        want, _ = build(instance, scenarios, config)
+        chained = reprice(chained, vm, scenarios, config)
+        for got in (reprice(base, vm, scenarios, config), chained):
+            assert_same_program(got, want)
+
+
+@pytest.mark.parametrize("penalty", [PER_SCENARIO, PER_PERIOD])
+def test_repriced_dro_programs_equal_built_ones_bit_for_bit(penalty):
+    instance, scenarios, q = toy_case(8)
+    base, vm = build(instance, scenarios, FormulationConfig(
+        kind=DRO, epsilon=3.0, q_matrix=q, dro_penalty=penalty))
+    chained = base
+    for epsilon in GRID_EPSILONS:
+        config = FormulationConfig(kind=DRO, epsilon=epsilon, q_matrix=q, dro_penalty=penalty)
+        want, _ = build(instance, scenarios, config)
+        chained = reprice(chained, vm, scenarios, config)
+        for got in (reprice(base, vm, scenarios, config), chained):
+            assert_same_program(got, want)
+
+
+def test_reprice_rejects_a_config_of_another_kind():
+    instance, scenarios, q = toy_case(4)
+    cvar = build(instance, scenarios, FormulationConfig(kind=CVAR, alpha=0.5))
+    dro = build(instance, scenarios, FormulationConfig(kind=DRO, epsilon=1.0, q_matrix=q))
+    for (lp, vm), config in ((cvar, FormulationConfig(kind=DRO, epsilon=1.0, q_matrix=q)),
+                             (dro, FormulationConfig(kind=CVAR, alpha=0.5)),
+                             (cvar, FormulationConfig(kind=RISK_NEUTRAL))):
+        with pytest.raises(ValueError, match="cannot reprice"):
+            reprice(lp, vm, scenarios, config)
+
+
+def test_repriced_programs_are_isolated():
+    """A repriced program shares its parent's matrix form until one of them
+    grows; a row added to one reaches neither the other's rows nor its
+    cached form, and the next solve of the one that grew obeys the row."""
+    instance, scenarios, _q = toy_case(4)
+    lp, vm = build(instance, scenarios, FormulationConfig(kind=CVAR, alpha=0.5, lam=0.1))
+    before = solve(lp)
+    form = lp.matrix_cache["equality_form"]
+    digest, rows = lp_digest(lp), list(lp.rows)
+    sibling = reprice(lp, vm, scenarios, FormulationConfig(kind=CVAR, alpha=0.1, lam=0.1))
+    assert sibling.matrix_cache["equality_form"] is form
+    threshold = solve(sibling).values[vm.var_col]
+
+    cap = threshold - 1000.0
+    sibling.add_row("cap", {vm.var_col: 1.0}, "<=", cap)
+    assert lp.rows == rows and lp_digest(lp) == digest
+    assert lp.matrix_cache["equality_form"] is form
+    assert "equality_form" not in sibling.matrix_cache
+    capped = solve(sibling)
+    assert capped.values[vm.var_col] <= cap + 1e-6
+    assert sibling.matrix_cache["equality_form"][3].size == lp.num_rows + 1  # b
+
+    lp.add_variable("extra", 0.0, 1.0)
+    assert sibling.num_variables == lp.num_variables - 1
+    assert sibling.matrix_cache["equality_form"][3].size == lp.num_rows + 1
+    assert "equality_form" not in lp.matrix_cache
+    again = solve(lp)
+    assert again.objective == before.objective
+    assert (again.values[:-1] == before.values).all()
 
 
 @pytest.mark.parametrize("transport_cost, haul, carrier", [

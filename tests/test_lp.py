@@ -217,6 +217,20 @@ def test_block_of_rows_equals_rows_added_one_by_one():
     assert block.rows[2].coeffs == {1: 5.0}  # zeros dropped, a repeated column summed
 
 
+def test_with_objective_keeps_the_matrix_and_bounds_and_checks_the_objective():
+    lp = small_knapsack()
+    other = lp.with_objective([1.0, 5.0])
+    assert other.rows is lp.rows and other.variable_names is lp.variable_names
+    assert solve(other).objective == pytest.approx(16.0, abs=1e-9)  # x = 1, y = 3
+    other.upper[1] = 1.0  # the bounds are the derived program's own
+    assert lp.upper[1] == 3.0
+    assert solve(lp).objective == pytest.approx(10.0, abs=1e-9)
+    with pytest.raises(ValueError, match="shape"):
+        lp.with_objective([1.0])
+    with pytest.raises(ValueError, match="^variable y: bad bounds or objective$"):
+        lp.with_objective([1.0, math.inf])
+
+
 def test_block_validation_names_the_first_problem_of_the_first_bad_row():
     columns = np.array([[0, 1], [1, 7], [5, 0]])
     coeffs = np.array([[1.0, 1.0], [np.nan, 1.0], [1.0, 1.0]])

@@ -276,55 +276,30 @@ def test_sweep_orders_rows_on_printed_spot_fraction():
     assert len({k[0] for k in keys}) < len(keys)  # some printed values tie
 
 
-def test_failed_grid_point_leaves_the_other_rows_cold_equal(monkeypatch):
-    configs = {}
-    starts = {}
-    real_build, real_solve = metrics.build, metrics.solve
-
-    def recording_build(instance, scenarios, config):
-        lp, vm = real_build(instance, scenarios, config)
-        configs[id(lp)] = config
-        return lp, vm
-
-    def failing_solve(lp, start=None):
-        config = configs.get(id(lp))
-        if config is not None and config.kind == CVAR:
-            starts[config.alpha] = start
-            if config.alpha == 0.1:
-                raise NumericalFailure("injected")
-        return real_solve(lp, start=start)
-
-    monkeypatch.setattr(metrics, "build", recording_build)
-    monkeypatch.setattr(metrics, "solve", failing_solve)
-    failures = []
-    rows = keyed(toy_sweep(8, failures))
-    monkeypatch.undo()
-
-    assert [(f["source"], f["alpha"]) for f in failures] == [(CVAR, 0.1)]
-    assert starts[0.1] is not None
-    assert starts[0.25] is None  # a failed point seeds nothing
-    assert starts[0.5] is not None
-    want = cold_rows(8)
-    for gamma in GAMMAS:
-        del want[CVAR, 0.1, None, gamma]
-    assert rows == want
-
-
 def record_sweep_starts(monkeypatch, fail_alpha=None):
     """Patch metrics so that each grid point's start is recorded, keyed by
     (source, alpha or epsilon), and the CVaR point at fail_alpha raises
-    NumericalFailure."""
-    configs = {}
+    NumericalFailure.
+
+    A grid point's program comes from metrics.build, or from metrics.reprice
+    after its grid's first point; both are patched to note the config of the
+    program they return, and the note keeps the program alive."""
+    configs = {}  # LinearProgram -> config
     starts = {}
-    real_build, real_solve = metrics.build, metrics.solve
+    real_build, real_reprice, real_solve = metrics.build, metrics.reprice, metrics.solve
 
     def recording_build(instance, scenarios, config):
         lp, vm = real_build(instance, scenarios, config)
-        configs[id(lp)] = config
+        configs[lp] = config
         return lp, vm
 
+    def recording_reprice(lp, vm, scenarios, config):
+        derived = real_reprice(lp, vm, scenarios, config)
+        configs[derived] = config
+        return derived
+
     def failing_solve(lp, start=None):
-        config = configs.get(id(lp))
+        config = configs.get(lp)
         if config is not None and config.kind == CVAR:
             starts[CVAR, config.alpha] = start
             if config.alpha == fail_alpha:
@@ -334,14 +309,38 @@ def record_sweep_starts(monkeypatch, fail_alpha=None):
         return real_solve(lp, start=start)
 
     monkeypatch.setattr(metrics, "build", recording_build)
+    monkeypatch.setattr(metrics, "reprice", recording_reprice)
     monkeypatch.setattr(metrics, "solve", failing_solve)
     return starts
+
+
+# the grid points that are solved rather than copied from the anchor
+SOLVED_POINTS = ({(CVAR, alpha) for alpha in ALPHAS if alpha != 1.0}
+                 | {(DRO, epsilon) for epsilon in EPSILONS if epsilon != 0.0})
+
+
+def test_failed_grid_point_leaves_the_other_rows_cold_equal(monkeypatch):
+    starts = record_sweep_starts(monkeypatch, fail_alpha=0.1)
+    failures = []
+    rows = keyed(toy_sweep(8, failures))
+    monkeypatch.undo()
+
+    assert [(f["source"], f["alpha"]) for f in failures] == [(CVAR, 0.1)]
+    assert set(starts) == SOLVED_POINTS
+    assert starts[CVAR, 0.1] is not None
+    assert starts[CVAR, 0.25] is None  # a failed point seeds nothing
+    assert starts[CVAR, 0.5] is not None
+    want = cold_rows(8)
+    for gamma in GAMMAS:
+        del want[CVAR, 0.1, None, gamma]
+    assert rows == want
 
 
 def test_first_grid_points_start_from_the_anchor_basis(monkeypatch):
     starts = record_sweep_starts(monkeypatch)
     toy_sweep(8)
     monkeypatch.undo()
+    assert set(starts) == SOLVED_POINTS
     assert starts[CVAR, ALPHAS[0]] is not None
     assert starts[DRO, EPSILONS[1]] is not None  # epsilon 0 reuses the anchor
     assert all(start is not None for start in starts.values())
@@ -354,6 +353,7 @@ def test_failed_first_grid_point_leaves_the_other_rows_cold_equal(monkeypatch):
     monkeypatch.undo()
 
     assert [(f["source"], f["alpha"]) for f in failures] == [(CVAR, ALPHAS[0])]
+    assert set(starts) == SOLVED_POINTS
     assert starts[CVAR, ALPHAS[0]] is not None  # from the anchor's basis
     assert starts[CVAR, ALPHAS[1]] is None
     assert starts[DRO, EPSILONS[1]] is not None

@@ -9,10 +9,13 @@ Subcommands:
                prep_summary.json
     validate   check an instance (and optionally a scenario set)
 
-Every subcommand accepts --config pointing at a JSON file whose keys mirror
-the long flag names (underscores for hyphens, "lambda" for --lambda);
-explicit flags win over config values.  Outputs are deterministic byte for
-byte for a fixed seed and input files.
+Every subcommand accepts --config pointing at a JSON object of flag values.
+Each entry is parsed as the flag --key=value it names (underscores for
+hyphens), ahead of the command line, so explicit flags win: a list is
+joined with commas, an object becomes key=value pairs, null is skipped and
+another subcommand's flag is ignored.  The model's defaults live in
+FormulationConfig and metrics.sweep, the CLI's own in argparse.  Outputs
+are deterministic byte for byte for a fixed seed and input files.
 
 Exit codes: 0 success, 2 bad input, 3 solver failure.  Any failure prints a
 single JSON object to stderr, e.g. {"error": "io", "message": "..."}.
@@ -32,21 +35,11 @@ from .domain import (MarketInstance, ScenarioSet, instance_from_dict,
                      load_scenarios, save_scenarios, validate_instance,
                      validate_scenarios)
 from .linprog import NumericalFailure
-from .pipeline import (MissingObservation, NotPositiveDefinite, ParseError,
-                       estimate_q, ingest_lmp_csv, kmeans_reduce, knee_point,
-                       scenarios_from_representatives)
+from .pipeline import (DEFAULT_COLUMNS, MissingObservation, NotPositiveDefinite,
+                       ParseError, estimate_q, ingest_lmp_csv, kmeans_reduce,
+                       knee_point, scenarios_from_representatives)
 
 MAX_AUTO_K = 10
-
-# config-file key -> argparse dest (identity unless the dest cannot match)
-CONFIG_KEYS = {
-    "instance": "instance", "scenarios": "scenarios", "raw_csv": "raw_csv",
-    "columns": "columns", "k": "k", "kind": "kind", "alpha": "alpha",
-    "lambda": "lam", "epsilon": "epsilon", "q": "q",
-    "dro_penalty": "dro_penalty", "gamma": "gamma",
-    "alpha_grid": "alpha_grid", "epsilon_grid": "epsilon_grid",
-    "out": "out", "seed": "seed",
-}
 
 
 class CliError(Exception):
@@ -90,7 +83,7 @@ def _load_json(path, what: str) -> dict:
             return json.load(handle)
     except OSError as exc:
         raise CliError("io", f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise CliError("parse", f"{what} {path} is not valid JSON: {exc}") from exc
 
 
@@ -148,44 +141,58 @@ def _load_q(path, instance: MarketInstance) -> np.ndarray:
     return q
 
 
-def _parse_float_list(text, flag: str) -> tuple[float, ...]:
-    if isinstance(text, (list, tuple)):
-        values = list(text)
-    else:
-        values = [v for v in str(text).split(",") if v.strip() != ""]
+def _file_name(text: str) -> str:
+    """A name open() takes without a ValueError: no NUL byte, and nothing
+    the file system encoding cannot hold (a config entry can carry both)."""
     try:
-        return tuple(float(v) for v in values)
-    except (TypeError, ValueError):
-        raise CliError("usage", f"{flag} expects comma-separated numbers, "
-                                f"got {text!r}") from None
+        if "\0" not in text:
+            text.encode(sys.getfilesystemencoding(), sys.getfilesystemencodeerrors())
+            return text
+    except UnicodeEncodeError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not a file name")
 
 
-def _parse_columns(value) -> dict:
-    if value is None:
-        return {}
-    if isinstance(value, dict):
-        return {str(k): str(v) for k, v in value.items()}
+def _numbers(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects comma-separated numbers, got {text!r}") from None
+
+
+def _gammas(text: str) -> tuple[float, ...]:
+    gammas = _numbers(text)
+    for g in gammas:
+        if not 0.0 <= g < 1.0:
+            raise argparse.ArgumentTypeError(f"values must lie in [0, 1), got {g}")
+    return gammas
+
+
+def _whole_number(text: str) -> int:
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise argparse.ArgumentTypeError(f"expects a non-negative integer, got {text!r}")
+
+
+def _cluster_count(text: str) -> int | None:
+    """None for 'auto' (knee selection), else a fixed count."""
+    return None if text == "auto" else _whole_number(text)
+
+
+def _columns(text: str) -> dict:
     mapping = {}
-    for part in str(value).split(","):
+    for part in text.split(","):
         if not part.strip():
             continue
         key, eq, name = part.partition("=")
         if not eq or not key.strip() or not name.strip():
-            raise CliError("usage", f"--columns expects key=value pairs, got {part!r}")
+            raise argparse.ArgumentTypeError(f"expects key=value pairs, got {part!r}")
         mapping[key.strip()] = name.strip()
-    unknown = set(mapping) - {"timestamp", "node", "price", "system"}
+    unknown = set(mapping) - set(DEFAULT_COLUMNS)
     if unknown:
-        raise CliError("usage", f"--columns has unknown keys {sorted(unknown)}")
+        raise argparse.ArgumentTypeError(f"has unknown keys {sorted(unknown)}")
     return mapping
-
-
-def _gammas(args) -> tuple[float, ...]:
-    raw = args.gamma if args.gamma is not None else "0.9"
-    gammas = _parse_float_list(raw, "--gamma")
-    for g in gammas:
-        if not 0.0 <= g < 1.0:
-            raise CliError("usage", f"--gamma values must lie in [0, 1), got {g}")
-    return gammas
 
 
 def _out_dir(args, required: bool = True) -> Path | None:
@@ -201,19 +208,43 @@ def _out_dir(args, required: bool = True) -> Path | None:
     return out
 
 
-def _apply_config(args) -> None:
-    if args.config is None:
-        return
+def _config_text(value) -> str:
+    """A config entry's value as it would follow --key= on the command line."""
+    def scalar(item):
+        return item if isinstance(item, str) else json.dumps(item)
+    if isinstance(value, list):
+        return ",".join(map(scalar, value))
+    if isinstance(value, dict):
+        return ",".join(f"{key}={scalar(item)}" for key, item in value.items())
+    return scalar(value)
+
+
+def _with_config(parser, args, argv: list[str]) -> list[str]:
+    """argv with the config file's entries put in as --key=value tokens
+    right after the subcommand, so that the flags after them win."""
     doc = _load_json(args.config, "config")
     if not isinstance(doc, dict):
         raise CliError("parse", f"config {args.config} must be a JSON object")
-    unknown = set(doc) - set(CONFIG_KEYS)
+    (commands,) = parser._subparsers._group_actions  # argparse keeps no public index
+    flags = {name: set(sub._option_string_actions) for name, sub in commands.choices.items()}
+    tokens, unknown = [], []
+    for key, value in doc.items():
+        flag = "--" + key.replace("_", "-")
+        if flag in flags[args.command]:
+            if value is not None:
+                tokens.append(f"{flag}={_config_text(value)}")
+        elif not any(flag in known for known in flags.values()):
+            unknown.append(key)
     if unknown:
         raise CliError("usage", f"config has unknown keys {sorted(unknown)}")
-    for key, value in doc.items():
-        dest = CONFIG_KEYS[key]
-        if hasattr(args, dest) and getattr(args, dest) is None:
-            setattr(args, dest, value)
+    at = argv.index(args.command) + 1
+    return [*argv[:at], *tokens, *argv[at:]]
+
+
+def _given(args, *names) -> dict:
+    """The named model parameters that were given; the model states the
+    defaults of the others."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 # ----------------------------------------------------------------------
@@ -266,35 +297,20 @@ def _metric_dict(row: metrics.MetricRow) -> dict:
 def _cmd_solve(args) -> int:
     instance = _load_instance(args.instance)
     scenarios = _load_scenario_set(args.scenarios, instance)
-    gammas = _gammas(args)
-    kind = args.kind or formulations.RISK_NEUTRAL
     q = None
-    if kind == formulations.DRO:
+    if args.kind == formulations.DRO:
         if args.q is None:
             raise CliError("usage", "--kind dro requires --q")
         q = _load_q(args.q, instance)
-    try:
-        config = formulations.FormulationConfig(
-            kind=kind,
-            alpha=float(args.alpha) if args.alpha is not None else 0.95,
-            lam=float(args.lam) if args.lam is not None else 0.1,
-            epsilon=float(args.epsilon) if args.epsilon is not None else 0.0,
-            q_matrix=q,
-            dro_penalty=args.dro_penalty or formulations.PER_SCENARIO,
-        )
-    except (formulations.ParameterOutOfRange, ValueError) as exc:
-        raise CliError("usage", str(exc)) from exc
+    config = formulations.FormulationConfig(
+        q_matrix=q, **_given(args, "kind", "alpha", "lam", "epsilon", "dro_penalty"))
     out = _out_dir(args, required=False)
-    try:
-        report = formulations.solve_allocation(instance, scenarios, config)
-        riskfree = metrics.risk_free_profit(instance, scenarios)
-    except (formulations.SolveFailed, NumericalFailure) as exc:
-        raise CliError("solver", str(exc), exit_code=3,
-                       status=getattr(exc, "status", "numerical")) from exc
+    report = formulations.solve_allocation(instance, scenarios, config)
+    riskfree = metrics.risk_free_profit(instance, scenarios)
     doc = _report_dict(report)
     doc["metrics"] = [_metric_dict(metrics.metric_row(
         instance, scenarios, config, g, report=report, riskfree=riskfree))
-        for g in gammas]
+        for g in args.gamma]
     text = _dump(doc)
     sys.stdout.write(text)
     if out is not None:
@@ -305,24 +321,13 @@ def _cmd_solve(args) -> int:
 def _cmd_sweep(args) -> int:
     instance = _load_instance(args.instance)
     scenarios = _load_scenario_set(args.scenarios, instance)
-    gammas = _gammas(args)
-    alphas = _parse_float_list(args.alpha_grid, "--alpha-grid") if args.alpha_grid else ()
-    epsilons = (_parse_float_list(args.epsilon_grid, "--epsilon-grid")
-                if args.epsilon_grid else ())
-    lam = float(args.lam) if args.lam is not None else 0.1
     q = _load_q(args.q, instance) if args.q is not None else None
     out = _out_dir(args)
     failures: list[dict] = []
-    try:
-        rows = metrics.sweep(
-            instance, scenarios, alphas=alphas, lam=lam, epsilons=epsilons,
-            q_matrix=q, dro_penalty=args.dro_penalty or formulations.PER_SCENARIO,
-            gammas=gammas, failures=failures)
-    except formulations.ParameterOutOfRange as exc:
-        raise CliError("usage", str(exc)) from exc
-    except (formulations.SolveFailed, NumericalFailure) as exc:
-        raise CliError("solver", str(exc), exit_code=3,
-                       status=getattr(exc, "status", "numerical")) from exc
+    rows = metrics.sweep(
+        instance, scenarios, alphas=args.alpha_grid, epsilons=args.epsilon_grid,
+        q_matrix=q, gammas=args.gamma, failures=failures,
+        **_given(args, "lam", "dro_penalty"))
     try:
         metrics.write_metrics_csv(rows, out / "metrics.csv")
         metrics.write_tradeoff_csv(rows, out / "tradeoff.csv")
@@ -333,27 +338,13 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _whole_number(value, flag: str, alternative: str = "") -> int:
-    """A non-negative integer given as a JSON integer (a bool is not one) or
-    as its decimal digits on the command line."""
-    if isinstance(value, str) and value.isascii() and value.isdigit():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
-        return value
-    raise CliError("usage", f"{flag} expects a non-negative integer{alternative}, got {value!r}")
-
-
 def _cmd_prepare(args) -> int:
     instance = _load_instance(args.instance)
     if args.raw_csv is None:
         raise CliError("usage", "--raw-csv is required")
-    seed = _whole_number(args.seed, "--seed") if args.seed is not None else 0
-    raw_k = args.k if args.k is not None else "auto"
-    fixed_k = None if raw_k == "auto" else _whole_number(raw_k, "--k", " or 'auto'")
-    columns = _parse_columns(args.columns)
     out = _out_dir(args)
     try:
-        history = ingest_lmp_csv(args.raw_csv, column_map=columns or None)
+        history = ingest_lmp_csv(args.raw_csv, column_map=args.columns or None)
     except OSError as exc:
         raise CliError("io", f"cannot read {args.raw_csv}: {exc}") from exc
     except ParseError as exc:
@@ -369,18 +360,18 @@ def _cmd_prepare(args) -> int:
     matrix = history.nodal[:, cols]
     n_obs = matrix.shape[0]
 
-    if fixed_k is None:
+    if args.k is None:
         ks = list(range(1, min(MAX_AUTO_K, n_obs) + 1))
-        runs = [kmeans_reduce(matrix, k, seed=seed) for k in ks]
+        runs = [kmeans_reduce(matrix, k, seed=args.seed) for k in ks]
         chosen_k = knee_point(ks, [run.inertia for run in runs])
         reduced = runs[ks.index(chosen_k)]  # k-means is deterministic: no second run
         curve = [[k, run.inertia] for k, run in zip(ks, runs)]
         k_mode = "auto"
     else:
-        chosen_k = fixed_k
+        chosen_k = args.k
         if not 1 <= chosen_k <= n_obs:
             raise CliError("data", f"--k must lie in 1..{n_obs}, got {chosen_k}")
-        reduced = kmeans_reduce(matrix, chosen_k, seed=seed)
+        reduced = kmeans_reduce(matrix, chosen_k, seed=args.seed)
         curve = [[chosen_k, reduced.inertia]]
         k_mode = "fixed"
 
@@ -415,7 +406,7 @@ def _cmd_prepare(args) -> int:
         "markets": list(instance.markets),
         "k": int(chosen_k),
         "k_mode": k_mode,
-        "seed": seed,
+        "seed": args.seed,
         "inertia_curve": curve,
         "inertia": reduced.inertia,
         "jitter": estimate.jitter,
@@ -443,9 +434,23 @@ def _cmd_validate(args) -> int:
 # ----------------------------------------------------------------------
 # argument wiring
 
-def _add_common(sub) -> None:
-    sub.add_argument("--config", help="JSON file with defaults for the flags below")
-    sub.add_argument("--out", help="output directory")
+def _add_common(sub, func) -> None:
+    sub.add_argument("--config", help="JSON file of flag values, read as --key=value; "
+                                      "flags given here win")
+    sub.add_argument("--out", type=_file_name, help="output directory")
+    sub.add_argument("--instance", type=_file_name, help="instance JSON")
+    sub.set_defaults(func=func)
+
+
+def _add_model_flags(sub) -> None:
+    """The flags that solve and sweep share."""
+    sub.add_argument("--scenarios", type=_file_name, help="scenario set JSON")
+    sub.add_argument("--lambda", dest="lam", type=float, help="CVaR mean weight in [0, 1]")
+    sub.add_argument("--q", type=_file_name, help="q.json with the deviation factor")
+    sub.add_argument("--dro-penalty",
+                     choices=(formulations.PER_SCENARIO, formulations.PER_PERIOD))
+    sub.add_argument("--gamma", type=_gammas, default="0.9",
+                     help="comma-separated metric tail levels in [0, 1) (default 0.9)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -454,61 +459,54 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     solve = commands.add_parser("solve", help="solve one allocation model")
-    _add_common(solve)
-    solve.add_argument("--instance", help="instance JSON")
-    solve.add_argument("--scenarios", help="scenario set JSON")
+    _add_common(solve, _cmd_solve)
+    _add_model_flags(solve)
     solve.add_argument("--kind", choices=formulations.KINDS)
     solve.add_argument("--alpha", type=float, help="CVaR tail mass in (0, 1)")
-    solve.add_argument("--lambda", dest="lam", type=float,
-                       help="CVaR mean weight in [0, 1]")
-    solve.add_argument("--epsilon", type=float, help="robustness radius >= 0")
-    solve.add_argument("--q", help="q.json with the deviation factor")
-    solve.add_argument("--dro-penalty",
-                       choices=(formulations.PER_SCENARIO, formulations.PER_PERIOD))
-    solve.add_argument("--gamma", help="comma-separated metric tail levels in [0, 1)")
-    solve.set_defaults(func=_cmd_solve)
+    solve.add_argument("--epsilon", type=float, help="finite robustness radius >= 0")
 
     swp = commands.add_parser("sweep", help="trace the reward-to-risk frontier")
-    _add_common(swp)
-    swp.add_argument("--instance", help="instance JSON")
-    swp.add_argument("--scenarios", help="scenario set JSON")
-    swp.add_argument("--alpha-grid", help="comma-separated CVaR alphas in (0, 1]")
-    swp.add_argument("--lambda", dest="lam", type=float,
-                     help="CVaR mean weight in [0, 1]")
-    swp.add_argument("--epsilon-grid", help="comma-separated radii >= 0")
-    swp.add_argument("--q", help="q.json with the deviation factor")
-    swp.add_argument("--dro-penalty",
-                     choices=(formulations.PER_SCENARIO, formulations.PER_PERIOD))
-    swp.add_argument("--gamma", help="comma-separated metric tail levels in [0, 1)")
-    swp.set_defaults(func=_cmd_sweep)
+    _add_common(swp, _cmd_sweep)
+    _add_model_flags(swp)
+    swp.add_argument("--alpha-grid", type=_numbers, default=(),
+                     help="comma-separated CVaR alphas in (0, 1]")
+    swp.add_argument("--epsilon-grid", type=_numbers, default=(),
+                     help="comma-separated finite radii >= 0")
 
     prep = commands.add_parser("prepare", help="reduce a price CSV into scenarios")
-    _add_common(prep)
-    prep.add_argument("--instance", help="instance JSON (markets + elasticity)")
-    prep.add_argument("--raw-csv", help="long-format price history CSV")
-    prep.add_argument("--columns",
+    _add_common(prep, _cmd_prepare)
+    prep.add_argument("--raw-csv", type=_file_name, help="long-format price history CSV")
+    prep.add_argument("--columns", type=_columns,
                       help="rename CSV columns: timestamp=...,node=...,price=...,system=...")
-    prep.add_argument("--k", help="cluster count, or 'auto' for knee selection")
-    prep.add_argument("--seed", help="clustering seed, a non-negative integer (default 0)")
-    prep.set_defaults(func=_cmd_prepare)
+    prep.add_argument("--k", type=_cluster_count, default="auto",
+                      help="cluster count, a non-negative integer, or 'auto' for knee "
+                           "selection (default)")
+    prep.add_argument("--seed", type=_whole_number, default=0,
+                      help="clustering seed, a non-negative integer (default 0)")
 
     val = commands.add_parser("validate", help="check instance and scenario files")
-    _add_common(val)
-    val.add_argument("--instance", help="instance JSON")
-    val.add_argument("--scenarios", help="scenario set JSON")
-    val.set_defaults(func=_cmd_validate)
+    _add_common(val, _cmd_validate)
+    val.add_argument("--scenarios", type=_file_name, help="scenario set JSON")
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args)
+        if args.config is not None:
+            args = parser.parse_args(_with_config(parser, args, argv))
         return args.func(args)
+    except formulations.ParameterOutOfRange as exc:  # raised by solve and sweep
+        error = CliError("usage", str(exc))
+    except (formulations.SolveFailed, NumericalFailure) as exc:
+        error = CliError("solver", str(exc), exit_code=3,
+                         status=getattr(exc, "status", "numerical"))
     except CliError as exc:
-        sys.stderr.write(json.dumps(exc.payload(), sort_keys=True) + "\n")
-        return exc.exit_code
+        error = exc
+    sys.stderr.write(json.dumps(error.payload(), sort_keys=True) + "\n")
+    return error.exit_code
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ scenarios.json::
 
 Step, period and scenario indices are dense and 0-based; every
 (market, step, period, scenario) combination must appear exactly once.
+Indices, ``periods`` and elasticity ``steps`` must be JSON integers >= 0.
 """
 
 from __future__ import annotations
@@ -242,6 +243,15 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
+def _whole_number(mapping, key, where) -> int:
+    """A required non-negative JSON integer (a bool is not one): int() would
+    truncate a fraction, and a negative index counts from the end."""
+    value = _require(mapping, key, where)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{where}: {key!r} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def instance_from_dict(doc: dict) -> MarketInstance:
     markets = tuple(str(m) for m in _require(doc, "markets", "instance"))
     contracts = tuple(
@@ -264,7 +274,7 @@ def instance_from_dict(doc: dict) -> MarketInstance:
         for p in _require(doc, "production_limits", "instance")
     )
     elasticity = {
-        str(market): ElasticityCurve(steps=int(_require(e, "steps", "elasticity")),
+        str(market): ElasticityCurve(steps=_whole_number(e, "steps", "elasticity"),
                                      width=float(_require(e, "width", "elasticity")),
                                      decrement=float(_require(e, "decrement", "elasticity")))
         for market, e in doc.get("elasticity", {}).items()
@@ -275,7 +285,7 @@ def instance_from_dict(doc: dict) -> MarketInstance:
         supply_steps=supply,
         transport_cost={str(k): float(v) for k, v in doc.get("transport_cost", {}).items()},
         production_limits=limits,
-        periods=int(_require(doc, "periods", "instance")),
+        periods=_whole_number(doc, "periods", "instance"),
         elasticity=elasticity,
     )
 
@@ -324,9 +334,9 @@ def scenarios_from_dict(doc: dict) -> ScenarioSet:
     by_market: dict[str, dict[tuple[int, int, int], tuple[float, float]]] = {}
     for entry in entries:
         market = str(_require(entry, "market", "spot entry"))
-        key = (int(_require(entry, "step", "spot entry")),
-               int(_require(entry, "period", "spot entry")),
-               int(_require(entry, "scenario", "spot entry")))
+        key = (_whole_number(entry, "step", "spot entry"),
+               _whole_number(entry, "period", "spot entry"),
+               _whole_number(entry, "scenario", "spot entry"))
         cell = (float(_require(entry, "price", "spot entry")),
                 float(_require(entry, "width", "spot entry")))
         slot = by_market.setdefault(market, {})
@@ -342,7 +352,7 @@ def scenarios_from_dict(doc: dict) -> ScenarioSet:
         price = np.full((n_k, n_t, n_s), np.nan)
         width = np.full((n_k, n_t, n_s), np.nan)
         for (k, t, s), (p, w) in cells.items():
-            if not (0 <= s < n_s):
+            if s >= n_s:
                 raise ValueError(f"scenarios: {market} entry has scenario index {s} "
                                  f"outside 0..{n_s - 1}")
             price[k, t, s] = p

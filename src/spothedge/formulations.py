@@ -126,12 +126,14 @@ class FormulationConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterOutOfRange(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ParameterOutOfRange(f"alpha must lie strictly inside (0, 1), got {self.alpha}")
+        # a finite 1/alpha and epsilon keep every objective coefficient finite
+        if not 0.0 < self.alpha < 1.0 or 1.0 / self.alpha == math.inf:
+            raise ParameterOutOfRange(f"alpha must lie strictly inside (0, 1) with a "
+                                      f"finite 1/alpha, got {self.alpha}")
         if not 0.0 <= self.lam <= 1.0:
             raise ParameterOutOfRange(f"lambda must lie in [0, 1], got {self.lam}")
-        if not self.epsilon >= 0.0:
-            raise ParameterOutOfRange(f"epsilon must be >= 0, got {self.epsilon}")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ParameterOutOfRange(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.dro_penalty not in (PER_SCENARIO, PER_PERIOD):
             raise ParameterOutOfRange(f"dro_penalty must be {PER_SCENARIO!r} or "
                                       f"{PER_PERIOD!r}, got {self.dro_penalty!r}")
@@ -296,10 +298,7 @@ def _cvar_objective(pi, alpha: float, lam: float):
 def build_cvar(instance: MarketInstance, scenarios: ScenarioSet, alpha: float,
                lam: float):
     """Tail-weighted model: lam * E[z] + (1-lam) * CVaR_alpha(z)."""
-    if not 0.0 < alpha < 1.0:
-        raise ParameterOutOfRange(f"alpha must lie strictly inside (0, 1), got {alpha}")
-    if not 0.0 <= lam <= 1.0:
-        raise ParameterOutOfRange(f"lambda must lie in [0, 1], got {lam}")
+    FormulationConfig(kind=CVAR, alpha=alpha, lam=lam)  # checks the ranges
     z_objective, var_objective, ell_objective = _cvar_objective(
         scenarios.probabilities, alpha, lam)
     lp, vm = _build_core(instance, scenarios, z_objective)
@@ -334,10 +333,7 @@ def build_dro(instance: MarketInstance, scenarios: ScenarioSet, epsilon: float,
     Each scenario s, period group g and market j gets a column w[s,g,j] >=
     |(Q^T ytilde_sg)_j| through a norm_pos and a norm_neg row.
     """
-    if not epsilon >= 0.0:
-        raise ParameterOutOfRange(f"epsilon must be >= 0, got {epsilon}")
-    if dro_penalty not in (PER_SCENARIO, PER_PERIOD):
-        raise ParameterOutOfRange(f"unknown dro_penalty {dro_penalty!r}")
+    FormulationConfig(kind=DRO, epsilon=epsilon, dro_penalty=dro_penalty)  # checks the ranges
     n_m = len(instance.markets)
     q = np.asarray(q_matrix, dtype=float)
     if q.shape != (n_m, n_m):

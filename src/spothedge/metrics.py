@@ -191,14 +191,20 @@ def sweep(instance: MarketInstance, scenarios: ScenarioSet, *,
     (simplex.extend_basis).  The anchor and the point after a failure start
     cold.  The rows equal those of cold solves.
     """
-    for alpha in alphas:
-        if not 0.0 < alpha <= 1.0:
-            raise ParameterOutOfRange(f"alpha grid values must lie in (0, 1], got {alpha}")
-    for epsilon in epsilons:
-        if epsilon < 0.0:
-            raise ParameterOutOfRange(f"epsilon grid values must be >= 0, got {epsilon}")
     if epsilons and q_matrix is None:
         raise ParameterOutOfRange("an epsilon grid requires a q matrix")
+    # every point's config is made, and so checked, before any solve; the
+    # points that reuse the anchor have none
+    grids = (
+        [((CVAR, float(alpha), float(lam), None),
+          None if alpha == 1.0 else FormulationConfig(kind=CVAR, alpha=alpha, lam=lam),
+          {"source": CVAR, "alpha": float(alpha), "lambda": float(lam)})
+         for alpha in alphas],
+        [((DRO, None, None, float(epsilon)),
+          None if epsilon == 0.0 else FormulationConfig(
+              kind=DRO, epsilon=float(epsilon), q_matrix=q_matrix, dro_penalty=dro_penalty),
+          {"source": DRO, "epsilon": float(epsilon)})
+         for epsilon in epsilons])
 
     def attempt(config, lp, vm, record, start):
         """(report, final basis) of one grid point, or (None, None) when it
@@ -242,18 +248,8 @@ def sweep(instance: MarketInstance, scenarios: ScenarioSet, *,
             if report is not None:
                 solved.append((*key, report))
 
-    # CVaR over the full distribution is the expectation, and a zero radius
-    # disables the penalty
-    run_grid([((CVAR, float(alpha), float(lam), None),
-               None if alpha == 1.0 else FormulationConfig(kind=CVAR, alpha=alpha, lam=lam),
-               {"source": CVAR, "alpha": float(alpha), "lambda": float(lam)})
-              for alpha in alphas])
-    run_grid([((DRO, None, None, float(epsilon)),
-               None if epsilon == 0.0 else FormulationConfig(
-                   kind=DRO, epsilon=float(epsilon), q_matrix=q_matrix,
-                   dro_penalty=dro_penalty),
-               {"source": DRO, "epsilon": float(epsilon)})
-              for epsilon in epsilons])
+    for points in grids:
+        run_grid(points)
 
     rows = []
     for source, alpha, lam_out, epsilon, report in solved:

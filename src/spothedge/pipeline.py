@@ -27,10 +27,11 @@ inputs the allocation models need:
    resets their bounds; a round in which some screened row's best and
    runner-up lie within the rounding bound uses the exact distances of all
    rows instead, so the labels are always the exact argmin.  The first
-   round and the round after a re-seed screen every row.  An exact round
-   keeps every bound: a row whose bounds held keeps its label in the exact
-   argmin too, and a row left stale stays stale, as its bounds only widen,
-   until a screen resets them.
+   round screens every row.  An exact round keeps every bound: a row whose
+   bounds held keeps its label in the exact argmin too, and a row left
+   stale stays stale, as its bounds only widen, until a screen resets them.
+   A re-seed keeps them too: the emptied centroid jumps at least as far as
+   the re-seeded row's lower bound, so the update leaves that row stale.
    Centroid sums come from bincount, which adds the members in row order
    as a boolean-mask mean does.  The final pass needs each row's distance
    to its own centroid only.  The exact distances are built in row blocks,
@@ -423,8 +424,6 @@ def kmeans_reduce(matrix, k: int, seed: int = 0) -> ReducedScenarios:
                 centroids[:, m] = np.bincount(new_labels, weights=column, minlength=k)
             centroids /= counts[:, None]
         else:
-            if not counts.all():
-                upper.fill(np.inf)  # a re-seeded centroid jumps
             for j in range(k):
                 if counts[j] == 0:
                     # re-seed an emptied cluster at the farthest point, drawn

@@ -6,6 +6,7 @@ parsed as JSON to pin the machine-readable contract.
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -18,11 +19,13 @@ import numpy as np
 import pytest
 from conftest import micro_instance, micro_scenarios
 from helpers import random_allocation_case
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spothedge import formulations
 from spothedge.cli import main
-from spothedge.domain import (load_scenarios, save_instance, save_scenarios,
-                              validate_scenarios, load_instance)
+from spothedge.domain import (ElasticityCurve, load_scenarios, save_instance,
+                              save_scenarios, validate_scenarios, load_instance)
 from spothedge.linprog import INFEASIBLE, LpSolution
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
@@ -166,6 +169,23 @@ def test_solve_rejects_bad_gamma_and_alpha(capsys, micro_files):
     code, _, err = run(capsys, "solve", "--instance", str(ipath),
                        "--scenarios", str(spath), "--kind", "cvar",
                        "--alpha", "1.5")
+    assert code == 2 and stderr_json(err)["error"] == "usage"
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("solve", ["--kind", "cvar", "--alpha", "1e-310"]),
+    ("solve", ["--kind", "dro", "--epsilon", "inf"]),
+    ("sweep", ["--epsilon-grid", "1,inf"]),
+    ("sweep", ["--alpha-grid", "5e-324"]),
+], ids=["alpha_subnormal", "epsilon_inf", "epsilon_grid_inf", "alpha_grid_subnormal"])
+def test_parameters_with_an_infinite_objective_are_usage_errors(capsys, micro_files, tmp_path,
+                                                               command, flags):
+    """At the parent these exited 1 with a ValueError from the LP builder."""
+    ipath, spath = micro_files
+    qpath = tmp_path / "q.json"
+    qpath.write_text(json.dumps({"markets": ["hub"], "q": [[1.0]]}))
+    code, _, err = run(capsys, command, "--instance", str(ipath), "--scenarios", str(spath),
+                       "--q", str(qpath), *flags, "--out", str(tmp_path / "out"))
     assert code == 2 and stderr_json(err)["error"] == "usage"
 
 
@@ -534,6 +554,210 @@ def test_prepare_rejects_unknown_market_nodes(capsys, tmp_path):
 
 
 # ----------------------------------------------------------------------
+# config files
+
+def one_json_object(err: str) -> dict:
+    """stderr holds exactly one JSON object, on one line."""
+    assert err.endswith("\n") and err.count("\n") == 1
+    doc = json.loads(err)
+    assert isinstance(doc, dict)
+    return doc
+
+
+def run_in(capsys, monkeypatch, cwd, *argv):
+    """Run argv from a fresh directory cwd; also return the files it wrote there."""
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    code, stdout, err = run(capsys, *argv)
+    files = {path.relative_to(cwd).as_posix(): path.read_bytes()
+             for path in sorted(cwd.rglob("*")) if path.is_file()}
+    return code, stdout, err, files
+
+
+def write_config(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, entry, flags", [
+    ("sweep", {"lambda": "abc"}, ["--lambda", "abc"]),
+    ("sweep", {"lambda": True}, ["--lambda", "true"]),
+    ("solve", {"alpha": "x"}, ["--alpha", "x"]),
+    ("solve", {"gamma": [0.5, 1.5]}, ["--gamma", "0.5,1.5"]),
+    ("solve", {"kind": 3}, ["--kind", "3"]),
+    ("solve", {"instance": "\u0000"}, None),
+    ("solve", {"instance": "\ud800"}, None),
+], ids=["lambda_text", "lambda_bool", "alpha_text", "gamma_out_of_range", "kind_number",
+        "name_with_nul", "name_with_lone_surrogate"])
+def test_a_bad_config_entry_fails_as_its_flag_does(capsys, micro_files, tmp_path,
+                                                  command, entry, flags):
+    """Each entry goes through the flag's own parse: a value the flag
+    refuses exits 2 with one JSON usage error, the flag's own message, where
+    the parent exited 1 with a traceback ({"lambda": "abc"} in a sweep)."""
+    ipath, spath = micro_files
+    config = write_config(tmp_path / "config.json", entry)
+    base = [command, "--instance", str(ipath), "--scenarios", str(spath),
+            "--out", str(tmp_path / "out")]
+    code, _, err = run(capsys, *base, "--config", config)
+    doc = one_json_object(err)
+    assert code == 2 and doc["error"] == "usage"
+    assert doc["message"].startswith(f"argument --{next(iter(entry))}")
+    if flags is not None:  # no command line can carry these two names
+        assert run(capsys, *base, *flags) == (2, "", err)
+
+
+@pytest.mark.parametrize("command, entry, flags, other", [
+    ("sweep", {"lambda": [1]}, ["--lambda", "1"], ["--alpha-grid", "0.5", "--out", "o"]),
+    ("solve", {"alpha": [0.3]}, ["--alpha", "0.3"], ["--kind", "cvar"]),
+    ("solve", {"out": 3}, ["--out", "3"], []),
+], ids=["lambda_list", "alpha_list", "out_number"])
+def test_a_config_entry_runs_as_its_flag_does(capsys, monkeypatch, micro_files, tmp_path,
+                                              command, entry, flags, other):
+    """The parent exited 1 with a traceback on these entries; now a
+    one-item list reads as its item and a number as its digits, as the
+    flags --lambda 1, --alpha 0.3 and --out 3 do."""
+    ipath, spath = micro_files
+    config = write_config(tmp_path / "config.json", entry)
+    base = [command, "--instance", str(ipath), "--scenarios", str(spath), *other]
+    from_config = run_in(capsys, monkeypatch, tmp_path / "config", *base, "--config", config)
+    from_flags = run_in(capsys, monkeypatch, tmp_path / "flags", *base, *flags)
+    assert from_config == from_flags
+    code, stdout, err, files = from_config
+    assert code == 0 and stdout and err == ""
+    if "out" in entry:
+        assert list(files) == ["3/report.json"]
+
+
+def renamed_toy_csv(path):
+    with open(DATA / "toy_lmp.csv") as handle:
+        body = handle.read().split("\n", 1)[1]
+    path.write_text("when,where,lmp\n" + body)
+    return str(path)
+
+
+def test_config_and_flags_give_byte_identical_outputs(capsys, monkeypatch, micro_files,
+                                                      tmp_path):
+    ipath, spath = micro_files
+    qpath = tmp_path / "q.json"
+    qpath.write_text(json.dumps({"markets": ["hub"], "q": [[1.0]]}))
+    csv_path = renamed_toy_csv(tmp_path / "renamed.csv")
+    cases = {
+        "solve": ({"instance": str(ipath), "scenarios": str(spath), "kind": "cvar",
+                   "alpha": 0.5, "lambda": 0.2, "epsilon": None, "gamma": [0.5, 0.8],
+                   "out": "o"},
+                  ["--instance", str(ipath), "--scenarios", str(spath), "--kind", "cvar",
+                   "--alpha", "0.5", "--lambda", "0.2", "--gamma", "0.5,0.8", "--out", "o"]),
+        "sweep": ({"instance": str(ipath), "scenarios": str(spath), "alpha_grid": [0.5, 1.0],
+                   "lambda": 0.0, "epsilon_grid": [0, 5], "q": str(qpath),
+                   "dro_penalty": "per_period", "gamma": [0.5], "out": "o"},
+                  ["--instance", str(ipath), "--scenarios", str(spath),
+                   "--alpha-grid", "0.5,1.0", "--lambda", "0.0", "--epsilon-grid", "0,5",
+                   "--q", str(qpath), "--dro-penalty", "per_period", "--gamma", "0.5",
+                   "--out", "o"]),
+        "prepare": ({"instance": str(DATA / "toy_instance.json"), "raw_csv": csv_path,
+                     "columns": {"timestamp": "when", "node": "where", "price": "lmp"},
+                     "k": 4, "seed": 3, "out": "o"},
+                    ["--instance", str(DATA / "toy_instance.json"), "--raw-csv", csv_path,
+                     "--columns", "timestamp=when,node=where,price=lmp", "--k", "4",
+                     "--seed", "3", "--out", "o"]),
+    }
+    for command, (doc, flags) in cases.items():
+        config = write_config(tmp_path / f"{command}.json", doc)
+        from_config = run_in(capsys, monkeypatch, tmp_path / f"{command}_config",
+                             command, "--config", config)
+        from_flags = run_in(capsys, monkeypatch, tmp_path / f"{command}_flags",
+                            command, *flags)
+        assert from_config == from_flags, command
+        assert from_config[0] == 0 and from_config[3], command
+
+
+def test_config_keys_of_another_subcommand_are_ignored_and_unknown_keys_refused(
+        capsys, micro_files, tmp_path):
+    ipath, spath = micro_files
+    config = write_config(tmp_path / "config.json", {
+        "instance": str(ipath), "scenarios": str(spath),
+        "k": "not a count", "alpha_grid": [0.5], "seed": -1, "raw_csv": None})
+    code, stdout, _ = run(capsys, "solve", "--config", config)
+    assert code == 0
+    assert stdout == run(capsys, "solve", "--instance", str(ipath), "--scenarios", str(spath))[1]
+
+    config = write_config(tmp_path / "config.json", {"instance": str(ipath), "lam": 0.2})
+    code, _, err = run(capsys, "solve", "--config", config)
+    assert code == 2
+    assert one_json_object(err) == {"error": "usage", "message": "config has unknown keys ['lam']"}
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+JSON_VALUES = (JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3)
+               | st.dictionaries(st.text(max_size=8), JSON_SCALARS, max_size=3))
+
+# config key -> (subcommand, flags that leave the key the one input in question);
+# "out" is left out, as a drawn value would name a directory to create
+PROPERTY_RUNS = {
+    "instance": ("solve", []),
+    "scenarios": ("solve", ["--instance", "{instance}"]),
+    "kind": ("solve", ["--q", "{q}"]),
+    "alpha": ("solve", ["--kind", "cvar"]),
+    "lambda": ("solve", ["--kind", "cvar"]),
+    "epsilon": ("solve", ["--kind", "dro", "--q", "{q}"]),
+    "q": ("solve", ["--kind", "dro"]),
+    "dro_penalty": ("solve", ["--kind", "dro", "--q", "{q}"]),
+    "gamma": ("solve", []),
+    "alpha_grid": ("sweep", []),
+    "epsilon_grid": ("sweep", ["--q", "{q}"]),
+    "raw_csv": ("prepare", []),
+    "columns": ("prepare", ["--raw-csv", "{csv}"]),
+    "k": ("prepare", ["--raw-csv", "{csv}"]),
+    "seed": ("prepare", ["--raw-csv", "{csv}"]),
+}
+
+
+@pytest.fixture(scope="module")
+def property_files(tmp_path_factory):
+    """Micro-instance inputs, with an elasticity rule and a six-hour price
+    history for prepare."""
+    root = tmp_path_factory.mktemp("property")
+    instance = dataclasses.replace(micro_instance(),
+                                   elasticity={"hub": ElasticityCurve(1, 100.0, 0.0)})
+    files = {name: root / name for name in ("instance.json", "scenarios.json", "q.json",
+                                            "history.csv")}
+    save_instance(instance, files["instance.json"])
+    save_scenarios(micro_scenarios(), files["scenarios.json"])
+    files["q.json"].write_text(json.dumps({"markets": ["hub"], "q": [[1.0]]}))
+    files["history.csv"].write_text("timestamp,node,price\n" + "".join(
+        f"t{t},hub,{price}\nt{t},SYSTEM,35\n"
+        for t, price in enumerate((50, 20, 45, 25, 30, 40))))
+    return {"instance": str(files["instance.json"]), "scenarios": str(files["scenarios.json"]),
+            "q": str(files["q.json"]), "csv": str(files["history.csv"]), "out": str(root / "out")}
+
+
+@pytest.mark.parametrize("key", list(PROPERTY_RUNS))
+@settings(max_examples=12, deadline=None)
+@given(value=JSON_VALUES)
+def test_any_json_config_value_exits_cleanly(property_files, key, value):
+    """Whatever JSON a config entry holds, the run succeeds or fails with
+    exit 2 or 3 and one JSON object on stderr, never with a traceback."""
+    command, flags = PROPERTY_RUNS[key]
+    inputs = {"instance": ["--instance", property_files["instance"]],
+              "scenarios": ["--scenarios", property_files["scenarios"]]}
+    if command == "prepare":
+        inputs.pop("scenarios")
+    inputs.pop(key, None)
+    config = pathlib.Path(property_files["out"] + ".json")
+    config.write_text(json.dumps({key: value}))
+    argv = [command, *(arg for pair in inputs.values() for arg in pair),
+            *(arg.format(**property_files) for arg in flags),
+            "--out", property_files["out"], "--config", str(config)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    assert (code == 0) == (stderr.getvalue() == "")
+    if code:
+        one_json_object(stderr.getvalue())
+
+
+# ----------------------------------------------------------------------
 # validate
 
 def test_validate_accepts_good_pair(capsys, micro_files):
@@ -575,6 +799,19 @@ def test_unreadable_scenarios_are_io_and_parse_errors(capsys, micro_files, tmp_p
     assert stderr_json(err) == {
         "error": "parse", "message": f"scenarios {bad}: Expecting property name enclosed "
                                      "in double quotes: line 1 column 2 (char 1)"}
+
+
+def test_a_fractional_scenario_index_is_a_parse_error(capsys, micro_files, tmp_path):
+    ipath, spath = micro_files
+    doc = json.loads(spath.read_text())
+    doc["spot"][1]["scenario"] = 1.5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "validate", "--instance", str(ipath), "--scenarios", str(bad))
+    assert code == 2
+    assert stderr_json(err) == {
+        "error": "parse", "message": f"scenarios {bad}: spot entry: 'scenario' must be "
+                                     "a non-negative integer, got 1.5"}
 
 
 def test_q_file_market_order_is_aligned(tmp_path):

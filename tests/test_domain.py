@@ -177,6 +177,42 @@ def test_scenarios_from_dict_rejects_duplicates_and_holes():
         scenarios_from_dict(stray)
 
 
+def test_a_negative_step_cannot_overwrite_the_last_tranche():
+    """At the parent, an extra entry with step -1 and price 99 was accepted
+    and silently replaced east's last tranche price (45 -> 99) through
+    negative indexing."""
+    doc = scenarios_to_dict(small_scenarios())
+    last = next(e for e in doc["spot"] if e["market"] == "east" and e["step"] == 1)
+    doc["spot"].append(dict(last, step=-1, price=99.0))
+    with pytest.raises(ValueError, match="'step' must be a non-negative integer, got -1"):
+        scenarios_from_dict(doc)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("step", 0.5), ("period", 1.0), ("scenario", True), ("scenario", "0"), ("period", -2),
+])
+def test_scenario_indices_must_be_non_negative_json_integers(field, value):
+    doc = scenarios_to_dict(small_scenarios())
+    doc["spot"][0][field] = value
+    with pytest.raises(ValueError, match=f"spot entry: '{field}' must be a non-negative "
+                                         f"integer, got {value!r}"):
+        scenarios_from_dict(doc)
+
+
+@pytest.mark.parametrize("where, value", [
+    ("periods", 2.7), ("periods", True), ("periods", -1), ("steps", 3.9), ("steps", "4"),
+])
+def test_instance_counts_must_be_non_negative_json_integers(where, value):
+    """At the parent "periods": 2.7 loaded as 2 and "steps": 3.9 as 3."""
+    doc = instance_to_dict(small_instance())
+    if where == "periods":
+        doc["periods"] = value
+    else:
+        doc["elasticity"]["east"]["steps"] = value
+    with pytest.raises(ValueError, match=f"'{where}' must be a non-negative integer"):
+        instance_from_dict(doc)
+
+
 def test_missing_required_field_is_named():
     with pytest.raises(ValueError, match="missing required field 'periods'"):
         instance_from_dict({"markets": ["east"], "supply_steps": [],

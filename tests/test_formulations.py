@@ -227,6 +227,27 @@ def test_parameter_range_errors(canonical):
         build_dro(instance, scenarios, epsilon=1.0, q_matrix=np.eye(2))
 
 
+def test_builders_check_parameters_through_the_config(canonical):
+    """build_cvar and build_dro apply FormulationConfig's ranges, including
+    the finite 1/alpha and epsilon that keep every objective coefficient
+    finite: at the parent alpha 1e-310 and epsilon inf reached the LP and
+    failed its objective check with a bare ValueError."""
+    instance, scenarios = canonical
+    for kwargs in (dict(kind=CVAR, alpha=1e-310), dict(kind=DRO, epsilon=math.inf)):
+        with pytest.raises(ParameterOutOfRange):
+            FormulationConfig(**kwargs)
+    with pytest.raises(ParameterOutOfRange, match="finite 1/alpha"):
+        build_cvar(instance, scenarios, alpha=5e-324, lam=0.5)
+    with pytest.raises(ParameterOutOfRange, match="lambda"):
+        build_cvar(instance, scenarios, alpha=0.5, lam=-0.1)
+    with pytest.raises(ParameterOutOfRange, match="epsilon must be finite"):
+        build_dro(instance, scenarios, epsilon=math.inf, q_matrix=np.eye(1))
+    with pytest.raises(ParameterOutOfRange, match="dro_penalty"):
+        build_dro(instance, scenarios, epsilon=1.0, q_matrix=np.eye(1), dro_penalty="bogus")
+    lp, _ = build_cvar(instance, scenarios, alpha=np.finfo(float).tiny, lam=0.5)
+    assert np.isfinite(lp.objective).all()
+
+
 def test_structurally_infeasible_instance_raises():
     instance = MarketInstance(
         markets=("hub",),

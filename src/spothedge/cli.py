@@ -15,7 +15,9 @@ hyphens), ahead of the command line, so explicit flags win: a list is
 joined with commas, an object becomes key=value pairs, null is skipped and
 another subcommand's flag is ignored.  The model's defaults live in
 FormulationConfig and metrics.sweep, the CLI's own in argparse.  Outputs
-are deterministic byte for byte for a fixed seed and input files.
+are deterministic byte for byte for a fixed seed and input files;
+prepare --k auto runs its k-means scan in forked workers, one per CPU
+(pipeline.kmeans_scan), and the outputs do not depend on how many.
 
 Exit codes: 0 success, 2 bad input, 3 solver failure.  Any failure prints a
 single JSON object to stderr, e.g. {"error": "io", "message": "..."}.
@@ -37,7 +39,7 @@ from .domain import (MarketInstance, ScenarioSet, instance_from_dict,
 from .linprog import NumericalFailure
 from .pipeline import (DEFAULT_COLUMNS, MissingObservation, NotPositiveDefinite,
                        ParseError, estimate_q, ingest_lmp_csv, kmeans_reduce,
-                       knee_point, scenarios_from_representatives)
+                       kmeans_scan, knee_point, scenarios_from_representatives)
 
 MAX_AUTO_K = 10
 
@@ -85,6 +87,8 @@ def _load_json(path, what: str) -> dict:
         raise CliError("io", f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:  # not JSON, or not UTF-8
         raise CliError("parse", f"{what} {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise CliError("parse", f"{what} {path} nests too deeply: {exc}") from exc
 
 
 def _load_instance(path) -> MarketInstance:
@@ -106,7 +110,7 @@ def _read_scenarios(path) -> ScenarioSet:
         return load_scenarios(path)
     except OSError as exc:
         raise CliError("io", f"cannot read scenarios {path}: {exc}") from exc
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise CliError("parse", f"scenarios {path}: {exc}") from exc
 
 
@@ -123,15 +127,25 @@ def _load_scenario_set(path, instance: MarketInstance) -> ScenarioSet:
 
 def _load_q(path, instance: MarketInstance) -> np.ndarray:
     doc = _load_json(path, "q file")
+    if not isinstance(doc, dict):
+        raise CliError("parse", f"q file {path} must be a JSON object")
     if "q" not in doc:
         raise CliError("parse", f"q file {path} has no 'q' entry")
-    q = np.asarray(doc["q"], dtype=float)
+    try:
+        q = np.asarray(doc["q"], dtype=float)
+    except (ValueError, TypeError) as exc:  # text, or rows of unequal length
+        raise CliError("parse", f"q file {path}: 'q' is not a matrix of numbers: "
+                                f"{exc}") from exc
     n_m = len(instance.markets)
     if q.shape != (n_m, n_m):
         raise CliError("data", f"q file {path}: expected a {n_m}x{n_m} matrix, "
                                f"got shape {list(q.shape)}")
+    if not np.isfinite(q).all():
+        raise CliError("data", f"q file {path}: the matrix holds non-finite entries")
     order = doc.get("markets")
     if order is not None:
+        if not (isinstance(order, list) and all(isinstance(m, str) for m in order)):
+            raise CliError("parse", f"q file {path}: 'markets' must be a list of names")
         if sorted(order) != sorted(instance.markets):
             raise CliError("data", f"q file {path} covers markets {order}, "
                                    f"instance has {list(instance.markets)}")
@@ -362,10 +376,11 @@ def _cmd_prepare(args) -> int:
 
     if args.k is None:
         ks = list(range(1, min(MAX_AUTO_K, n_obs) + 1))
-        runs = [kmeans_reduce(matrix, k, seed=args.seed) for k in ks]
-        chosen_k = knee_point(ks, [run.inertia for run in runs])
-        reduced = runs[ks.index(chosen_k)]  # k-means is deterministic: no second run
-        curve = [[k, run.inertia] for k, run in zip(ks, runs)]
+        # through this module's name, so that a caller can wrap every run
+        runs = kmeans_scan(matrix, ks, args.seed, kmeans_reduce)
+        chosen_k = knee_point(ks, [runs[k].inertia for k in ks])
+        reduced = runs[chosen_k]  # k-means is deterministic: no second run
+        curve = [[k, runs[k].inertia] for k in ks]
         k_mode = "auto"
     else:
         chosen_k = args.k

@@ -23,7 +23,7 @@ inputs the allocation models need:
    and shrink by how far the centroids moved (triangle inequality, rounded
    outward).  A row whose bounds stay apart by more than the rounding of
    the exact distances keeps its label unscreened (Hamerly, SDM 2010).  The
-   other rows are screened with one GEMM of ||c||^2 - 2 C x^T, which also
+   other rows are screened with the GEMM ||c||^2 - 2 C x^T, which also
    resets their bounds; a round in which some screened row's best and
    runner-up lie within the rounding bound uses the exact distances of all
    rows instead, so the labels are always the exact argmin.  The first
@@ -35,7 +35,17 @@ inputs the allocation models need:
    Centroid sums come from bincount, which adds the members in row order
    as a boolean-mask mean does.  The final pass needs each row's distance
    to its own centroid only.  The exact distances are built in row blocks,
-   never as a whole (n, k, M) tensor.
+   never as a whole (n, k, M) tensor, and the screen runs in column blocks
+   small enough that OpenBLAS keeps each product on one thread, so that
+   k-means runs in parallel processes do not each wake a thread pool on
+   the same CPUs; blocks cannot change a label, which comes from a proven
+   bound or from the exact distances.
+   kmeans_scan runs kmeans_reduce for several k at once: the process and
+   min(cpus, len(ks)) - 1 forked children take the k values from a pipe,
+   largest (slowest) first, and the children send their results back
+   pickled.  With one CPU, or off Linux, there are no children; the parent
+   computes any k a dead child did not send, and reaps every child before
+   it returns or raises.
 3. knee_point: picks k on an inertia curve by the largest perpendicular
    distance to the chord between the curve's endpoints.
 4. estimate_q: sample covariance (divisor n-1) of nodal deviations from the
@@ -52,6 +62,8 @@ import csv
 import itertools
 import math
 import operator
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +85,12 @@ KMEANS_BLOCK = 1 << 17  # floats in one block of exact differences
 KMEANS_TINY = 1e-300
 EPS = np.finfo(float).eps
 OUTWARD = 8 * EPS  # relative widening that rounds a bound outward
+# OpenBLAS runs a GEMM of m * n * k at most this, and a GEMV of m * n below
+# this, on the calling thread alone (interface/gemm.c and gemv.c)
+BLAS_GEMM_ONE_THREAD = 1 << 18
+BLAS_GEMV_ONE_THREAD = 9216
+SCAN_RECORD = 2  # bytes of one entry in kmeans_scan's queue
+SCAN_MAX_KS = 4096 // SCAN_RECORD  # entries that fit a pipe of one page
 
 
 class ParseError(ValueError):
@@ -331,7 +349,7 @@ def _own_sq_dist(x, centroids, labels):
 
 
 def _nearest_screen(points_t, points_sq, centroids):
-    """Nearest centroid of some rows by one GEMM, with distance bounds.
+    """Nearest centroid of some rows by GEMM, with distance bounds.
 
     The rows are given as points^T, with their squared norms.
     g = ||c||^2 - 2 C p^T differs from the squared distances by ||p||^2, the
@@ -343,22 +361,33 @@ def _nearest_screen(points_t, points_sq, centroids):
     and the exact distances must decide.  Otherwise it returns the labels,
     an upper bound sqrt(||p||^2 + best + err) on each row's distance to its
     centroid and a lower bound sqrt(||p||^2 + runner-up - err) on its
-    distance to every other centroid, both rounded outward.
+    distance to every other centroid, both rounded outward.  The rows go
+    through in blocks that keep every BLAS call on one thread.
     """
-    n_m = points_t.shape[0]
+    (n_m, n), k = points_t.shape, centroids.shape[0]
+    # a one-row GEMM is a GEMV of M x step, the label product one of k x step
+    step = max(1, min(BLAS_GEMM_ONE_THREAD // (k * n_m),
+                      (BLAS_GEMV_ONE_THREAD - 1) // max(k, n_m)))
+    scaled = -2.0 * centroids
     c_sq = np.einsum("km,km->k", centroids, centroids)
-    g = (-2.0 * centroids) @ points_t
-    g += c_sq[:, None]
-    best = g.min(axis=0)
+    cluster = np.arange(k, dtype=float)
     err = 8 * (n_m + 2) * EPS * (points_sq + c_sq.max()) + KMEANS_TINY
-    near = g <= best + err
-    if np.count_nonzero(near) != points_t.shape[1]:  # a near tie, or NaN from overflow
-        return None
-    np.copyto(g, np.inf, where=near)
-    runner = g.min(axis=0)
-    # the one cluster near the best, as one BLAS product over near held in g
-    np.copyto(g, near)
-    labels = (np.arange(centroids.shape[0], dtype=float) @ g).astype(int)
+    labels = np.empty(n, dtype=int)
+    best = np.empty(n)
+    runner = np.empty(n)
+    for lo in range(0, n, step):
+        block = slice(lo, lo + step)
+        g = scaled @ points_t[:, block]
+        g += c_sq[:, None]
+        best[block] = g.min(axis=0)
+        near = g <= best[block] + err[block]
+        if np.count_nonzero(near) != g.shape[1]:  # a near tie, or NaN from overflow
+            return None
+        np.copyto(g, np.inf, where=near)
+        runner[block] = g.min(axis=0)
+        # the one cluster near the best, as one BLAS product over near held in g
+        np.copyto(g, near)
+        labels[block] = cluster @ g
     upper = np.sqrt(points_sq + best + err) * (1 + OUTWARD)
     lower = np.sqrt(np.maximum(points_sq + runner - err, 0.0)) * (1 - OUTWARD)
     return labels, upper, lower
@@ -460,6 +489,103 @@ def kmeans_reduce(matrix, k: int, seed: int = 0) -> ReducedScenarios:
     return ReducedScenarios(representatives=x[reps], representative_indices=reps,
                             probabilities=probabilities, labels=labels,
                             centroids=centroids, inertia=inertia)
+
+
+def kmeans_scan(matrix, ks, seed: int = 0, reduce=None) -> dict:
+    """{k: reduce(matrix, k, seed=seed)} for every k in ks, computed on
+    every CPU this process may use; reduce defaults to kmeans_reduce and
+    must be deterministic, as the result may come from any process.
+
+    The queue is a pipe holding one record per k, largest k first; a read
+    of one whole record is atomic on Linux, and every record is in the pipe
+    before the first read.  The parent takes the first k before it forks,
+    so it runs at least one.  Each child sends its runs when the queue is
+    empty and exits 0; the runs of a child that exits otherwise are computed
+    again by the parent.  At most SCAN_MAX_KS values of k.
+
+    Children are forked, not spawned: a spawned one would import numpy and
+    the package afresh and be sent the matrix, which takes longer than most
+    runs.  The CLI starts no Python thread, and OpenBLAS stops its own pool
+    at a fork.
+    """
+    reduce = kmeans_reduce if reduce is None else reduce
+    order = sorted(set(ks), reverse=True)  # a larger k takes longer
+    if len(order) > SCAN_MAX_KS:
+        raise ValueError(f"kmeans_scan takes at most {SCAN_MAX_KS} values of k")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    queue, feed = os.pipe()
+    runs, children, codes = {}, {}, {}
+    try:
+        with os.fdopen(feed, "wb") as sink:
+            sink.write(b"".join(i.to_bytes(SCAN_RECORD, "little") for i in range(len(order))))
+        k = _take(queue, order)
+        for _ in range(min(cpus, len(order)) - 1):
+            child = _fork_worker(queue, order, matrix, seed, reduce)
+            if child is None:
+                break
+            children[child[0]] = child[1]
+        while k is not None:
+            runs[k] = reduce(matrix, k, seed=seed)
+            k = _take(queue, order)
+        sent = {pid: _drain(results) for pid, results in children.items()}
+    finally:
+        _drain(queue)  # after an exception, a child stops once its k is done
+        os.close(queue)
+        for pid, results in children.items():
+            os.close(results)  # a child still writing gets EPIPE and exits
+            codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    for pid, data in sent.items():
+        if codes[pid] == 0 and data:
+            for k, fields in pickle.loads(data).items():
+                runs[k] = ReducedScenarios(**fields)
+    for k in order:
+        if k not in runs:  # taken by a child that died
+            runs[k] = reduce(matrix, k, seed=seed)
+    return {k: runs[k] for k in ks}
+
+
+def _take(queue, order):
+    """The k of the next record in the queue, None once it is empty."""
+    record = os.read(queue, SCAN_RECORD)
+    return order[int.from_bytes(record, "little")] if record else None
+
+
+def _drain(fd) -> bytes:
+    """Everything left to read from a pipe, up to its end."""
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _fork_worker(queue, order, matrix, seed, reduce):
+    """(pid, read end of its result pipe) of a forked child that runs every
+    k it takes from the queue, then writes their fields as one pickle and
+    exits 0; None when no pipe or process can be made."""
+    try:
+        results, sink = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(results)
+        os.close(sink)
+        return None
+    if pid:
+        os.close(sink)
+        return pid, results
+    code = 1
+    try:
+        os.close(results)
+        done = {}
+        while (k := _take(queue, order)) is not None:
+            done[k] = vars(reduce(matrix, k, seed=seed))
+        with os.fdopen(sink, "wb") as out:
+            pickle.dump(done, out, protocol=pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)  # never return into the parent's stack or flush its buffers
 
 
 def knee_point(ks, inertias) -> int:

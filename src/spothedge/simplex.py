@@ -903,10 +903,12 @@ def _matrix_form(lp):
     n = lp.num_variables
     a_struct, b, relations = lp.dense()
     m = lp.num_rows
-    # CSC of [A | I]; np.nonzero on A^T walks it column by column
-    cols, rows = np.nonzero(a_struct.T)
+    # CSC of [A | I]: the nonzeros in row-major order, stably sorted by column
+    flat = np.flatnonzero(a_struct != 0)
+    flat = flat[np.argsort(flat % n, kind="stable")]
+    rows, cols = np.divmod(flat, n)
     indices = np.concatenate([rows, np.arange(m)])
-    data = np.concatenate([a_struct[rows, cols], np.ones(m)])
+    data = np.concatenate([a_struct.ravel()[flat], np.ones(m)])
     indptr = np.concatenate([np.searchsorted(cols, np.arange(n)),
                              cols.size + np.arange(m + 1)])
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import pathlib
 
 import numpy as np
+import pytest
 
 from spothedge.domain import (Contract, MarketInstance, ScenarioSet,
                               SupplyStep, load_instance, validate_instance,
@@ -17,6 +19,13 @@ from spothedge.pipeline import (PriceHistory, ReducedScenarios, estimate_q, inge
 from spothedge.simplex import _AT_LOWER, _AT_UPPER, _FREE, OPTIMALITY_TOL
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
+
+
+def assert_reaped(pids) -> None:
+    """No process of pids but this one is left, not even as a zombie."""
+    for pid in set(pids) - {os.getpid()}:
+        with pytest.raises(ProcessLookupError):  # a zombie still takes signal 0
+            os.kill(pid, 0)
 
 RELATION_POOL = ("<=", "<=", ">=", ">=", "==")
 

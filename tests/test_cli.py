@@ -18,7 +18,7 @@ import sys
 import numpy as np
 import pytest
 from conftest import micro_instance, micro_scenarios
-from helpers import random_allocation_case
+from helpers import assert_reaped, random_allocation_case
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -274,6 +274,37 @@ def test_malformed_json_is_parse_error(capsys, tmp_path):
     assert stderr_json(err)["error"] == "parse"
 
 
+@pytest.mark.parametrize("doc, kind", [
+    ({"q": "abc"}, "parse"), ({"q": [[1, 2], [3]]}, "parse"), (["q"], "parse"),
+    ("q", "parse"), ({"q": [[1.0]], "markets": 1}, "parse"),
+    ({"q": [[float("nan")]]}, "data"), ({"q": [[float("inf")]]}, "data")],
+    ids=["q_text", "q_ragged", "list", "string", "markets_number", "nan", "inf"])
+def test_a_malformed_q_file_exits_2(capsys, micro_files, tmp_path, doc, kind):
+    ipath, spath = micro_files
+    qpath = tmp_path / "q.json"
+    qpath.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "solve", "--instance", str(ipath), "--scenarios", str(spath),
+                       "--kind", "dro", "--q", str(qpath))
+    assert code == 2
+    assert stderr_json(err)["error"] == kind
+
+
+@pytest.mark.parametrize("flag", ["--config", "--instance", "--scenarios", "--q"])
+def test_json_nested_past_the_recursion_limit_is_a_parse_error(capsys, micro_files,
+                                                              tmp_path, flag):
+    ipath, spath = micro_files
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    argv = {"--config": ["--config", deep],
+            "--instance": ["--instance", deep],
+            "--scenarios": ["--instance", ipath, "--scenarios", deep],
+            "--q": ["--instance", ipath, "--scenarios", spath, "--q", deep]}[flag]
+    code, _, err = run(capsys, "solve", "--kind", "dro", *map(str, argv))
+    assert code == 2
+    assert stderr_json(err)["error"] == "parse"
+    assert str(deep) in stderr_json(err)["message"]
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, _, err = run(capsys, "sweep", "--nonsense")
     assert code == 2
@@ -455,16 +486,91 @@ def test_prepare_outputs_match_recorded_digests(capsys, tmp_path, k_args):
     assert digests == PREPARE_DIGESTS[k_args]
 
 
-def test_prepare_auto_runs_kmeans_once_per_curve_point(capsys, tmp_path, monkeypatch):
+def record_kmeans_runs(monkeypatch, log, exit_on=None):
+    """Make every process append "pid k" to log for each k-means run it
+    makes through the CLI; a forked worker calls os._exit(exit_on[1]) on
+    its exit_on[0]-th run instead."""
     from spothedge import cli
 
-    ks = []
-    kmeans = cli.kmeans_reduce
-    monkeypatch.setattr(cli, "kmeans_reduce", lambda m, k, seed: ks.append(k) or kmeans(m, k, seed))
+    kmeans, parent, runs = cli.kmeans_reduce, os.getpid(), []
+
+    def recorded(matrix, k, seed):
+        runs.append(k)  # each process counts its own, from its fork on
+        if exit_on is not None and os.getpid() != parent and len(runs) == exit_on[0]:
+            os._exit(exit_on[1])
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()} {k}\n")
+        return kmeans(matrix, k, seed)
+
+    monkeypatch.setattr(cli, "kmeans_reduce", recorded)
+
+
+def logged_runs(log) -> tuple[set[int], list[int]]:
+    """The pids and the k values of the runs record_kmeans_runs logged."""
+    pairs = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    return {pid for pid, _ in pairs}, sorted(k for _, k in pairs)
+
+
+def test_prepare_auto_runs_kmeans_once_per_curve_point(capsys, tmp_path, monkeypatch):
+    log = tmp_path / "runs.log"
+    record_kmeans_runs(monkeypatch, log)
     code, _, _ = run(capsys, "prepare", "--instance", str(DATA / "toy_instance.json"),
                      "--raw-csv", str(DATA / "toy_lmp.csv"), "--out", str(tmp_path / "p"))
     assert code == 0
+    pids, ks = logged_runs(log)
     assert ks == list(range(1, 11))  # the chosen k reuses its curve run
+    assert os.getpid() in pids  # the parent runs at least one k itself
+    assert_reaped(pids)
+
+
+def gen_case(directory: pathlib.Path, hours: int, nodes: int, seed):
+    """History and instance paths of a bench/gen.py case."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("gen", DATA.parent / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    directory.mkdir()
+    csv_path, instance_path, *_ = gen.write_case(directory, hours, nodes, seed)
+    return csv_path, instance_path
+
+
+def prepare_outputs(capsys, tmp_path, name, csv_path, instance_path) -> dict:
+    out = tmp_path / name
+    code, stdout, _ = run(capsys, "prepare", "--instance", str(instance_path),
+                          "--raw-csv", str(csv_path), "--out", str(out))
+    assert code == 0
+    return {"stdout": stdout.encode(),
+            **{path.name: path.read_bytes() for path in sorted(out.iterdir())}}
+
+
+@pytest.mark.parametrize("case", ["toy", "gen_3000h_8_nodes"])
+def test_prepare_auto_outputs_do_not_depend_on_the_cpu_count(capsys, tmp_path, monkeypatch,
+                                                             case):
+    if case == "toy":
+        inputs = DATA / "toy_lmp.csv", DATA / "toy_instance.json"
+    else:
+        inputs = gen_case(tmp_path / "case", 3000, 8, 5)
+    default = prepare_outputs(capsys, tmp_path, "default", *inputs)
+    for cpus in (1, 4):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        assert prepare_outputs(capsys, tmp_path, f"cpus{cpus}", *inputs) == default
+
+
+@pytest.mark.parametrize("code", [0, 1])
+def test_prepare_auto_survives_a_worker_that_exits_partway(capsys, tmp_path, monkeypatch,
+                                                           code):
+    inputs = DATA / "toy_lmp.csv", DATA / "toy_instance.json"
+    want = prepare_outputs(capsys, tmp_path, "want", *inputs)
+    log = tmp_path / "runs.log"
+    # three workers besides the parent, each leaving on its second k
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    record_kmeans_runs(monkeypatch, log, exit_on=(2, code))
+    assert prepare_outputs(capsys, tmp_path, "got", *inputs) == want
+    pids, ks = logged_runs(log)
+    assert set(ks) == set(range(1, 11))
+    assert len(pids) > 1  # the workers ran a first k each before they left
+    assert_reaped(pids)
 
 
 def test_prepare_column_map_and_errors(capsys, tmp_path):
@@ -827,6 +933,21 @@ def test_q_file_market_order_is_aligned(tmp_path):
                                  "q": [[1.0, 0.0], [2.0, 3.0]]}))
     q = _load_q(qpath, instance)
     np.testing.assert_allclose(q, [[2.0, 3.0], [1.0, 0.0]])
+
+
+def test_importing_the_cli_starts_no_process_machinery():
+    """A fresh import of spothedge.cli loads neither multiprocessing nor
+    concurrent: either adds milliseconds to every start of the tool."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("import json, sys, spothedge.cli; print(json.dumps(sorted("
+              "name for name in sys.modules "
+              "if name.partition('.')[0] in ('multiprocessing', 'concurrent'))))")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == []
 
 
 # prepare, solve and sweep on the bundled data, then the scipy modules loaded

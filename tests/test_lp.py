@@ -8,7 +8,7 @@ import pytest
 from bruteforce import DimensionTooLarge, brute_force_solve
 from helpers import lp_to_text, random_lp, toy_case
 from spothedge import simplex
-from spothedge.formulations import (CVAR, DRO, PER_SCENARIO, RISK_NEUTRAL,
+from spothedge.formulations import (CVAR, DRO, PER_PERIOD, PER_SCENARIO, RISK_NEUTRAL,
                                     FormulationConfig, build)
 from spothedge.linprog import (INFEASIBLE, OPTIMAL, UNBOUNDED, Basis,
                                LinearProgram, NumericalFailure)
@@ -588,3 +588,28 @@ def test_cold_toy_solves_take_at_most_half_the_primal_iterations(kind, before):
     sol = solve(build(instance, scenarios, config)[0])
     assert sol.status == OPTIMAL
     assert sol.iterations <= before // 2
+
+
+def csc_of_the_transpose(lp):
+    """indptr, indices and data of [A | I] from np.nonzero on A^T, the walk
+    _matrix_form used before it sorted the row-major nonzeros by column."""
+    a, _, _ = lp.dense()
+    (m, n), (cols, rows) = a.shape, np.nonzero(a.T)
+    return (np.concatenate([np.searchsorted(cols, np.arange(n)), cols.size + np.arange(m + 1)]),
+            np.concatenate([rows, np.arange(m)]),
+            np.concatenate([a[rows, cols], np.ones(m)]))
+
+
+def test_matrix_form_builds_the_csc_of_the_transposed_walk():
+    instance, scenarios, q = toy_case(8)
+    configs = (FormulationConfig(), FormulationConfig(kind=CVAR, alpha=0.25, lam=0.2),
+               FormulationConfig(kind=DRO, epsilon=1.0, q_matrix=q, dro_penalty=PER_SCENARIO),
+               FormulationConfig(kind=DRO, epsilon=1.0, q_matrix=q, dro_penalty=PER_PERIOD))
+    rng = np.random.default_rng(3)
+    lps = [small_knapsack(), *(random_lp(rng) for _ in range(20)),
+           *(build(instance, scenarios, config)[0] for config in configs)]
+    for lp in lps:
+        got = simplex._matrix_form(lp)[:3]
+        for a, b in zip(got, csc_of_the_transpose(lp)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+

@@ -15,10 +15,11 @@ Frozen oracles used here, all checked by hand:
 
 import csv
 import math
+import os
 
 import numpy as np
 import pytest
-from helpers import DATA, kmeans_reduce_einsum
+from helpers import DATA, assert_reaped, kmeans_reduce_einsum
 
 from spothedge import pipeline
 from spothedge.domain import (Contract, ElasticityCurve, MarketInstance,
@@ -496,6 +497,84 @@ def test_kmeans_screens_few_rows_after_the_first_round(monkeypatch):
     first, *later = screened
     assert first == x.shape[0] and len(later) >= 10
     assert sum(later) < 0.25 * len(later) * x.shape[0]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_kmeans_screen_in_small_blocks_equals_the_oracle(order, monkeypatch):
+    # blocks of a few rows: a near tie in a later block still sends the
+    # round to the exact distances, after earlier blocks have reset bounds
+    monkeypatch.setattr(pipeline, "BLAS_GEMM_ONE_THREAD", 64)
+    monkeypatch.setattr(pipeline, "BLAS_GEMV_ONE_THREAD", 40)
+    calls = count_exact_rounds(monkeypatch)
+    rng = np.random.default_rng(15)
+    for x in (mixture(rng, 600, 3), rng.integers(0, 4, size=(120, 2)).astype(float)):
+        x = np.asarray(x, order=order)
+        for k in (1, 2, 5, 10):
+            assert_same_reduction(x, k, 4)
+    assert calls
+
+
+def scan_log(log, fail_on=None):
+    """kmeans_reduce that appends "pid k" to log for every run and raises
+    ValueError in the calling process instead of running k = fail_on."""
+    parent = os.getpid()
+
+    def logged(matrix, k, seed):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()} {k}\n")
+        if k == fail_on and os.getpid() == parent:
+            raise ValueError("no k-means here")
+        return kmeans_reduce(matrix, k, seed=seed)
+    return logged
+
+
+def logged_pids(log) -> set[int]:
+    return {int(line.split()[0]) for line in log.read_text().splitlines()}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 5, 64])
+def test_kmeans_scan_equals_one_reduction_per_k(monkeypatch, tmp_path, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    x = mixture(np.random.default_rng(16), 3000, 4)
+    ks = [3, 1, 7, 2, 9, 5]
+    log = tmp_path / "runs.log"
+    runs = pipeline.kmeans_scan(x, ks, 6, scan_log(log))
+    assert list(runs) == ks
+    for k in ks:
+        want = kmeans_reduce(x, k, seed=6)
+        for name in FIELDS:
+            got = getattr(runs[k], name)
+            assert np.array_equal(got, getattr(want, name)), (name, k)
+            assert np.asarray(got).dtype == np.asarray(getattr(want, name)).dtype
+            if name != "inertia":
+                assert not got.flags.writeable, name
+    pids = logged_pids(log)
+    assert os.getpid() in pids and len(pids) <= min(cpus, len(ks))
+    assert_reaped(pids)
+
+
+def test_kmeans_scan_runs_everything_itself_when_it_cannot_fork(monkeypatch, tmp_path):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+    def no_fork():
+        raise BlockingIOError("fork: Resource temporarily unavailable")
+    monkeypatch.setattr(os, "fork", no_fork)
+    x = mixture(np.random.default_rng(17), 500, 3)
+    log = tmp_path / "runs.log"
+    runs = pipeline.kmeans_scan(x, range(1, 6), 0, scan_log(log))
+    assert logged_pids(log) == {os.getpid()}
+    assert [runs[k].inertia for k in range(1, 6)] == \
+        [kmeans_reduce(x, k, seed=0).inertia for k in range(1, 6)]
+
+
+def test_kmeans_scan_reaps_its_workers_when_the_parent_raises(monkeypatch, tmp_path):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    x = mixture(np.random.default_rng(18), 2000, 3)
+    log = tmp_path / "runs.log"
+    with pytest.raises(ValueError, match="no k-means here"):
+        # the parent takes the largest k first
+        pipeline.kmeans_scan(x, range(1, 9), 0, scan_log(log, fail_on=8))
+    assert_reaped(logged_pids(log))
 
 
 def test_kmeans_equals_the_oracle_on_the_toy_history():

@@ -1,70 +1,41 @@
-"""Regenerate data/toy_lmp.csv and data/toy_instance.json.
+"""Regenerate toy_lmp.csv and toy_instance.json, by default into data/.
 
-The CSV is a long-format hourly price history: 200 timestamps, three market
-nodes plus the SYSTEM row, 800 data rows total.  Prices follow a daily sine
-swell around $35 with node-specific basis offsets and noise, rounded to
-cents.  Everything is seeded, so the committed files are reproducible.
+    python scripts/make_toy_csv.py [--out DIR]
+
+Both come from the benchmark's generator, bench/gen.py, at the toy's size:
+the CSV is a long-format hourly price history of 200 timestamps, three
+market nodes (ALPHA, BRAVO, CHARLIE) plus the SYSTEM row, 800 data rows in
+all, from seed 20240101; the instance is gen.instance_doc over those three
+markets.  Everything is seeded, so the committed files are reproducible
+byte for byte.
 """
 
-import csv
-import json
-import pathlib
-from datetime import datetime, timedelta
+from __future__ import annotations
 
-import numpy as np
+import argparse
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+import gen  # noqa: E402
 
 HOURS = 200
-NODES = {"ALPHA": 1.5, "BRAVO": -0.8, "CHARLIE": 0.3}  # basis vs system
+SEED = 20240101
 
 
-def main() -> None:
-    root = pathlib.Path(__file__).resolve().parent.parent
-    data = root / "data"
-    data.mkdir(exist_ok=True)
-    rng = np.random.default_rng(20240101)
-
-    start = datetime(2024, 1, 1)
-    hours = np.arange(HOURS)
-    system = 35.0 + 8.0 * np.sin(2 * np.pi * hours / 24) + rng.normal(0, 2.0, HOURS)
-    system = np.maximum(system, 5.0)
-
-    with open(data / "toy_lmp.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["timestamp", "node", "price"])
-        for i in range(HOURS):
-            stamp = (start + timedelta(hours=int(i))).isoformat(timespec="minutes")
-            writer.writerow([stamp, "SYSTEM", f"{system[i]:.2f}"])
-            for node, basis in NODES.items():
-                price = system[i] + basis + rng.normal(0, 1.2)
-                writer.writerow([stamp, node, f"{max(price, 1.0):.2f}"])
-
-    instance = {
-        "markets": ["ALPHA", "BRAVO", "CHARLIE"],
-        "contracts": [
-            {"market": "ALPHA", "wholesale_price": [36.0, 36.0],
-             "max_volume": 50.0, "flex_above_min": 10.0},
-            {"market": "BRAVO", "wholesale_price": [33.0, 33.5],
-             "max_volume": 40.0, "flex_above_min": 0.0},
-        ],
-        "supply_steps": [
-            {"capacity": 200.0, "unit_cost": 10.0},
-            {"capacity": 100.0, "unit_cost": 14.0},
-        ],
-        "transport_cost": {"ALPHA": 0.5, "BRAVO": 0.2, "CHARLIE": 0.8},
-        "production_limits": [
-            {"lower": 20.0, "upper": 300.0},
-            {"lower": 20.0, "upper": 300.0},
-        ],
-        "periods": 2,
-        "elasticity": {
-            "ALPHA": {"steps": 3, "width": 40.0, "decrement": 1.0},
-            "BRAVO": {"steps": 3, "width": 40.0, "decrement": 1.5},
-            "CHARLIE": {"steps": 2, "width": 60.0, "decrement": 2.0},
-        },
-    }
-    with open(data / "toy_instance.json", "w", encoding="utf-8") as handle:
-        json.dump(instance, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, default=ROOT / "data",
+                        help="output directory (default: data/ of the checkout)")
+    out = parser.parse_args(argv).out
+    out.mkdir(parents=True, exist_ok=True)
+    names, _nodal, _system = gen.write_history(out / "toy_lmp.csv", HOURS, 3, SEED)
+    (out / "toy_instance.json").write_text(
+        json.dumps(gen.instance_doc(names), indent=2, sort_keys=True) + "\n",
+        encoding="utf-8")
 
 
 if __name__ == "__main__":

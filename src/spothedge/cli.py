@@ -15,9 +15,11 @@ hyphens), ahead of the command line, so explicit flags win: a list is
 joined with commas, an object becomes key=value pairs, null is skipped and
 another subcommand's flag is ignored.  The model's defaults live in
 FormulationConfig and metrics.sweep, the CLI's own in argparse.  Outputs
-are deterministic byte for byte for a fixed seed and input files;
-prepare --k auto runs its k-means scan in forked workers, one per CPU
-(pipeline.kmeans_scan), and the outputs do not depend on how many.
+are deterministic byte for byte for a fixed seed and input files.
+prepare runs one k-means scan (pipeline.kmeans_scan) and takes the knee of
+its inertia curve: --k auto scans k = 1..10 in forked workers, one per CPU,
+and the outputs do not depend on how many; a fixed --k N is a one-point
+curve, run in the process itself, whose knee is N.
 
 Exit codes: 0 success, 2 bad input, 3 solver failure.  Any failure prints a
 single JSON object to stderr, e.g. {"error": "io", "message": "..."}.
@@ -177,6 +179,8 @@ def _numbers(text: str) -> tuple[float, ...]:
 
 def _gammas(text: str) -> tuple[float, ...]:
     gammas = _numbers(text)
+    if not gammas:
+        raise argparse.ArgumentTypeError("expects at least one value")
     for g in gammas:
         if not 0.0 <= g < 1.0:
             raise argparse.ArgumentTypeError(f"values must lie in [0, 1), got {g}")
@@ -376,19 +380,15 @@ def _cmd_prepare(args) -> int:
 
     if args.k is None:
         ks = list(range(1, min(MAX_AUTO_K, n_obs) + 1))
-        # through this module's name, so that a caller can wrap every run
-        runs = kmeans_scan(matrix, ks, args.seed, kmeans_reduce)
-        chosen_k = knee_point(ks, [runs[k].inertia for k in ks])
-        reduced = runs[chosen_k]  # k-means is deterministic: no second run
-        curve = [[k, runs[k].inertia] for k in ks]
-        k_mode = "auto"
+    elif 1 <= args.k <= n_obs:
+        ks = [args.k]  # a one-point curve: one run, no fork, and its knee
     else:
-        chosen_k = args.k
-        if not 1 <= chosen_k <= n_obs:
-            raise CliError("data", f"--k must lie in 1..{n_obs}, got {chosen_k}")
-        reduced = kmeans_reduce(matrix, chosen_k, seed=args.seed)
-        curve = [[chosen_k, reduced.inertia]]
-        k_mode = "fixed"
+        raise CliError("data", f"--k must lie in 1..{n_obs}, got {args.k}")
+    # through this module's name, so that a caller can wrap every run
+    runs = kmeans_scan(matrix, ks, args.seed, kmeans_reduce)
+    chosen_k = knee_point(ks, [runs[k].inertia for k in ks])
+    reduced = runs[chosen_k]  # k-means is deterministic: no second run
+    curve = [[k, runs[k].inertia] for k in ks]
 
     try:
         estimate = estimate_q(matrix, history.system)
@@ -420,7 +420,7 @@ def _cmd_prepare(args) -> int:
         "nodes": list(history.nodes),
         "markets": list(instance.markets),
         "k": int(chosen_k),
-        "k_mode": k_mode,
+        "k_mode": "auto" if args.k is None else "fixed",
         "seed": args.seed,
         "inertia_curve": curve,
         "inertia": reduced.inertia,

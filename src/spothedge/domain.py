@@ -33,7 +33,8 @@ scenarios.json::
 
 Step, period and scenario indices are dense and 0-based; every
 (market, step, period, scenario) combination must appear exactly once.
-Indices, ``periods`` and elasticity ``steps`` must be JSON integers >= 0.
+Indices, ``periods`` and elasticity ``steps`` must be JSON integers >= 0,
+and each array or object shown must be one.
 """
 
 from __future__ import annotations
@@ -46,6 +47,14 @@ import numpy as np
 
 PROBABILITY_TOL = 1e-9
 STAIRCASE_TOL = 1e-9
+
+
+def read_only(values, dtype=float) -> np.ndarray:
+    """values as a read-only array of dtype.  An array that has that dtype
+    already is not copied: it is itself made read-only."""
+    arr = np.asarray(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -94,14 +103,10 @@ class ScenarioSet:
     widths: dict[str, np.ndarray]  # market -> (K_m, T, S), strictly positive
 
     def __post_init__(self):
-        probs = np.asarray(self.probabilities, dtype=float)
-        probs.setflags(write=False)
-        object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "probabilities", read_only(self.probabilities))
         for table in (self.prices, self.widths):
             for market, arr in table.items():
-                arr = np.asarray(arr, dtype=float)
-                arr.setflags(write=False)
-                table[market] = arr
+                table[market] = read_only(arr)
 
     @property
     def num_scenarios(self) -> int:
@@ -237,10 +242,20 @@ def validate_scenarios(instance: MarketInstance, scenarios: ScenarioSet) -> list
 # ----------------------------------------------------------------------
 # JSON I/O
 
-def _require(mapping, key, where):
-    if key not in mapping:
+def _typed(value, kind, what):
+    """value, which must be a JSON array (kind list) or object (kind dict)."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be {'an array' if kind is list else 'an object'}, "
+                         f"got {type(value).__name__}")
+    return value
+
+
+def _require(mapping, key, where, kind=None):
+    """mapping[key]: mapping must be a JSON object holding key, and the
+    value, given kind, a JSON array (list) or object (dict)."""
+    if key not in _typed(mapping, dict, where):
         raise ValueError(f"{where}: missing required field {key!r}")
-    return mapping[key]
+    return mapping[key] if kind is None else _typed(mapping[key], kind, f"{where}: {key!r}")
 
 
 def _whole_number(mapping, key, where) -> int:
@@ -253,37 +268,42 @@ def _whole_number(mapping, key, where) -> int:
 
 
 def instance_from_dict(doc: dict) -> MarketInstance:
-    markets = tuple(str(m) for m in _require(doc, "markets", "instance"))
+    """The instance a parsed instance.json describes.  Raises ValueError,
+    naming the field, when a field is missing or of the wrong JSON type."""
+    markets = tuple(str(m) for m in _require(doc, "markets", "instance", list))
     contracts = tuple(
         Contract(
             market=str(_require(c, "market", "contract")),
-            wholesale_price=tuple(float(w) for w in _require(c, "wholesale_price", "contract")),
+            wholesale_price=tuple(float(w) for w in
+                                  _require(c, "wholesale_price", "contract", list)),
             max_volume=float(_require(c, "max_volume", "contract")),
             flex_above_min=float(_require(c, "flex_above_min", "contract")),
         )
-        for c in doc.get("contracts", [])
+        for c in _typed(doc.get("contracts", []), list, "instance: 'contracts'")
     )
     supply = tuple(
         SupplyStep(capacity=float(_require(s, "capacity", "supply step")),
                    unit_cost=float(_require(s, "unit_cost", "supply step")))
-        for s in _require(doc, "supply_steps", "instance")
+        for s in _require(doc, "supply_steps", "instance", list)
     )
     limits = tuple(
         (float(_require(p, "lower", "production limit")),
          float(_require(p, "upper", "production limit")))
-        for p in _require(doc, "production_limits", "instance")
+        for p in _require(doc, "production_limits", "instance", list)
     )
     elasticity = {
         str(market): ElasticityCurve(steps=_whole_number(e, "steps", "elasticity"),
                                      width=float(_require(e, "width", "elasticity")),
                                      decrement=float(_require(e, "decrement", "elasticity")))
-        for market, e in doc.get("elasticity", {}).items()
+        for market, e in _typed(doc.get("elasticity", {}), dict,
+                                "instance: 'elasticity'").items()
     }
+    transport = _typed(doc.get("transport_cost", {}), dict, "instance: 'transport_cost'")
     return MarketInstance(
         markets=markets,
         contracts=contracts,
         supply_steps=supply,
-        transport_cost={str(k): float(v) for k, v in doc.get("transport_cost", {}).items()},
+        transport_cost={str(k): float(v) for k, v in transport.items()},
         production_limits=limits,
         periods=_whole_number(doc, "periods", "instance"),
         elasticity=elasticity,
@@ -328,9 +348,13 @@ def save_instance(instance: MarketInstance, path) -> None:
 
 
 def scenarios_from_dict(doc: dict) -> ScenarioSet:
-    probabilities = np.asarray([float(p) for p in _require(doc, "probabilities", "scenarios")])
+    """The scenario set a parsed scenarios.json describes.  Raises
+    ValueError, naming the field, when a field is missing or of the wrong
+    JSON type, or when the spot entries do not fill every staircase."""
+    probabilities = np.asarray([float(p) for p in
+                                _require(doc, "probabilities", "scenarios", list)])
     n_s = probabilities.shape[0]
-    entries = _require(doc, "spot", "scenarios")
+    entries = _require(doc, "spot", "scenarios", list)
     by_market: dict[str, dict[tuple[int, int, int], tuple[float, float]]] = {}
     for entry in entries:
         market = str(_require(entry, "market", "spot entry"))

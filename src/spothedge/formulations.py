@@ -64,7 +64,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import MarketInstance, ScenarioSet, validate_instance, validate_scenarios
+from .domain import (MarketInstance, ScenarioSet, read_only, validate_instance,
+                     validate_scenarios)
 from .linprog import OPTIMAL, LinearProgram, LpSolution
 from .simplex import solve
 
@@ -138,9 +139,7 @@ class FormulationConfig:
             raise ParameterOutOfRange(f"dro_penalty must be {PER_SCENARIO!r} or "
                                       f"{PER_PERIOD!r}, got {self.dro_penalty!r}")
         if self.q_matrix is not None:
-            q = np.asarray(self.q_matrix, dtype=float)
-            q.setflags(write=False)
-            object.__setattr__(self, "q_matrix", q)
+            object.__setattr__(self, "q_matrix", read_only(self.q_matrix))
 
 
 @dataclass
@@ -445,13 +444,14 @@ def extract_report(instance: MarketInstance, scenarios: ScenarioSet,
     x = solution.values
     markets = instance.markets
     n_t, n_s = instance.periods, scenarios.num_scenarios
-    commitments = {market: x[vm.x_min[m]] for m, market in enumerate(markets)}
-    term = {market: x[vm.x_term[m]] for m, market in enumerate(markets)}
-    spot = {market: x[vm.y_spot[m]] for m, market in enumerate(markets)}
-    production = x[vm.u_prod]
-    produced_ts = production.sum(axis=0)  # (T, S)
+    # the report's arrays are copies out of x, read-only from the start
+    commitments = {market: read_only(x[vm.x_min[m]]) for m, market in enumerate(markets)}
+    term = {market: read_only(x[vm.x_term[m]]) for m, market in enumerate(markets)}
+    spot = {market: read_only(x[vm.y_spot[m]]) for m, market in enumerate(markets)}
+    production = read_only(x[vm.u_prod])
+    produced_ts = read_only(production.sum(axis=0))  # (T, S)
     cheapest = min(markets, key=instance.transport)  # the lowest index on ties
-    trans = {market: produced_ts if market == cheapest else np.zeros((n_t, n_s))
+    trans = {market: produced_ts if market == cheapest else read_only(np.zeros((n_t, n_s)))
              for market in markets}
 
     profits = np.zeros(n_s)
@@ -505,15 +505,10 @@ def extract_report(instance: MarketInstance, scenarios: ScenarioSet,
     report = AllocationReport(
         config=config, status=solution.status, objective_value=float(objective),
         commitments=commitments, term_dispatch=term, spot_dispatch=spot,
-        production=production, transport=trans, profits=profits,
+        production=production, transport=trans, profits=read_only(profits),
         probabilities=np.array(pi), expected_profit=expected,
         var_threshold=var_threshold, spot_volume=spot_volume,
         production_volume=production_volume)
-    for table in (commitments, term, spot, trans):
-        for arr in table.values():
-            arr.setflags(write=False)
-    production.setflags(write=False)
-    profits.setflags(write=False)
     return report
 
 

@@ -44,10 +44,9 @@ class _Row:
 class Basis:
     """Final simplex basis over the structural columns, then one slack per
     row.  Passed back to the simplex as the start of an LP with the same
-    matrix, right-hand side and bounds, or, through simplex.extend_basis,
-    of an LP that appends columns and rows to that one and keeps it as its
-    leading block; the extra rows start with their slacks, and a crash
-    repairs those that are violated."""
+    matrix, right-hand side and bounds, or of an LP that appends columns and
+    rows to that one and keeps it as its leading block; the extra rows start
+    with their slacks, and a crash repairs those that are violated."""
 
     basic: np.ndarray  # basic column of each row
     status: np.ndarray  # rest status of each column, in the simplex's codes

@@ -46,7 +46,7 @@ from .formulations import (
     solve_allocation,
 )
 from .linprog import INFEASIBLE, NumericalFailure
-from .simplex import extend_basis, solve
+from .simplex import solve
 
 RHO_FLOOR = 1e-9
 _SOLVE = object()  # metric_row's default riskfree: solve the spot-free model
@@ -186,41 +186,25 @@ def sweep(instance: MarketInstance, scenarios: ScenarioSet, *,
     same rows, whose equality-form matrix the simplex computes once.  Each
     point's simplex starts from the previous point's final basis, which is
     primal feasible there, and skips the dual phase.  The CVaR and robust
-    LPs append columns and rows to the risk-neutral one, so the first point
-    of each grid starts from the anchor's final basis, extended over them
-    (simplex.extend_basis).  The anchor and the point after a failure start
-    cold.  The rows equal those of cold solves.
+    LPs append columns and rows to the risk-neutral one, which is their
+    leading block, so the first point of each grid starts from the anchor's
+    final basis.  The anchor and the point after a failure start cold.  The
+    rows equal those of cold solves.
     """
     if epsilons and q_matrix is None:
         raise ParameterOutOfRange("an epsilon grid requires a q matrix")
     # every point's config is made, and so checked, before any solve; the
     # points that reuse the anchor have none
-    grids = (
+    points = (
         [((CVAR, float(alpha), float(lam), None),
           None if alpha == 1.0 else FormulationConfig(kind=CVAR, alpha=alpha, lam=lam),
           {"source": CVAR, "alpha": float(alpha), "lambda": float(lam)})
-         for alpha in alphas],
-        [((DRO, None, None, float(epsilon)),
-          None if epsilon == 0.0 else FormulationConfig(
-              kind=DRO, epsilon=float(epsilon), q_matrix=q_matrix, dro_penalty=dro_penalty),
-          {"source": DRO, "epsilon": float(epsilon)})
-         for epsilon in epsilons])
-
-    def attempt(config, lp, vm, record, start):
-        """(report, final basis) of one grid point, or (None, None) when it
-        fails and the failure is recorded."""
-        try:
-            if start is not None:
-                start = extend_basis(start, lp)
-            solution = solve(lp, start=start)
-            report = extract_report(instance, scenarios, config, vm, solution)
-            return report, solution.basis
-        except (SolveFailed, NumericalFailure) as exc:
-            if failures is None:
-                raise
-            status = getattr(exc, "status", "numerical")
-            failures.append(dict(record, status=status, message=str(exc)))
-            return None, None
+         for alpha in alphas]
+        + [((DRO, None, None, float(epsilon)),
+            None if epsilon == 0.0 else FormulationConfig(
+                kind=DRO, epsilon=float(epsilon), q_matrix=q_matrix, dro_penalty=dro_penalty),
+            {"source": DRO, "epsilon": float(epsilon)})
+           for epsilon in epsilons])
 
     riskfree = risk_free_profit(instance, scenarios)
     anchor = FormulationConfig(kind=RISK_NEUTRAL)
@@ -230,26 +214,26 @@ def sweep(instance: MarketInstance, scenarios: ScenarioSet, *,
     anchor_basis = solution.basis
     del lp, vm, solution  # only the basis is kept through the grids
     solved = [(RISK_NEUTRAL, None, None, None, neutral)]
-
-    def run_grid(points):
-        """Solve one grid's points, each (row key, config, failure record),
-        in order; a None config marks a point that reuses the anchor."""
-        lp = vm = None
-        start = anchor_basis  # then the previous grid point's basis
-        for key, config, record in points:
-            if config is None:
-                report = neutral
-            else:
-                if lp is None:
-                    lp, vm = build(instance, scenarios, config)
-                else:
-                    lp = reprice(lp, vm, scenarios, config)
-                report, start = attempt(config, lp, vm, record, start)
-            if report is not None:
-                solved.append((*key, report))
-
-    for points in grids:
-        run_grid(points)
+    kind = RISK_NEUTRAL  # of the program last built
+    for key, config, record in points:
+        if config is None:
+            solved.append((*key, neutral))
+            continue
+        if config.kind != kind:  # the first point of a grid
+            kind, start = config.kind, anchor_basis
+            lp, vm = build(instance, scenarios, config)
+        else:
+            lp = reprice(lp, vm, scenarios, config)
+        try:
+            solution = solve(lp, start=start)
+            solved.append((*key, extract_report(instance, scenarios, config, vm, solution)))
+            start = solution.basis
+        except (SolveFailed, NumericalFailure) as exc:
+            if failures is None:
+                raise
+            status = getattr(exc, "status", "numerical")
+            failures.append(dict(record, status=status, message=str(exc)))
+            start = None
 
     rows = []
     for source, alpha, lam_out, epsilon, report in solved:

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import MarketInstance, ScenarioSet
+from .domain import MarketInstance, ScenarioSet, read_only
 
 DEFAULT_COLUMNS = {"timestamp": "timestamp", "node": "node", "price": "price",
                    "system": "SYSTEM"}
@@ -118,9 +118,7 @@ class PriceHistory:
 
     def __post_init__(self):
         for name in ("nodal", "system"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, read_only(getattr(self, name)))
 
 
 def ingest_lmp_csv(path, column_map: dict | None = None) -> PriceHistory:
@@ -315,13 +313,9 @@ class ReducedScenarios:
 
     def __post_init__(self):
         for name in ("representatives", "probabilities", "centroids"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, read_only(getattr(self, name)))
         for name in ("representative_indices", "labels"):
-            arr = np.asarray(getattr(self, name), dtype=int)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, read_only(getattr(self, name), int))
 
 
 def _sq_dist(x, points):
@@ -624,9 +618,7 @@ class QEstimate:
 
     def __post_init__(self):
         for name in ("q", "sigma", "q_bar"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, read_only(getattr(self, name)))
 
 
 def factor_covariance(sigma) -> tuple[np.ndarray, float]:

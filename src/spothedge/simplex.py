@@ -74,12 +74,13 @@ right-hand side and bounds, and another objective, start from it: the
 nonbasic columns are put on their bounds, the basis is refactorized once
 and, when every basic value lies within FEASIBILITY_TOL of its bounds, the
 primal simplex runs from there; otherwise the dual phase starts from that
-basis.  A start over another number of rows or columns raises ValueError.
+basis.
 
 A program that appends columns and rows to another one, leaving the
 other's matrix, right-hand side and bounds as its leading block, takes the
-other's basis through extend_basis: each appended row starts with its slack
-and each appended column rests at its bound.  The appended rows' slacks may
+other's basis as its start too: each appended row starts with its slack
+and each appended column rests at its bound.  A start with more rows or
+columns than the program raises ValueError.  The appended rows' slacks may
 then lie outside their bounds, so a warm start first runs a crash over every
 row whose basic slack is violated: in row order, the first nonbasic
 structural column (in column order) with a nonzero in the row, all of whose
@@ -855,29 +856,17 @@ def _vertex_values(state, n):
     return x[:n]
 
 
-def _check_start(start, ncols, m):
-    """Raise ValueError unless start is a basis over m rows and ncols columns."""
-    if start.basic.shape != (m,) or start.status.shape != (ncols,):
-        raise ValueError(f"start basis has {start.basic.size} rows and "
-                         f"{start.status.size} columns; the program has {m} and {ncols}")
-    if not np.array_equal(np.sort(start.basic), np.nonzero(start.status == _BASIC)[0]):
-        raise ValueError("start basis does not list its basic columns once each")
-
-
-def extend_basis(start: Basis, lp: LinearProgram) -> Basis:
-    """Map a basis of a program that is the leading block of lp into lp's
-    equality form.
+def _leading_start(start, lp):
+    """start, a basis of lp or of a program that is lp's leading block,
+    mapped into lp's equality form.
 
     The program behind start has lp's first columns and first rows, with
     the same coefficients, right-hand sides and bounds.  Its structural
     columns keep their indices, its slacks shift past lp's extra columns,
     each extra row starts with its slack basic, and each extra column rests
-    at its bound.  A start of lp's own shape maps onto itself.
-
-    Raises
-    ------
-    ValueError
-        When start has more rows or columns than lp.
+    at its bound.  A start of lp's own shape maps onto itself.  Raises
+    ValueError when start has more rows or columns than lp, or does not
+    list each of its basic columns exactly once.
     """
     m0 = start.basic.size
     n0 = start.status.size - m0
@@ -885,12 +874,13 @@ def extend_basis(start: Basis, lp: LinearProgram) -> Basis:
     if not (0 <= n0 <= n and m0 <= m):
         raise ValueError(f"start basis has {m0} rows and {max(n0, 0)} structural "
                          f"columns; the program has only {m} and {n}")
-    lower, upper = lp.bounds_arrays()
-    status = np.concatenate([start.status[:n0], _rest_status(lower[n0:], upper[n0:]),
-                             start.status[n0:], np.full(m - m0, _BASIC)])
+    status = np.concatenate([start.status[:n0], _rest_status(lp.lower[n0:], lp.upper[n0:]),
+                             start.status[n0:], np.full(m - m0, _BASIC)]).astype(np.int8)
     basic = np.concatenate([np.where(start.basic < n0, start.basic, start.basic + n - n0),
                             n + np.arange(m0, m)])
-    return Basis(basic=basic, status=status.astype(np.int8))
+    if not np.array_equal(np.sort(basic), np.nonzero(status == _BASIC)[0]):
+        raise ValueError("start basis does not list its basic columns once each")
+    return Basis(basic=basic, status=status)
 
 
 def _matrix_form(lp):
@@ -945,12 +935,13 @@ def solve(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
         Program with box bounds (either side may be infinite) and
         <=, ==, >= rows.
     start : Basis, optional
-        Final basis of an earlier solve of a program with the same matrix,
-        right-hand side and bounds; only the objective may differ.  A basis
-        of a leading block of lp goes through extend_basis first.  When it
-        is nonsingular and primal feasible here, after the slack crash,
-        the primal simplex runs from it at once; when it is nonsingular
-        but infeasible, the dual phase starts from it.
+        Final basis of an earlier solve of lp or of a leading block of lp: a
+        program whose matrix, right-hand side and bounds are lp's first rows
+        and columns; only the objective may differ.  lp's extra rows start
+        with their slacks basic and its extra columns at their bounds.  When
+        the start is nonsingular and primal feasible here, after the slack
+        crash, the primal simplex runs from it at once; when it is
+        nonsingular but infeasible, the dual phase starts from it.
 
     Returns
     -------
@@ -966,12 +957,13 @@ def solve(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
         stay violated beyond tolerance without a ray that proves the
         program infeasible.
     ValueError
-        When start comes from a program of another shape.
+        When start has more rows or columns than lp, or does not list each
+        of its basic columns exactly once.
     """
     n = lp.num_variables
     m = lp.num_rows
     if start is not None:
-        _check_start(start, n + m, m)
+        start = _leading_start(start, lp)
     state = _equality_form(lp)
     c = np.zeros(n + m)
     c[:n] = lp.objective_array()

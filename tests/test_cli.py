@@ -172,6 +172,29 @@ def test_solve_rejects_bad_gamma_and_alpha(capsys, micro_files):
     assert code == 2 and stderr_json(err)["error"] == "usage"
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("flags, config", [
+    (["--gamma", ""], None),
+    (["--gamma", ","], None),
+    ([], {"gamma": []}),
+    ([], {"gamma": ","}),
+], ids=["flag_empty", "flag_comma", "config_empty_list", "config_comma"])
+def test_an_empty_gamma_list_is_a_usage_error(capsys, micro_files, tmp_path, command,
+                                              flags, config):
+    """Unchecked, an empty list exited 0: solve printed "metrics": [] and
+    sweep solved every point for a metrics.csv of its header alone."""
+    ipath, spath = micro_files
+    argv = [command, "--instance", str(ipath), "--scenarios", str(spath),
+            "--out", str(tmp_path / "out"), *flags]
+    if config is not None:
+        argv += ["--config", write_config(tmp_path / "config.json", config)]
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert stderr_json(err) == {"error": "usage",
+                                "message": "argument --gamma: expects at least one value"}
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
 @pytest.mark.parametrize("command, flags", [
     ("solve", ["--kind", "cvar", "--alpha", "1e-310"]),
     ("solve", ["--kind", "dro", "--epsilon", "inf"]),
@@ -457,6 +480,7 @@ def test_prepare_fixed_k_and_seed_determinism(capsys, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     summary = json.loads((out1 / "prep_summary.json").read_text())
     assert summary["k"] == 4 and summary["k_mode"] == "fixed"
+    assert summary["inertia_curve"] == [[4, summary["inertia"]]]  # a one-point curve
 
 
 # sha256 of the prepare outputs on the bundled data, recorded from the
@@ -918,6 +942,60 @@ def test_a_fractional_scenario_index_is_a_parse_error(capsys, micro_files, tmp_p
     assert stderr_json(err) == {
         "error": "parse", "message": f"scenarios {bad}: spot entry: 'scenario' must be "
                                      "a non-negative integer, got 1.5"}
+
+
+@pytest.mark.parametrize("what, change, message", [
+    ("instance", lambda doc: [doc], "instance must be an object, got list"),
+    ("instance", lambda doc: {**doc, "markets": "ABC"},
+     "instance: 'markets' must be an array, got str"),
+    ("instance", lambda doc: {**doc, "contracts": doc["contracts"][0]},
+     "instance: 'contracts' must be an array, got dict"),
+    ("instance", lambda doc: {**doc, "contracts": [list(doc["contracts"][0].values())]},
+     "contract must be an object, got list"),
+    ("instance", lambda doc: {**doc, "contracts": [{**doc["contracts"][0],
+                                                    "wholesale_price": "36"}]},
+     "contract: 'wholesale_price' must be an array, got str"),
+    ("instance", lambda doc: {**doc, "supply_steps": doc["supply_steps"][0]},
+     "instance: 'supply_steps' must be an array, got dict"),
+    ("instance", lambda doc: {**doc, "supply_steps": [[100.0, 0.0]]},
+     "supply step must be an object, got list"),
+    ("instance", lambda doc: {**doc, "production_limits": doc["production_limits"][0]},
+     "instance: 'production_limits' must be an array, got dict"),
+    ("instance", lambda doc: {**doc, "production_limits": [[100.0, 100.0]]},
+     "production limit must be an object, got list"),
+    ("instance", lambda doc: {**doc, "transport_cost": "x"},
+     "instance: 'transport_cost' must be an object, got str"),
+    ("instance", lambda doc: {**doc, "transport_cost": []},
+     "instance: 'transport_cost' must be an object, got list"),
+    ("instance", lambda doc: {**doc, "elasticity": []},
+     "instance: 'elasticity' must be an object, got list"),
+    ("instance", lambda doc: {**doc, "elasticity": {"hub": [3, 40.0, 1.0]}},
+     "elasticity must be an object, got list"),
+    ("scenarios", lambda doc: {**doc, "probabilities": {"0": 0.5, "1": 0.5}},
+     "scenarios: 'probabilities' must be an array, got dict"),
+    ("scenarios", lambda doc: {**doc, "spot": doc["spot"][0]},
+     "scenarios: 'spot' must be an array, got dict"),
+    ("scenarios", lambda doc: {**doc, "spot": [list(e.values()) for e in doc["spot"]]},
+     "spot entry must be an object, got list"),
+], ids=["instance_array", "markets_text", "contracts_object", "contract_array",
+        "wholesale_price_text", "supply_steps_object", "supply_step_array",
+        "production_limits_object", "production_limit_array", "transport_cost_text",
+        "transport_cost_array", "elasticity_array", "elasticity_curve_array",
+        "probabilities_object", "spot_object", "spot_entry_array"])
+def test_a_field_of_the_wrong_json_type_is_a_parse_error(capsys, micro_files,
+                                                         what, change, message):
+    """Each field is an array or an object, and anything else exits 2 with a
+    parse error that names it.  Unchecked, a transport_cost of text or an
+    elasticity array exited 1 (AttributeError), markets "ABC" read as three
+    markets, and a wholesale_price of "36" as (3.0, 6.0)."""
+    ipath, spath = micro_files
+    path = {"instance": ipath, "scenarios": spath}[what]
+    path.write_text(json.dumps(change(json.loads(path.read_text()))))
+    code, stdout, err = run(capsys, "validate", "--instance", str(ipath),
+                            "--scenarios", str(spath))
+    assert (code, stdout) == (2, "")
+    assert stderr_json(err)["error"] == "parse"
+    assert stderr_json(err)["message"] == f"{what} {path}: {message}"
 
 
 def test_q_file_market_order_is_aligned(tmp_path):

@@ -12,7 +12,7 @@ from spothedge.formulations import (CVAR, DRO, PER_PERIOD, PER_SCENARIO, RISK_NE
                                     FormulationConfig, build)
 from spothedge.linprog import (INFEASIBLE, OPTIMAL, UNBOUNDED, Basis,
                                LinearProgram, NumericalFailure)
-from spothedge.simplex import extend_basis, solve
+from spothedge.simplex import solve
 
 
 def small_knapsack():
@@ -246,14 +246,6 @@ def test_block_validation_names_the_first_problem_of_the_first_bad_row():
         LinearProgram().add_variables(["v0", "v1", "v2"], [0.0, 2.0, 3.0], 1.0)
 
 
-def test_start_from_another_shape_is_rejected():
-    start = solve(small_knapsack()).basis
-    wider = small_knapsack()
-    wider.add_row("floor", {0: 1.0}, ">=", 1.0)
-    with pytest.raises(ValueError):
-        solve(wider, start=start)
-
-
 def extended_knapsack(columns=(), rows=()):
     """small_knapsack with columns (name, lower, upper, objective) and rows
     (coeffs, relation, rhs) appended; the knapsack is its leading block."""
@@ -265,29 +257,61 @@ def extended_knapsack(columns=(), rows=()):
     return lp
 
 
+def test_start_from_a_leading_block_is_extended():
+    # the knapsack's basis starts the knapsack with a row appended: the
+    # row's slack enters the basis, and the solve ends where a cold one does
+    start = solve(small_knapsack()).basis
+    wider = small_knapsack()
+    wider.add_row("floor", {0: 1.0}, ">=", 1.0)
+    warm, cold = solve(wider, start=start), solve(wider)
+    assert warm.status == OPTIMAL
+    assert warm.objective == cold.objective
+    assert np.array_equal(warm.values, cold.values)
+    assert warm.iterations == 0  # the knapsack optimum x = 2 meets x >= 1
+    assert list(warm.basis.basic) == [*start.basic, 3]  # the floor's slack
+
+
 def test_extending_a_start_onto_a_smaller_program_is_rejected():
-    start = solve(extended_knapsack([("v", 0.0, math.inf, -1.0)],
-                                    [({0: 1.0, 2: 1.0}, ">=", 3.0)])).basis
-    with pytest.raises(ValueError):
-        extend_basis(start, small_knapsack())
+    for columns, rows in [
+        ([("v", 0.0, math.inf, -1.0)], [({0: 1.0, 2: 1.0}, ">=", 3.0)]),  # both
+        ([("v", 0.0, math.inf, -1.0)], []),  # one more column
+        ([], [({0: 1.0}, ">=", 1.0)]),  # one more row
+    ]:
+        start = solve(extended_knapsack(columns, rows)).basis
+        with pytest.raises(ValueError, match="the program has only 1 and 2$"):
+            solve(small_knapsack(), start=start)
 
 
-def test_extend_basis_maps_each_kind_of_column():
+def test_start_listing_a_basic_column_twice_is_rejected():
+    # the knapsack with a row appended has two basic columns; a start
+    # that lists one of them twice is refused on its own program and as
+    # the leading block of a larger one
+    lp = extended_knapsack(rows=[({1: 1.0}, ">=", 1.0)])
+    basis = solve(lp).basis
+    twice = Basis(basic=np.repeat(basis.basic[:1], 2), status=basis.status)
+    larger = extended_knapsack([("v", 0.0, math.inf, -1.0)],
+                               [({1: 1.0}, ">=", 1.0), ({0: 1.0, 2: 1.0}, ">=", 3.0)])
+    for program in (lp, larger):
+        with pytest.raises(ValueError, match="does not list its basic columns once each"):
+            solve(program, start=twice)
+
+
+def test_leading_start_maps_each_kind_of_column():
     # bases of the knapsack (x, y | slack cap), extended by column v and row extra0
     lp = extended_knapsack([("v", 0.0, math.inf, -1.0)], [({0: 1.0, 2: 1.0}, ">=", 3.0)])
     at_lower, at_upper, basic = simplex._AT_LOWER, simplex._AT_UPPER, simplex._BASIC
     slack_basic = Basis(basic=np.array([2]),
                         status=np.array([at_upper, at_lower, basic], dtype=np.int8))
-    extended = extend_basis(slack_basic, lp)
+    extended = simplex._leading_start(slack_basic, lp)
     # x, y, v | slacks cap, extra0
     assert list(extended.basic) == [3, 4]
     assert list(extended.status) == [at_upper, at_lower, at_lower, basic, basic]
-    same = extend_basis(extended, lp)
+    same = simplex._leading_start(extended, lp)
     for field in ("basic", "status"):
         assert np.array_equal(getattr(same, field), getattr(extended, field))
     y_basic = Basis(basic=np.array([1]),
                     status=np.array([at_upper, basic, at_lower], dtype=np.int8))
-    assert list(extend_basis(y_basic, lp).basic) == [1, 4]
+    assert list(simplex._leading_start(y_basic, lp).basic) == [1, 4]
 
 
 @pytest.mark.parametrize("columns, rows, optimum", [
@@ -310,7 +334,7 @@ def test_extend_basis_maps_each_kind_of_column():
 def test_crash_repairs_appended_rows_without_phase_1(monkeypatch, columns, rows, optimum):
     lp = extended_knapsack(columns, rows)
     cold = solve(lp)
-    start = extend_basis(solve(small_knapsack()).basis, lp)
+    start = solve(small_knapsack()).basis
     monkeypatch.setattr(simplex, "_cold_start", no_cold_start)
     phases = dual_phases(monkeypatch)
     warm = solve(lp, start=start)
@@ -328,7 +352,7 @@ def test_extended_start_that_cannot_be_repaired_falls_back(monkeypatch):
     # nonsingular, infeasible start falls back on the dual phase, not on
     # a cold start
     lp = extended_knapsack(rows=[({1: 1.0}, ">=", 2.5)])
-    start = extend_basis(solve(small_knapsack()).basis, lp)
+    start = solve(small_knapsack()).basis
     cold = solve(lp)
     monkeypatch.setattr(simplex, "_cold_start", no_cold_start)
     phases = dual_phases(monkeypatch)

@@ -344,6 +344,8 @@ def test_first_grid_points_start_from_the_anchor_basis(monkeypatch):
     assert starts[CVAR, ALPHAS[0]] is not None
     assert starts[DRO, EPSILONS[1]] is not None  # epsilon 0 reuses the anchor
     assert all(start is not None for start in starts.values())
+    # both grids start from the anchor's own basis, passed to the simplex as is
+    assert starts[CVAR, ALPHAS[0]] is starts[DRO, EPSILONS[1]]
 
 
 def test_failed_first_grid_point_leaves_the_other_rows_cold_equal(monkeypatch):

@@ -135,7 +135,7 @@ def _load_q(path, instance: MarketInstance) -> np.ndarray:
         raise CliError("parse", f"q file {path} has no 'q' entry")
     try:
         q = np.asarray(doc["q"], dtype=float)
-    except (ValueError, TypeError) as exc:  # text, or rows of unequal length
+    except (ValueError, TypeError, OverflowError) as exc:  # text, ragged rows, 10**400
         raise CliError("parse", f"q file {path}: 'q' is not a matrix of numbers: "
                                 f"{exc}") from exc
     n_m = len(instance.markets)
@@ -326,9 +326,8 @@ def _cmd_solve(args) -> int:
     report = formulations.solve_allocation(instance, scenarios, config)
     riskfree = metrics.risk_free_profit(instance, scenarios)
     doc = _report_dict(report)
-    doc["metrics"] = [_metric_dict(metrics.metric_row(
-        instance, scenarios, config, g, report=report, riskfree=riskfree))
-        for g in args.gamma]
+    doc["metrics"] = [_metric_dict(metrics.metric_row(report, g, riskfree))
+                      for g in args.gamma]
     text = _dump(doc)
     sys.stdout.write(text)
     if out is not None:

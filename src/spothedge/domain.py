@@ -34,7 +34,8 @@ scenarios.json::
 Step, period and scenario indices are dense and 0-based; every
 (market, step, period, scenario) combination must appear exactly once.
 Indices, ``periods`` and elasticity ``steps`` must be JSON integers >= 0,
-and each array or object shown must be one.
+each other number shown must be a JSON number (not a boolean), each market
+name a string, and each array or object shown must be one.
 """
 
 from __future__ import annotations
@@ -242,20 +243,37 @@ def validate_scenarios(instance: MarketInstance, scenarios: ScenarioSet) -> list
 # ----------------------------------------------------------------------
 # JSON I/O
 
-def _typed(value, kind, what):
-    """value, which must be a JSON array (kind list) or object (kind dict)."""
-    if not isinstance(value, kind):
-        raise ValueError(f"{what} must be {'an array' if kind is list else 'an object'}, "
-                         f"got {type(value).__name__}")
-    return value
+_JSON_TYPES = {list: "an array", dict: "an object", str: "a string"}
+
+
+def _typed(value, kind, what, key=None):
+    """value, which must be a JSON array (kind list), object (dict), string
+    (str) or number (float; a bool is not one), a number as a float.  An
+    error names what, or field key of what."""
+    if kind is float:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:
+                return float(value)
+            except OverflowError:  # an integer past the float range
+                problem = f"is out of range, got {value}"
+        else:
+            problem = f"must be a number, got {type(value).__name__}"
+    elif isinstance(value, kind):
+        return value
+    else:
+        problem = f"must be {_JSON_TYPES[kind]}, got {type(value).__name__}"
+    raise ValueError(f"{what} {problem}" if key is None else f"{what}: {key!r} {problem}")
 
 
 def _require(mapping, key, where, kind=None):
     """mapping[key]: mapping must be a JSON object holding key, and the
-    value, given kind, a JSON array (list) or object (dict)."""
+    value, given kind, of that JSON type (see _typed)."""
     if key not in _typed(mapping, dict, where):
         raise ValueError(f"{where}: missing required field {key!r}")
-    return mapping[key] if kind is None else _typed(mapping[key], kind, f"{where}: {key!r}")
+    value = mapping[key]
+    if kind is None or type(value) is kind:  # no call for the common case
+        return value
+    return _typed(value, kind, where, key)
 
 
 def _whole_number(mapping, key, where) -> int:
@@ -270,31 +288,32 @@ def _whole_number(mapping, key, where) -> int:
 def instance_from_dict(doc: dict) -> MarketInstance:
     """The instance a parsed instance.json describes.  Raises ValueError,
     naming the field, when a field is missing or of the wrong JSON type."""
-    markets = tuple(str(m) for m in _require(doc, "markets", "instance", list))
+    markets = tuple(_typed(m, str, "instance: market name")
+                    for m in _require(doc, "markets", "instance", list))
     contracts = tuple(
         Contract(
-            market=str(_require(c, "market", "contract")),
-            wholesale_price=tuple(float(w) for w in
-                                  _require(c, "wholesale_price", "contract", list)),
-            max_volume=float(_require(c, "max_volume", "contract")),
-            flex_above_min=float(_require(c, "flex_above_min", "contract")),
+            market=_require(c, "market", "contract", str),
+            wholesale_price=tuple(_typed(w, float, "contract: 'wholesale_price' entry")
+                                  for w in _require(c, "wholesale_price", "contract", list)),
+            max_volume=_require(c, "max_volume", "contract", float),
+            flex_above_min=_require(c, "flex_above_min", "contract", float),
         )
         for c in _typed(doc.get("contracts", []), list, "instance: 'contracts'")
     )
     supply = tuple(
-        SupplyStep(capacity=float(_require(s, "capacity", "supply step")),
-                   unit_cost=float(_require(s, "unit_cost", "supply step")))
+        SupplyStep(capacity=_require(s, "capacity", "supply step", float),
+                   unit_cost=_require(s, "unit_cost", "supply step", float))
         for s in _require(doc, "supply_steps", "instance", list)
     )
     limits = tuple(
-        (float(_require(p, "lower", "production limit")),
-         float(_require(p, "upper", "production limit")))
+        (_require(p, "lower", "production limit", float),
+         _require(p, "upper", "production limit", float))
         for p in _require(doc, "production_limits", "instance", list)
     )
     elasticity = {
-        str(market): ElasticityCurve(steps=_whole_number(e, "steps", "elasticity"),
-                                     width=float(_require(e, "width", "elasticity")),
-                                     decrement=float(_require(e, "decrement", "elasticity")))
+        market: ElasticityCurve(steps=_whole_number(e, "steps", "elasticity"),
+                                width=_require(e, "width", "elasticity", float),
+                                decrement=_require(e, "decrement", "elasticity", float))
         for market, e in _typed(doc.get("elasticity", {}), dict,
                                 "instance: 'elasticity'").items()
     }
@@ -303,7 +322,8 @@ def instance_from_dict(doc: dict) -> MarketInstance:
         markets=markets,
         contracts=contracts,
         supply_steps=supply,
-        transport_cost={str(k): float(v) for k, v in transport.items()},
+        transport_cost={k: _typed(v, float, f"instance: transport_cost {k!r}")
+                        for k, v in transport.items()},
         production_limits=limits,
         periods=_whole_number(doc, "periods", "instance"),
         elasticity=elasticity,
@@ -351,18 +371,18 @@ def scenarios_from_dict(doc: dict) -> ScenarioSet:
     """The scenario set a parsed scenarios.json describes.  Raises
     ValueError, naming the field, when a field is missing or of the wrong
     JSON type, or when the spot entries do not fill every staircase."""
-    probabilities = np.asarray([float(p) for p in
+    probabilities = np.asarray([_typed(p, float, "scenarios: probability") for p in
                                 _require(doc, "probabilities", "scenarios", list)])
     n_s = probabilities.shape[0]
     entries = _require(doc, "spot", "scenarios", list)
     by_market: dict[str, dict[tuple[int, int, int], tuple[float, float]]] = {}
     for entry in entries:
-        market = str(_require(entry, "market", "spot entry"))
+        market = _require(entry, "market", "spot entry", str)
         key = (_whole_number(entry, "step", "spot entry"),
                _whole_number(entry, "period", "spot entry"),
                _whole_number(entry, "scenario", "spot entry"))
-        cell = (float(_require(entry, "price", "spot entry")),
-                float(_require(entry, "width", "spot entry")))
+        cell = (_require(entry, "price", "spot entry", float),
+                _require(entry, "width", "spot entry", float))
         slot = by_market.setdefault(market, {})
         if key in slot:
             raise ValueError(f"scenarios: duplicate spot entry for {market} {key}")

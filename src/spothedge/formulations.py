@@ -47,14 +47,14 @@ Objectives:
                    periods per scenario, or one group per period when
                    configured
 
-alpha and lam (cvar) and epsilon (dro) appear only in the objective, so
-reprice derives the program of another parameter value from a built one
-without building it again.
-
 Every objective also carries a -1e-7 * total spot volume perturbation so
 that among profit-equal allocations the one selling least spot is chosen
 deterministically; reported objectives are recomputed from the clean model
 formula, never read off the perturbed LP.
+
+_objective alone writes the objective, from the FormulationConfig.  alpha
+and lam (cvar) and epsilon (dro) appear nowhere else, so reprice derives the
+program of another parameter value from a built one through it too.
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ PER_SCENARIO = "per_scenario"
 PER_PERIOD = "per_period"
 
 TIE_BREAK_WEIGHT = 1e-7
+MAX_RISK_WEIGHT = 1e6
 PROFIT_TOL = 1e-6
 BALANCE_TOL = 1e-7
 
@@ -115,6 +116,10 @@ class FormulationConfig:
     alpha near 0 is hard.  lam in [0, 1] weights expected profit against
     that tail average.  epsilon >= 0 is the Wasserstein radius; q_matrix is
     the (markets x markets) deviation-covariance factor its penalty uses.
+
+    The risk terms' weights, (1 - lam) / alpha and (given q_matrix)
+    epsilon * max|Q|, must not exceed MAX_RISK_WEIGHT: past that the
+    objective's range outgrows the simplex's tolerances.
     """
 
     kind: str = RISK_NEUTRAL
@@ -138,8 +143,18 @@ class FormulationConfig:
         if self.dro_penalty not in (PER_SCENARIO, PER_PERIOD):
             raise ParameterOutOfRange(f"dro_penalty must be {PER_SCENARIO!r} or "
                                       f"{PER_PERIOD!r}, got {self.dro_penalty!r}")
+        if (1.0 - self.lam) / self.alpha > MAX_RISK_WEIGHT:
+            raise ParameterOutOfRange(f"(1 - lambda) / alpha must not exceed "
+                                      f"{MAX_RISK_WEIGHT:g}, got alpha {self.alpha} "
+                                      f"and lambda {self.lam}")
         if self.q_matrix is not None:
             object.__setattr__(self, "q_matrix", read_only(self.q_matrix))
+            if self.epsilon * float(np.abs(self.q_matrix).max(initial=0.0)) > MAX_RISK_WEIGHT:
+                raise ParameterOutOfRange(f"epsilon * max|Q| must not exceed "
+                                          f"{MAX_RISK_WEIGHT:g}, got epsilon {self.epsilon}")
+
+
+NEUTRAL = FormulationConfig(kind=RISK_NEUTRAL)
 
 
 @dataclass
@@ -198,8 +213,8 @@ def _add_sided_rows(lp: LinearProgram, tags: list[str], sides, columns, coeffs) 
                 [rhs for _ in tags for _, _, rhs in sides])
 
 
-def _build_core(instance: MarketInstance, scenarios: ScenarioSet, z_objective):
-    """Shared variables and rows; z objective coefficients supplied per model."""
+def _build_core(instance: MarketInstance, scenarios: ScenarioSet):
+    """Shared variables and rows, with a zero objective."""
     _check_inputs(instance, scenarios)
     lp = LinearProgram()
     markets = instance.markets
@@ -227,8 +242,7 @@ def _build_core(instance: MarketInstance, scenarios: ScenarioSet, z_objective):
     y_spot = lp.add_variables(
         [f"y[{m},{k},{tag}]" for m in range(n_m) for k in range(n_k[m])
          for tag in ts_tags],
-        0.0, np.concatenate([scenarios.widths[market].ravel() for market in markets]),
-        -TIE_BREAK_WEIGHT)
+        0.0, np.concatenate([scenarios.widths[market].ravel() for market in markets]))
     if single_step:  # the production-limit row has one coefficient: fold it away
         prod_lo, prod_hi = lo_t, np.minimum(steps[0].capacity, hi_t)  # (T,)
     else:
@@ -236,8 +250,7 @@ def _build_core(instance: MarketInstance, scenarios: ScenarioSet, z_objective):
     u_prod = lp.add_variables([f"uprod[{i},{tag}]" for i in range(n_i) for tag in ts_tags],
                               *(np.repeat(np.full((n_i, n_t), v), n_s)
                                 for v in (prod_lo, prod_hi)))
-    z = lp.add_variables([f"z[{s}]" for s in range(n_s)], -math.inf, math.inf,
-                         z_objective)
+    z = lp.add_variables([f"z[{s}]" for s in range(n_s)], -math.inf, math.inf)
     vm = VariableMap(x_min=_per_market(x_min, n_c, ()),
                      x_term=_per_market(x_term.ravel(), n_c, (n_t, n_s)),
                      y_spot=_per_market(y_spot, n_k, (n_t, n_s)),
@@ -283,32 +296,46 @@ def _build_core(instance: MarketInstance, scenarios: ScenarioSet, z_objective):
     return lp, vm
 
 
+def _objective(lp: LinearProgram, vm: VariableMap, scenarios: ScenarioSet,
+               config: FormulationConfig) -> LinearProgram:
+    """lp maximizing config's objective: the spot tie-break and the
+    coefficients of z, then var and ell (cvar) or w (dro)."""
+    pi, lam = scenarios.probabilities, config.lam
+    objective = np.zeros(lp.num_variables)
+    objective[np.concatenate(list(vm.y_spot.values()), axis=None)] = -TIE_BREAK_WEIGHT
+    objective[vm.z] = pi
+    if config.kind == CVAR:
+        objective[vm.z], objective[vm.var_col], objective[vm.ell] = (
+            lam * pi, 1.0 - lam, -(1.0 - lam) * pi / config.alpha)
+    elif config.kind == DRO:  # w's columns come in runs of G * M per scenario
+        objective[vm.w.ravel()] = np.repeat(-config.epsilon * pi, vm.w[0].size)
+    return lp.with_objective(objective)
+
+
+def _require_kind(config: FormulationConfig, kind: str) -> None:
+    if config.kind != kind:
+        raise ValueError(f"a {config.kind} config cannot reprice or build a {kind} program")
+
+
 def build_risk_neutral(instance: MarketInstance, scenarios: ScenarioSet):
     """Expected-profit maximization; returns (LinearProgram, VariableMap)."""
-    pi = scenarios.probabilities
-    return _build_core(instance, scenarios, pi)
+    lp, vm = _build_core(instance, scenarios)
+    return _objective(lp, vm, scenarios, NEUTRAL), vm
 
 
-def _cvar_objective(pi, alpha: float, lam: float):
-    """Objective coefficients of z, var and ell in the CVaR model."""
-    return lam * pi, 1.0 - lam, -(1.0 - lam) * pi / alpha
-
-
-def build_cvar(instance: MarketInstance, scenarios: ScenarioSet, alpha: float,
-               lam: float):
-    """Tail-weighted model: lam * E[z] + (1-lam) * CVaR_alpha(z)."""
-    FormulationConfig(kind=CVAR, alpha=alpha, lam=lam)  # checks the ranges
-    z_objective, var_objective, ell_objective = _cvar_objective(
-        scenarios.probabilities, alpha, lam)
-    lp, vm = _build_core(instance, scenarios, z_objective)
+def build_cvar(instance: MarketInstance, scenarios: ScenarioSet,
+               config: FormulationConfig):
+    """Tail-weighted model: lam * E[z] + (1-lam) * CVaR_alpha(z), with alpha
+    and lam from a cvar config."""
+    _require_kind(config, CVAR)
+    lp, vm = _build_core(instance, scenarios)
     n_s = scenarios.num_scenarios
-    vm.var_col = lp.add_variable("var", -math.inf, math.inf, objective=var_objective)
-    vm.ell = lp.add_variables([f"ell[{s}]" for s in range(n_s)], 0.0, math.inf,
-                              ell_objective)
+    vm.var_col = lp.add_variable("var", -math.inf, math.inf)
+    vm.ell = lp.add_variables([f"ell[{s}]" for s in range(n_s)], 0.0, math.inf)
     lp.add_rows([f"tail[{s}]" for s in range(n_s)],
                 np.column_stack([vm.ell, np.full(n_s, vm.var_col), vm.z]),
                 [1.0, -1.0, 1.0], ">=", 0.0)
-    return lp, vm
+    return _objective(lp, vm, scenarios, config), vm
 
 
 def _penalty_groups(n_t: int, dro_penalty: str):
@@ -319,34 +346,29 @@ def _penalty_groups(n_t: int, dro_penalty: str):
     return [(slice(t, t + 1), f"{t},") for t in range(n_t)]
 
 
-def _dro_objective(pi, epsilon: float, terms: int):
-    """Objective coefficients of the w block in the robust model, whose
-    columns come in runs of terms per scenario."""
-    return np.repeat(-epsilon * pi, terms)
-
-
-def build_dro(instance: MarketInstance, scenarios: ScenarioSet, epsilon: float,
-              q_matrix, dro_penalty: str = PER_SCENARIO):
-    """Wasserstein-penalized model: E[z] - epsilon * E[||Q^T ytilde||_1].
+def build_dro(instance: MarketInstance, scenarios: ScenarioSet,
+              config: FormulationConfig):
+    """Wasserstein-penalized model: E[z] - epsilon * E[||Q^T ytilde||_1],
+    with epsilon, Q and the penalty's period groups from a dro config.
 
     Each scenario s, period group g and market j gets a column w[s,g,j] >=
     |(Q^T ytilde_sg)_j| through a norm_pos and a norm_neg row.
     """
-    FormulationConfig(kind=DRO, epsilon=epsilon, dro_penalty=dro_penalty)  # checks the ranges
+    _require_kind(config, DRO)
+    if config.q_matrix is None:
+        raise DimensionMismatch("dro requires a q matrix")
     n_m = len(instance.markets)
-    q = np.asarray(q_matrix, dtype=float)
+    q = config.q_matrix
     if q.shape != (n_m, n_m):
         raise DimensionMismatch(f"q matrix must be {(n_m, n_m)}, got {q.shape}")
     if not np.isfinite(q).all():
         raise DimensionMismatch("q matrix contains non-finite entries")
-    pi = scenarios.probabilities
-    lp, vm = _build_core(instance, scenarios, pi)
+    lp, vm = _build_core(instance, scenarios)
     n_s = scenarios.num_scenarios
-    groups = _penalty_groups(instance.periods, dro_penalty)
+    groups = _penalty_groups(instance.periods, config.dro_penalty)
     tags = [f"{s},{label}{j}" for s in range(n_s) for _, label in groups for j in range(n_m)]
-    vm.w = lp.add_variables([f"w[{tag}]" for tag in tags], 0.0, math.inf,
-                            _dro_objective(pi, epsilon, len(groups) * n_m)
-                            ).reshape(n_s, len(groups), n_m)
+    vm.w = lp.add_variables([f"w[{tag}]" for tag in tags], 0.0, math.inf).reshape(
+        n_s, len(groups), n_m)
 
     # row (s, g, j, side): w[s,g,j] -/+ sum_e q[owner_e, j] * y_e >= 0 over
     # the spot columns e of group g in scenario s, market after market
@@ -363,7 +385,7 @@ def build_dro(instance: MarketInstance, scenarios: ScenarioSet, epsilon: float,
     _add_sided_rows(lp, tags, [("norm_pos", ">=", 0.0), ("norm_neg", ">=", 0.0)],
                     columns.reshape(-1, width),
                     np.broadcast_to(coeffs, vm.w.shape[:2] + coeffs.shape).reshape(-1, width))
-    return lp, vm
+    return _objective(lp, vm, scenarios, config), vm
 
 
 def build(instance: MarketInstance, scenarios: ScenarioSet,
@@ -371,37 +393,21 @@ def build(instance: MarketInstance, scenarios: ScenarioSet,
     if config.kind == RISK_NEUTRAL:
         return build_risk_neutral(instance, scenarios)
     if config.kind == CVAR:
-        return build_cvar(instance, scenarios, config.alpha, config.lam)
-    if config.q_matrix is None:
-        raise DimensionMismatch("dro requires a q matrix")
-    return build_dro(instance, scenarios, config.epsilon, config.q_matrix,
-                     config.dro_penalty)
+        return build_cvar(instance, scenarios, config)
+    return build_dro(instance, scenarios, config)
 
 
 def reprice(lp: LinearProgram, vm: VariableMap, scenarios: ScenarioSet,
             config: FormulationConfig) -> LinearProgram:
     """The program build(instance, scenarios, config) returns, derived from
     one that build returned for the same instance and scenarios and a
-    config that differs from config in alpha and lam (cvar) or epsilon
-    (dro) alone.  Those parameters appear only in the objective, so the
-    result shares lp's rows and matrix cache read-only and copies its
-    bounds (LinearProgram.with_objective); vm maps its columns too.
-
-    Raises
-    ------
-    ValueError
-        When config is of another kind than lp.
+    config of the same kind.  It shares lp's rows and matrix cache
+    read-only and copies its bounds (LinearProgram.with_objective); vm maps
+    its columns too.  Raises ValueError for a config of another kind.
     """
-    pi = scenarios.probabilities
-    objective = lp.objective_array()
-    if config.kind == CVAR and vm.ell is not None:
-        objective[vm.z], objective[vm.var_col], objective[vm.ell] = _cvar_objective(
-            pi, config.alpha, config.lam)
-    elif config.kind == DRO and vm.w is not None:
-        objective[vm.w.ravel()] = _dro_objective(pi, config.epsilon, vm.w[0].size)
-    else:
-        raise ValueError(f"a {config.kind} config cannot reprice this program")
-    return lp.with_objective(objective)
+    _require_kind(config, CVAR if vm.ell is not None else DRO if vm.w is not None
+                  else RISK_NEUTRAL)
+    return _objective(lp, vm, scenarios, config)
 
 
 @dataclass(frozen=True)

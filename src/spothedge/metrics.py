@@ -25,7 +25,7 @@ tabulates one row per (model point, gamma).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,8 +33,8 @@ from .domain import MarketInstance, ScenarioSet
 from .formulations import (
     CVAR,
     DRO,
+    NEUTRAL,
     PER_SCENARIO,
-    RISK_NEUTRAL,
     AllocationReport,
     FormulationConfig,
     ParameterOutOfRange,
@@ -43,13 +43,11 @@ from .formulations import (
     build_risk_neutral,
     extract_report,
     reprice,
-    solve_allocation,
 )
 from .linprog import INFEASIBLE, NumericalFailure
 from .simplex import solve
 
 RHO_FLOOR = 1e-9
-_SOLVE = object()  # metric_row's default riskfree: solve the spot-free model
 
 CSV_HEADER = ("source", "alpha", "lambda", "epsilon", "gamma", "spot_fraction",
               "zeta", "chi", "zeta_riskfree", "delta_zeta", "delta_chi", "rho")
@@ -107,9 +105,7 @@ def risk_free_profit(instance: MarketInstance, scenarios: ScenarioSet) -> float 
     solution = solve(lp)
     if solution.status == INFEASIBLE:
         return None
-    report = extract_report(instance, first, FormulationConfig(kind=RISK_NEUTRAL),
-                            vm, solution)
-    return report.objective_value
+    return extract_report(instance, first, NEUTRAL, vm, solution).objective_value
 
 
 @dataclass(frozen=True)
@@ -128,8 +124,11 @@ class MetricRow:
     rho: float | None  # None also when delta_chi is below the floor
 
 
-def _row_from_report(report: AllocationReport, gamma: float, riskfree: float | None,
-                     source: str, alpha=None, lam=None, epsilon=None) -> MetricRow:
+def metric_row(report: AllocationReport, gamma: float,
+               riskfree: float | None) -> MetricRow:
+    """Metrics of one solved model at one gamma, labelled with its config;
+    riskfree is risk_free_profit's result, None included."""
+    config = report.config
     zeta = report.expected_profit
     chi = empirical_cvar(report.profits, report.probabilities, gamma)
     delta_zeta = delta_chi = rho = None
@@ -138,29 +137,13 @@ def _row_from_report(report: AllocationReport, gamma: float, riskfree: float | N
         delta_chi = abs(chi - riskfree)
         if delta_chi >= RHO_FLOOR * max(1.0, abs(riskfree)):
             rho = delta_zeta / delta_chi
-    return MetricRow(source=source, alpha=alpha, lam=lam, epsilon=epsilon,
+    return MetricRow(source=config.kind,
+                     alpha=config.alpha if config.kind == CVAR else None,
+                     lam=config.lam if config.kind == CVAR else None,
+                     epsilon=config.epsilon if config.kind == DRO else None,
                      gamma=gamma, spot_fraction=report.spot_fraction, zeta=zeta,
                      chi=chi, zeta_riskfree=riskfree, delta_zeta=delta_zeta,
                      delta_chi=delta_chi, rho=rho)
-
-
-def metric_row(instance: MarketInstance, scenarios: ScenarioSet,
-               config: FormulationConfig, gamma: float,
-               report: AllocationReport | None = None,
-               riskfree: float | None | object = _SOLVE) -> MetricRow:
-    """Metrics of one solved model at one gamma; solves on demand.
-
-    riskfree is risk_free_profit's result, None included; left out, it is
-    solved for here."""
-    if report is None:
-        report = solve_allocation(instance, scenarios, config)
-    if riskfree is _SOLVE:
-        riskfree = risk_free_profit(instance, scenarios)
-    alpha = config.alpha if config.kind == CVAR else None
-    lam = config.lam if config.kind == CVAR else None
-    epsilon = config.epsilon if config.kind == DRO else None
-    return _row_from_report(report, gamma, riskfree, config.kind,
-                            alpha=alpha, lam=lam, epsilon=epsilon)
 
 
 def sweep(instance: MarketInstance, scenarios: ScenarioSet, *,
@@ -172,8 +155,8 @@ def sweep(instance: MarketInstance, scenarios: ScenarioSet, *,
     and gamma.
 
     The risk-neutral anchor is always included.  Grid points alpha = 1.0 and
-    epsilon = 0.0 coincide with the risk-neutral model by definition and
-    reuse its solution, so their rows match the anchor exactly.
+    epsilon = 0.0 coincide with the risk-neutral model by definition: their
+    rows are the anchor's, relabelled.
 
     When a list is passed as ``failures``, a grid point whose solve fails is
     skipped and a record appended instead of raising; an anchor failure
@@ -194,30 +177,32 @@ def sweep(instance: MarketInstance, scenarios: ScenarioSet, *,
     if epsilons and q_matrix is None:
         raise ParameterOutOfRange("an epsilon grid requires a q matrix")
     # every point's config is made, and so checked, before any solve; the
-    # points that reuse the anchor have none
+    # points that are the anchor's model have none, only their row labels
     points = (
-        [((CVAR, float(alpha), float(lam), None),
-          None if alpha == 1.0 else FormulationConfig(kind=CVAR, alpha=alpha, lam=lam),
-          {"source": CVAR, "alpha": float(alpha), "lambda": float(lam)})
+        [(None if alpha == 1.0 else FormulationConfig(kind=CVAR, alpha=float(alpha),
+                                                      lam=float(lam)),
+          {"source": CVAR, "alpha": float(alpha), "lam": float(lam)})
          for alpha in alphas]
-        + [((DRO, None, None, float(epsilon)),
-            None if epsilon == 0.0 else FormulationConfig(
+        + [(None if epsilon == 0.0 else FormulationConfig(
                 kind=DRO, epsilon=float(epsilon), q_matrix=q_matrix, dro_penalty=dro_penalty),
             {"source": DRO, "epsilon": float(epsilon)})
            for epsilon in epsilons])
 
     riskfree = risk_free_profit(instance, scenarios)
-    anchor = FormulationConfig(kind=RISK_NEUTRAL)
-    lp, vm = build(instance, scenarios, anchor)
+
+    def rows_of(report):
+        return [metric_row(report, float(gamma), riskfree) for gamma in gammas]
+
+    lp, vm = build(instance, scenarios, NEUTRAL)
     solution = solve(lp)
-    neutral = extract_report(instance, scenarios, anchor, vm, solution)
+    anchor_rows = rows_of(extract_report(instance, scenarios, NEUTRAL, vm, solution))
     anchor_basis = solution.basis
     del lp, vm, solution  # only the basis is kept through the grids
-    solved = [(RISK_NEUTRAL, None, None, None, neutral)]
-    kind = RISK_NEUTRAL  # of the program last built
-    for key, config, record in points:
+    rows = list(anchor_rows)
+    kind = NEUTRAL.kind  # of the program last built
+    for config, labels in points:
         if config is None:
-            solved.append((*key, neutral))
+            rows += [replace(row, **labels) for row in anchor_rows]
             continue
         if config.kind != kind:  # the first point of a grid
             kind, start = config.kind, anchor_basis
@@ -226,20 +211,18 @@ def sweep(instance: MarketInstance, scenarios: ScenarioSet, *,
             lp = reprice(lp, vm, scenarios, config)
         try:
             solution = solve(lp, start=start)
-            solved.append((*key, extract_report(instance, scenarios, config, vm, solution)))
+            report = extract_report(instance, scenarios, config, vm, solution)
             start = solution.basis
         except (SolveFailed, NumericalFailure) as exc:
             if failures is None:
                 raise
-            status = getattr(exc, "status", "numerical")
-            failures.append(dict(record, status=status, message=str(exc)))
+            record = {"lambda" if key == "lam" else key: value
+                      for key, value in labels.items()}
+            failures.append(dict(record, status=getattr(exc, "status", "numerical"),
+                                 message=str(exc)))
             start = None
-
-    rows = []
-    for source, alpha, lam_out, epsilon, report in solved:
-        for gamma in gammas:
-            rows.append(_row_from_report(report, float(gamma), riskfree, source,
-                                         alpha=alpha, lam=lam_out, epsilon=epsilon))
+            continue
+        rows += rows_of(report)
     rows.sort(key=lambda r: (float(_cell(r.spot_fraction)), r.source,
                              r.alpha or 0.0, r.epsilon or 0.0, r.gamma))
     return rows

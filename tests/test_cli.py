@@ -22,7 +22,7 @@ from helpers import assert_reaped, random_allocation_case
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spothedge import formulations
+from spothedge import formulations, metrics
 from spothedge.cli import main
 from spothedge.domain import (ElasticityCurve, load_scenarios, save_instance,
                               save_scenarios, validate_scenarios, load_instance)
@@ -200,10 +200,24 @@ def test_an_empty_gamma_list_is_a_usage_error(capsys, micro_files, tmp_path, com
     ("solve", ["--kind", "dro", "--epsilon", "inf"]),
     ("sweep", ["--epsilon-grid", "1,inf"]),
     ("sweep", ["--alpha-grid", "5e-324"]),
-], ids=["alpha_subnormal", "epsilon_inf", "epsilon_grid_inf", "alpha_grid_subnormal"])
-def test_parameters_with_an_infinite_objective_are_usage_errors(capsys, micro_files, tmp_path,
-                                                               command, flags):
-    """At the parent these exited 1 with a ValueError from the LP builder."""
+    ("solve", ["--kind", "cvar", "--alpha", "1e-300", "--lambda", "0"]),
+    ("solve", ["--kind", "dro", "--epsilon", "1e308"]),
+    ("sweep", ["--alpha-grid", "0.5,9e-7", "--lambda", "0"]),
+    ("sweep", ["--epsilon-grid", "1,1e300"]),
+], ids=["alpha_subnormal", "epsilon_inf", "epsilon_grid_inf", "alpha_grid_subnormal",
+        "alpha_past_bound", "epsilon_past_bound", "alpha_grid_past_bound",
+        "epsilon_grid_past_bound"])
+def test_parameters_with_an_infinite_objective_are_usage_errors(capsys, monkeypatch, micro_files,
+                                                               tmp_path, command, flags):
+    """An infinite objective coefficient used to exit 1 with a ValueError
+    from the LP builder.  A risk weight past MAX_RISK_WEIGHT used to exit 0:
+    on the toy data, --alpha 1e-300 --lambda 0 reported an objective of
+    -9.0e287, and --epsilon 1e308 warned of overflows in the simplex.  Each
+    is refused before anything is solved, a sweep's anchor included."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a program was solved")
+    monkeypatch.setattr(formulations, "solve", no_solve)
+    monkeypatch.setattr(metrics, "solve", no_solve)
     ipath, spath = micro_files
     qpath = tmp_path / "q.json"
     qpath.write_text(json.dumps({"markets": ["hub"], "q": [[1.0]]}))
@@ -300,8 +314,10 @@ def test_malformed_json_is_parse_error(capsys, tmp_path):
 @pytest.mark.parametrize("doc, kind", [
     ({"q": "abc"}, "parse"), ({"q": [[1, 2], [3]]}, "parse"), (["q"], "parse"),
     ("q", "parse"), ({"q": [[1.0]], "markets": 1}, "parse"),
-    ({"q": [[float("nan")]]}, "data"), ({"q": [[float("inf")]]}, "data")],
-    ids=["q_text", "q_ragged", "list", "string", "markets_number", "nan", "inf"])
+    ({"q": [[float("nan")]]}, "data"), ({"q": [[float("inf")]]}, "data"),
+    ({"q": [[10 ** 400]]}, "parse")],
+    ids=["q_text", "q_ragged", "list", "string", "markets_number", "nan", "inf",
+         "integer_past_float"])
 def test_a_malformed_q_file_exits_2(capsys, micro_files, tmp_path, doc, kind):
     ipath, spath = micro_files
     qpath = tmp_path / "q.json"
@@ -944,6 +960,14 @@ def test_a_fractional_scenario_index_is_a_parse_error(capsys, micro_files, tmp_p
                                      "a non-negative integer, got 1.5"}
 
 
+def _contract(doc, **fields):
+    return {**doc, "contracts": [{**doc["contracts"][0], **fields}]}
+
+
+def _curve(**fields):
+    return {"hub": {"steps": 1, "width": 40.0, "decrement": 1.0, **fields}}
+
+
 @pytest.mark.parametrize("what, change, message", [
     ("instance", lambda doc: [doc], "instance must be an object, got list"),
     ("instance", lambda doc: {**doc, "markets": "ABC"},
@@ -977,17 +1001,59 @@ def test_a_fractional_scenario_index_is_a_parse_error(capsys, micro_files, tmp_p
      "scenarios: 'spot' must be an array, got dict"),
     ("scenarios", lambda doc: {**doc, "spot": [list(e.values()) for e in doc["spot"]]},
      "spot entry must be an object, got list"),
+    ("instance", lambda doc: _contract(doc, max_volume="50"),
+     "contract: 'max_volume' must be a number, got str"),
+    ("instance", lambda doc: _contract(doc, flex_above_min=True),
+     "contract: 'flex_above_min' must be a number, got bool"),
+    ("instance", lambda doc: _contract(doc, wholesale_price=["36"]),
+     "contract: 'wholesale_price' entry must be a number, got str"),
+    ("instance", lambda doc: _contract(doc, max_volume=10 ** 309),
+     f"contract: 'max_volume' is out of range, got {10 ** 309}"),
+    ("instance", lambda doc: _contract(doc, market=1),
+     "contract: 'market' must be a string, got int"),
+    ("instance", lambda doc: {**doc, "markets": [1]},
+     "instance: market name must be a string, got int"),
+    ("instance", lambda doc: {**doc, "supply_steps": [{"capacity": True, "unit_cost": 0.0}]},
+     "supply step: 'capacity' must be a number, got bool"),
+    ("instance", lambda doc: {**doc, "supply_steps": [{"capacity": 100.0, "unit_cost": None}]},
+     "supply step: 'unit_cost' must be a number, got NoneType"),
+    ("instance", lambda doc: {**doc, "transport_cost": {"hub": "1.5"}},
+     "instance: transport_cost 'hub' must be a number, got str"),
+    ("instance", lambda doc: {**doc, "production_limits": [{"lower": "100", "upper": 100.0}]},
+     "production limit: 'lower' must be a number, got str"),
+    ("instance", lambda doc: {**doc, "production_limits": [{"lower": 100.0, "upper": [100]}]},
+     "production limit: 'upper' must be a number, got list"),
+    ("instance", lambda doc: {**doc, "elasticity": _curve(width="40")},
+     "elasticity: 'width' must be a number, got str"),
+    ("instance", lambda doc: {**doc, "elasticity": _curve(decrement=False)},
+     "elasticity: 'decrement' must be a number, got bool"),
+    ("scenarios", lambda doc: {**doc, "probabilities": ["0.5", 0.5]},
+     "scenarios: probability must be a number, got str"),
+    ("scenarios", lambda doc: {**doc, "spot": [{**doc["spot"][0], "price": "50"}]},
+     "spot entry: 'price' must be a number, got str"),
+    ("scenarios", lambda doc: {**doc, "spot": [{**doc["spot"][0], "width": True}]},
+     "spot entry: 'width' must be a number, got bool"),
+    ("scenarios", lambda doc: {**doc, "spot": [{**doc["spot"][0], "market": 0}]},
+     "spot entry: 'market' must be a string, got int"),
 ], ids=["instance_array", "markets_text", "contracts_object", "contract_array",
         "wholesale_price_text", "supply_steps_object", "supply_step_array",
         "production_limits_object", "production_limit_array", "transport_cost_text",
         "transport_cost_array", "elasticity_array", "elasticity_curve_array",
-        "probabilities_object", "spot_object", "spot_entry_array"])
+        "probabilities_object", "spot_object", "spot_entry_array",
+        "max_volume_text", "flex_above_min_bool", "wholesale_price_entry_text",
+        "max_volume_past_float", "contract_market_number", "market_name_number",
+        "capacity_bool", "unit_cost_null", "transport_cost_value_text", "lower_text",
+        "upper_array", "width_text", "decrement_bool", "probability_text",
+        "spot_price_text", "spot_width_bool", "spot_market_number"])
 def test_a_field_of_the_wrong_json_type_is_a_parse_error(capsys, micro_files,
                                                          what, change, message):
-    """Each field is an array or an object, and anything else exits 2 with a
-    parse error that names it.  Unchecked, a transport_cost of text or an
-    elasticity array exited 1 (AttributeError), markets "ABC" read as three
-    markets, and a wholesale_price of "36" as (3.0, 6.0)."""
+    """Each field has its JSON type: an array, an object, a string for a
+    market name, or a number that is not a boolean.  Anything else exits 2
+    with a parse error that names the field.  Unchecked, a transport_cost of
+    text or an elasticity array exited 1 (AttributeError), markets "ABC"
+    read as three markets, a wholesale_price of "36" as (3.0, 6.0), and
+    "max_volume": "50" and "capacity": true passed validate as 50.0 and
+    1.0."""
     ipath, spath = micro_files
     path = {"instance": ipath, "scenarios": spath}[what]
     path.write_text(json.dumps(change(json.loads(path.read_text()))))

@@ -9,6 +9,7 @@ the best.  LP answers must match it to high precision.
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from spothedge.domain import Contract, MarketInstance, ScenarioSet, SupplyStep
 from spothedge.formulations import (
     CVAR,
     DRO,
+    MAX_RISK_WEIGHT,
     PER_PERIOD,
     PER_SCENARIO,
     RISK_NEUTRAL,
@@ -221,31 +223,53 @@ def test_parameter_range_errors(canonical):
         FormulationConfig(kind=DRO, epsilon=-0.5)
     with pytest.raises(ParameterOutOfRange):
         FormulationConfig(kind="robust")
-    with pytest.raises(ParameterOutOfRange):
-        build_cvar(instance, scenarios, alpha=1.0, lam=0.5)
+    with pytest.raises(ValueError, match="cannot reprice or build a cvar program"):
+        build_cvar(instance, scenarios, FormulationConfig(kind=DRO, q_matrix=np.eye(1)))
     with pytest.raises(DimensionMismatch):
-        build_dro(instance, scenarios, epsilon=1.0, q_matrix=np.eye(2))
+        build_dro(instance, scenarios, FormulationConfig(kind=DRO, epsilon=1.0,
+                                                         q_matrix=np.eye(2)))
+    with pytest.raises(DimensionMismatch, match="requires a q matrix"):
+        build_dro(instance, scenarios, FormulationConfig(kind=DRO, epsilon=1.0))
 
 
 def test_builders_check_parameters_through_the_config(canonical):
-    """build_cvar and build_dro apply FormulationConfig's ranges, including
-    the finite 1/alpha and epsilon that keep every objective coefficient
-    finite: at the parent alpha 1e-310 and epsilon inf reached the LP and
-    failed its objective check with a bare ValueError."""
-    instance, scenarios = canonical
+    """The builders take their parameters from a FormulationConfig, whose
+    ranges include the finite 1/alpha and epsilon that keep every objective
+    coefficient finite, and the bound on the risk terms' weights: alpha
+    finfo.tiny with lambda 0.5 built an LP before that bound."""
     for kwargs in (dict(kind=CVAR, alpha=1e-310), dict(kind=DRO, epsilon=math.inf)):
         with pytest.raises(ParameterOutOfRange):
             FormulationConfig(**kwargs)
     with pytest.raises(ParameterOutOfRange, match="finite 1/alpha"):
-        build_cvar(instance, scenarios, alpha=5e-324, lam=0.5)
+        FormulationConfig(kind=CVAR, alpha=5e-324, lam=0.5)
     with pytest.raises(ParameterOutOfRange, match="lambda"):
-        build_cvar(instance, scenarios, alpha=0.5, lam=-0.1)
+        FormulationConfig(kind=CVAR, alpha=0.5, lam=-0.1)
     with pytest.raises(ParameterOutOfRange, match="epsilon must be finite"):
-        build_dro(instance, scenarios, epsilon=math.inf, q_matrix=np.eye(1))
+        FormulationConfig(kind=DRO, epsilon=math.inf, q_matrix=np.eye(1))
     with pytest.raises(ParameterOutOfRange, match="dro_penalty"):
-        build_dro(instance, scenarios, epsilon=1.0, q_matrix=np.eye(1), dro_penalty="bogus")
-    lp, _ = build_cvar(instance, scenarios, alpha=np.finfo(float).tiny, lam=0.5)
+        FormulationConfig(kind=DRO, epsilon=1.0, q_matrix=np.eye(1), dro_penalty="bogus")
+    with pytest.raises(ParameterOutOfRange, match=r"\(1 - lambda\) / alpha"):
+        FormulationConfig(kind=CVAR, alpha=np.finfo(float).tiny, lam=0.5)
+    instance, scenarios = canonical
+    lp, _ = build_cvar(instance, scenarios, FormulationConfig(kind=CVAR, alpha=1e-6, lam=0.0))
     assert np.isfinite(lp.objective).all()
+
+
+def test_the_risk_weights_may_reach_their_bound_but_not_pass_it():
+    """(1 - lambda) / alpha and, given Q, epsilon * max|Q| are at most
+    MAX_RISK_WEIGHT; alpha 1e-6 with lambda 0 sits on the bound."""
+    assert MAX_RISK_WEIGHT == 1e6
+    q = np.array([[0.5, 0.0], [-2.0, 1.0]])
+    for kwargs in (dict(kind=CVAR, alpha=1e-6, lam=0.0), dict(kind=CVAR, alpha=1e-300, lam=1.0),
+                   dict(kind=DRO, epsilon=5e5, q_matrix=q),
+                   dict(kind=DRO, epsilon=1e300, q_matrix=np.zeros((2, 2))),
+                   dict(kind=DRO, epsilon=1e300)):
+        FormulationConfig(**kwargs)
+    for kwargs, match in ((dict(kind=CVAR, alpha=9e-7, lam=0.0), "alpha"),
+                          (dict(kind=CVAR, alpha=1e-300, lam=0.5), "alpha"),
+                          (dict(kind=DRO, epsilon=6e5, q_matrix=q), "max|Q|")):
+        with pytest.raises(ParameterOutOfRange, match=re.escape(match)):
+            FormulationConfig(**kwargs)
 
 
 def test_structurally_infeasible_instance_raises():

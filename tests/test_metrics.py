@@ -128,7 +128,8 @@ def test_risk_free_profit_equals_the_pinned_all_scenario_model():
 
 def test_metric_row_canonical_all_spot(canonical):
     instance, scenarios = canonical
-    row = metric_row(instance, scenarios, FormulationConfig(kind=RISK_NEUTRAL), 0.5)
+    report = solve_allocation(instance, scenarios, FormulationConfig(kind=RISK_NEUTRAL))
+    row = metric_row(report, 0.5, risk_free_profit(instance, scenarios))
     assert row.source == RISK_NEUTRAL
     assert row.zeta == pytest.approx(3500.0, abs=1e-6)
     assert row.chi == pytest.approx(2000.0, abs=1e-6)
@@ -143,7 +144,8 @@ def test_metric_row_undefined_rho_for_all_contract():
     # mean below contract price: optimal allocation has no spot, chi == zeta_riskfree
     instance = micro_instance()
     scenarios = micro_scenarios((40.0, 10.0))
-    row = metric_row(instance, scenarios, FormulationConfig(kind=RISK_NEUTRAL), 0.5)
+    report = solve_allocation(instance, scenarios, FormulationConfig(kind=RISK_NEUTRAL))
+    row = metric_row(report, 0.5, risk_free_profit(instance, scenarios))
     assert row.rho is None
     assert row.delta_chi == pytest.approx(0.0, abs=1e-6)
 
@@ -244,8 +246,7 @@ def cold_rows(k: int, dro_penalty=PER_SCENARIO) -> dict:
         report = neutral if config.kind == RISK_NEUTRAL else solve_allocation(
             instance, scenarios, config)
         for gamma in GAMMAS:
-            row = metric_row(instance, scenarios, config, gamma, report=report,
-                             riskfree=riskfree)
+            row = metric_row(report, gamma, riskfree)
             rows[source, alpha, epsilon, gamma] = dataclasses.replace(
                 row, source=source, alpha=alpha, lam=lam, epsilon=epsilon)
     return rows

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import MarketInstance, ScenarioSet
+from .domain import PROBABILITY_TOL, MarketInstance, ScenarioSet
 from .formulations import (
     CVAR,
     DRO,
@@ -81,7 +81,7 @@ def empirical_cvar(profits, probabilities, gamma: float) -> float:
         remaining -= take
         if remaining <= 1e-15:
             break
-    if remaining > 1e-12:
+    if remaining > PROBABILITY_TOL:  # the shortfall validate_scenarios allows
         raise DegenerateTail("probabilities sum to less than the tail mass")
     return acc / beta
 

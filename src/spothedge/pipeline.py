@@ -11,9 +11,11 @@ inputs the allocation models need:
    and node codes and a price array; one bincount over the codes then finds
    duplicates and holes and one scatter fills the matrix.  Memory is one
    chunk of csv rows, one dict entry per timestamp and node, and three
-   array numbers per row (two codes and the price).  Errors are the ones a
-   row-by-row pass would raise first, with csv line numbers found by
-   re-reading the file.
+   array numbers per row (two codes and the price).  This pass only notices
+   that something is wrong.  A file with a problem is read a second time,
+   row by row, and that reading names the first problem a row-by-row reader
+   meets, at its csv line; it keeps one dict entry per timestamp and node
+   and one integer code per cell.
 2. kmeans_reduce: deterministic k-means (greedy farthest-point seeding from
    a fixed seed, lowest-index tie-breaks) whose clusters become scenarios;
    the representative of a cluster is the member closest to its centroid
@@ -64,6 +66,7 @@ import math
 import operator
 import os
 import pickle
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,7 +133,8 @@ def ingest_lmp_csv(path, column_map: dict | None = None) -> PriceHistory:
     text the csv module rejects (such as a field over its size limit) raise
     ParseError with the offending line number; a node missing some
     timestamp, or a timestamp without a system row, raises
-    MissingObservation.
+    MissingObservation.  A file with any problem is read a second time, row
+    by row, to name the first one.
     """
     colmap = dict(DEFAULT_COLUMNS)
     if column_map:
@@ -138,52 +142,34 @@ def ingest_lmp_csv(path, column_map: dict | None = None) -> PriceHistory:
         if unknown:
             raise ValueError(f"unknown column_map keys: {sorted(unknown)}")
         colmap.update(column_map)
-    ts_col, node_col, price_col = colmap["timestamp"], colmap["node"], colmap["price"]
-    system_key = colmap["system"]
+    try:
+        return _pivot(path, colmap)
+    except (csv.Error, ValueError, LookupError, OSError) as exc:
+        traceback.clear_frames(exc.__traceback__)  # free _pivot's arrays before reading again
+        problem = _first_problem(path, colmap)
+        if problem is None:  # a read error that did not happen again
+            raise
+        raise problem from exc
 
+
+def _pivot(path, colmap) -> PriceHistory:
+    """The history of a file without problems.  Any problem raises csv.Error,
+    ValueError, LookupError or OSError, not always where a row-by-row
+    reader would meet it first."""
     ts_ids: dict[str, int] = {}  # code of each timestamp, first-appearance order
     node_ids: dict[str, int] = {}  # code of each node, first-appearance order
-    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    bad = None  # (data row, message) of the first malformed row
-    pending = None  # what the reader raised after the last row it returned
+    parts = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))]
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader, None)
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise _reader_error(path, exc, reader.line_num) from exc
-        if header is None:
-            raise ParseError("empty file", 1)
-        missing_cols = {ts_col, node_col, price_col} - set(header)
-        if missing_cols:
-            raise ParseError(f"missing columns {sorted(missing_cols)}", 1)
-        where = {name: i for i, name in enumerate(header)}  # a repeated name: last wins
-        picks = (where[ts_col], where[node_col], where[price_col])
-        done = 0  # data rows in earlier chunks
-        while bad is None and pending is None:
-            records = []
-            try:
-                records.extend(itertools.islice(reader, INGEST_CHUNK_ROWS))
-            except (csv.Error, ValueError, OSError) as exc:
-                # raised after the rows extend() kept, if they are clean
-                pending = _reader_error(path, exc, reader.line_num)
-            if not records:
-                break
+        where = {name: i for i, name in enumerate(next(reader, ()))}  # a repeated name: last wins
+        picks = [where[colmap[key]] for key in ("timestamp", "node", "price")]
+        while records := list(itertools.islice(reader, INGEST_CHUNK_ROWS)):
             rows = [row for row in records if row]  # blank lines are skipped
-            if not rows:
-                continue
-            ts, nodes, raw = _chunk_fields(rows, picks)
-            try:
-                prices = np.fromiter(map(float, raw), float, len(raw))
-            except ValueError:
-                prices = None
-            if prices is None or not np.isfinite(prices).all() or "" in ts or "" in nodes:
-                # keep the rows before the first malformed one: they may hold a duplicate
-                cut, message = next((i, m) for i, m in enumerate(map(_row_problem, ts, nodes, raw))
-                                    if m is not None)
-                bad = (done + cut, message)
-                ts, nodes = ts[:cut], nodes[:cut]
-                prices = np.fromiter(map(float, raw[:cut]), float, cut)
+            ts, nodes, raw = (list(map(str.strip, map(operator.itemgetter(i), rows)))
+                              for i in picks)
+            prices = np.fromiter(map(float, raw), float, len(raw))
+            if not np.isfinite(prices).all() or "" in ts or "" in nodes:
+                raise ValueError("a malformed row")
             for name in dict.fromkeys(ts):
                 ts_ids.setdefault(name, len(ts_ids))
             for name in dict.fromkeys(nodes):
@@ -191,20 +177,16 @@ def ingest_lmp_csv(path, column_map: dict | None = None) -> PriceHistory:
             parts.append((np.fromiter(map(ts_ids.__getitem__, ts), np.intp, len(ts)),
                           np.fromiter(map(node_ids.__getitem__, nodes), np.intp, len(nodes)),
                           prices))
-            done += len(ts)
 
-    if not parts:
-        parts.append((np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)))
+    system_key = colmap["system"]
     ts_codes, node_codes, prices = (np.concatenate(column) for column in zip(*parts))
     timestamps = tuple(ts_ids)
     n_nodes = len(node_ids)
     key = ts_codes * n_nodes + node_codes
     cells = len(timestamps) * n_nodes
-    complete = (bad is None and pending is None and system_key in node_ids and n_nodes > 1
-                and key.size == cells and np.bincount(key, minlength=cells).max() == 1)
-    if not complete:
-        _raise_first_problem(path, bad, pending, key, ts_codes, node_codes,
-                             timestamps, tuple(node_ids), system_key)
+    if not (system_key in node_ids and n_nodes > 1 and key.size == cells
+            and np.bincount(key, minlength=cells).max() == 1):
+        raise ValueError("not one price for every timestamp and node")
 
     node_order = tuple(sorted(name for name in node_ids if name != system_key))
     column = {name: c for c, name in enumerate(node_order)}
@@ -215,13 +197,61 @@ def ingest_lmp_csv(path, column_map: dict | None = None) -> PriceHistory:
                         nodal=grid[:, :-1].copy(), system=grid[:, -1].copy())
 
 
-def _chunk_fields(rows, picks):
-    """Stripped timestamp, node and price text of every row; short rows read as empty."""
-    try:
-        columns = [list(map(operator.itemgetter(i), rows)) for i in picks]
-    except IndexError:
-        columns = [[row[i] if i < len(row) else "" for row in rows] for i in picks]
-    return [list(map(str.strip, column)) for column in columns]
+def _first_problem(path, colmap) -> ParseError | MissingObservation | None:
+    """The first problem a row-by-row reader of the file meets, None for none.
+
+    Rows are checked in file order, blank lines skipped and short rows read
+    as empty fields: on each row a malformed field comes before a duplicate
+    (timestamp, node), and a row before text that the reader fails on after
+    it.  The grid checks (no rows, no market nodes, holes, in timestamp
+    order) come after the whole file.  Memory is one dict entry per
+    timestamp and node name and one integer code per cell.
+    """
+    system_key = colmap["system"]
+    node_ids: dict[str, int] = {}  # code of each node
+    present: dict[str, set[int]] = {}  # codes of the nodes seen at each timestamp
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+            if header is None:
+                return ParseError("empty file", 1)
+            names = [colmap[key] for key in ("timestamp", "node", "price")]
+            missing_cols = set(names) - set(header)
+            if missing_cols:
+                return ParseError(f"missing columns {sorted(missing_cols)}", 1)
+            where = {name: i for i, name in enumerate(header)}  # a repeated name: last wins
+            picks = [where[name] for name in names]
+            for row in reader:
+                if not row:
+                    continue
+                ts, node, raw = (row[i].strip() if i < len(row) else "" for i in picks)
+                message = _row_problem(ts, node, raw)
+                if message is None:
+                    codes = present.setdefault(ts, set())
+                    code = node_ids.setdefault(node, len(node_ids))
+                    if code in codes:
+                        message = f"duplicate observation for ({ts}, {node})"
+                    codes.add(code)
+                if message is not None:
+                    return ParseError(message, reader.line_num)
+        except UnicodeDecodeError as exc:
+            return ParseError(f"not UTF-8 text: {exc.reason}", _undecodable_line(path))
+        except csv.Error as exc:
+            return ParseError(f"unreadable CSV: {exc}", reader.line_num)
+
+    if not present:
+        return ParseError("no data rows", 2)
+    markets = sorted(name for name in node_ids if name != system_key)
+    if not markets:
+        return MissingObservation("no market nodes besides the system row")
+    for stamp, codes in present.items():
+        if len(codes) <= len(markets):  # not every market and the system
+            if node_ids.get(system_key) not in codes:
+                return MissingObservation(f"no system ({system_key}) price at {stamp}")
+            node = next(name for name in markets if node_ids[name] not in codes)
+            return MissingObservation(f"node {node} has no price at {stamp}")
+    return None
 
 
 def _row_problem(ts: str, node: str, raw_price: str) -> str | None:
@@ -236,17 +266,6 @@ def _row_problem(ts: str, node: str, raw_price: str) -> str | None:
     return None
 
 
-def _reader_error(path, exc, line_num: int):
-    """ParseError for a file that is not UTF-8 or not readable as CSV
-    (csv.reader had read line_num lines when it raised); any other error
-    is returned as it is."""
-    if isinstance(exc, UnicodeDecodeError):
-        return ParseError(f"not UTF-8 text: {exc.reason}", _undecodable_line(path))
-    if isinstance(exc, csv.Error):
-        return ParseError(f"unreadable CSV: {exc}", line_num)
-    return exc
-
-
 def _undecodable_line(path) -> int:
     """1-based line of the first line that is not UTF-8; a newline byte
     never occurs inside a multi-byte UTF-8 character."""
@@ -257,49 +276,6 @@ def _undecodable_line(path) -> int:
             except UnicodeDecodeError:
                 break
     return line
-
-
-def _data_line(path, row: int) -> int:
-    """csv line_num of the given 0-based data row, blank lines not counted."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        next(reader)
-        data_rows = (record for record in reader if record)
-        next(itertools.islice(data_rows, row, None))
-        return reader.line_num
-
-
-def _raise_first_problem(path, bad, pending, key, ts_codes, node_codes,
-                         timestamps, node_names, system_key):
-    """Raise what a row-by-row pass would have raised first.
-
-    Rows are checked in file order, so a duplicate cell on an earlier row
-    beats a malformed row, which beats a reader error; the grid checks
-    (no rows, no market nodes, holes) come after the whole file.
-    """
-    uniq, first = np.unique(key, return_index=True)
-    if uniq.size < key.size:
-        later = np.ones(key.size, dtype=bool)
-        later[first] = False
-        row = int(np.argmax(later))
-        raise ParseError(f"duplicate observation for ({timestamps[ts_codes[row]]}, "
-                         f"{node_names[node_codes[row]]})", _data_line(path, row))
-    if bad is not None:
-        raise ParseError(bad[1], _data_line(path, bad[0]))
-    if pending is not None:
-        raise pending
-    if not timestamps:
-        raise ParseError("no data rows", 2)
-    markets = sorted(name for name in node_names if name != system_key)
-    if not markets:
-        raise MissingObservation("no market nodes besides the system row")
-    per_ts = np.bincount(ts_codes, minlength=len(timestamps))
-    t = int(np.argmax(per_ts < len(markets) + 1))
-    present = {node_names[c] for c in node_codes[ts_codes == t]}
-    if system_key not in present:
-        raise MissingObservation(f"no system ({system_key}) price at {timestamps[t]}")
-    node = next(name for name in markets if name not in present)
-    raise MissingObservation(f"node {node} has no price at {timestamps[t]}")
 
 
 @dataclass(frozen=True)

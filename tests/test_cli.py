@@ -328,6 +328,23 @@ def test_a_malformed_q_file_exits_2(capsys, micro_files, tmp_path, doc, kind):
     assert stderr_json(err)["error"] == kind
 
 
+@pytest.mark.parametrize("doc, kind, message", [
+    ({"markets": ["hub"]}, "parse", "has no 'q' entry"),
+    ({"q": [[1.0, 0.0]]}, "data", "expected a 1x1 matrix, got shape [1, 2]"),
+    ({"q": [[1.0]], "markets": ["east"]}, "data",
+     "covers markets ['east'], instance has ['hub']")],
+    ids=["no_q_entry", "wrong_shape", "other_markets"])
+def test_a_q_file_that_does_not_fit_the_instance_exits_2(capsys, micro_files, tmp_path, doc,
+                                                          kind, message):
+    ipath, spath = micro_files
+    qpath = tmp_path / "q.json"
+    qpath.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "solve", "--instance", str(ipath), "--scenarios", str(spath),
+                       "--kind", "dro", "--q", str(qpath))
+    assert code == 2
+    assert stderr_json(err)["error"] == kind and message in stderr_json(err)["message"]
+
+
 @pytest.mark.parametrize("flag", ["--config", "--instance", "--scenarios", "--q"])
 def test_json_nested_past_the_recursion_limit_is_a_parse_error(capsys, micro_files,
                                                               tmp_path, flag):
@@ -441,6 +458,23 @@ def test_sweep_outputs_match_recorded_digests(capsys, tmp_path, toy16):
                      "--q", str(toy16 / "q.json"), "--out", str(tmp_path))
     assert code == 0
     assert {name: sha256(tmp_path / name) for name in SWEEP_DIGESTS} == SWEEP_DIGESTS
+
+
+@pytest.mark.parametrize("command, flags", [("solve", []), ("sweep", ["--alpha-grid", "0.5"])],
+                         ids=["solve", "sweep"])
+def test_gamma_zero_takes_every_probability_sum_that_passes_validation(capsys, tmp_path, toy16,
+                                                                       command, flags):
+    """validate accepts probabilities within PROBABILITY_TOL = 1e-9 of summing
+    to 1; at gamma 0 the tail is all of that mass, however short of 1."""
+    doc = json.loads((toy16 / "scenarios.json").read_text())
+    doc["probabilities"] = [p * (1 - 5e-10) for p in doc["probabilities"]]
+    spath = tmp_path / "scenarios.json"
+    spath.write_text(json.dumps(doc))
+    inputs = ["--instance", str(DATA / "toy_instance.json"), "--scenarios", str(spath)]
+    assert run(capsys, "validate", *inputs)[0] == 0
+    code, _, err = run(capsys, command, *inputs, *flags, "--gamma", "0",
+                       "--out", str(tmp_path / "out"))
+    assert (code, err) == (0, "")
 
 
 def test_sweep_requires_out_and_q_for_epsilons(capsys, micro_files, tmp_path):
@@ -699,6 +733,32 @@ def test_prepare_rejects_unknown_market_nodes(capsys, tmp_path):
     assert doc["error"] == "data" and "hub" in doc["message"]
 
 
+@pytest.mark.parametrize("case, message", [
+    ("one_observation",
+     "covariance estimation failed: covariance needs at least two observations"),
+    ("hole", "node BRAVO has no price at 2024-01-01T01:00"),
+    ("no_elasticity_rule", "instance has no elasticity rule for market 'BRAVO'")])
+def test_prepare_on_inputs_that_make_no_scenarios_is_a_data_error(capsys, tmp_path, case,
+                                                                  message):
+    lines = (DATA / "toy_lmp.csv").read_text().splitlines(keepends=True)
+    ipath = DATA / "toy_instance.json"
+    if case == "one_observation":
+        lines = lines[:5]  # the header and the first hour's four nodes
+    elif case == "hole":
+        lines = [line for line in lines if not line.startswith("2024-01-01T01:00,BRAVO,")]
+    else:
+        doc = json.loads(ipath.read_text())
+        del doc["elasticity"]["BRAVO"]
+        ipath = tmp_path / "instance.json"
+        ipath.write_text(json.dumps(doc))
+    csv_path = tmp_path / "history.csv"
+    csv_path.write_text("".join(lines))
+    code, _, err = run(capsys, "prepare", "--instance", str(ipath), "--raw-csv", str(csv_path),
+                       "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert one_json_object(err) == {"error": "data", "message": message}
+
+
 # ----------------------------------------------------------------------
 # config files
 
@@ -831,6 +891,15 @@ def test_config_keys_of_another_subcommand_are_ignored_and_unknown_keys_refused(
     code, _, err = run(capsys, "solve", "--config", config)
     assert code == 2
     assert one_json_object(err) == {"error": "usage", "message": "config has unknown keys ['lam']"}
+
+
+def test_a_config_that_is_not_a_json_object_is_a_parse_error(capsys, micro_files, tmp_path):
+    ipath, spath = micro_files
+    config = write_config(tmp_path / "config.json", [{"instance": str(ipath)}])
+    code, _, err = run(capsys, "solve", "--config", config, "--scenarios", str(spath))
+    assert code == 2
+    assert one_json_object(err) == {"error": "parse",
+                                    "message": f"config {config} must be a JSON object"}
 
 
 JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)

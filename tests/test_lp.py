@@ -205,6 +205,57 @@ def test_start_made_infeasible_by_a_tighter_bound_falls_back(monkeypatch):
     assert np.array_equal(warm.values, cold.values)
 
 
+def installed_starts(monkeypatch):
+    """Record whether each start given to the simplex could be installed."""
+    seen = []
+    warm_start = simplex._warm_start
+
+    def recording(state, start, rest):
+        seen.append(warm_start(state, start, rest))
+        return seen[-1]
+
+    monkeypatch.setattr(simplex, "_warm_start", recording)
+    return seen
+
+
+def assert_same_solve(warm, cold):
+    assert (warm.status, warm.objective, warm.iterations) == (cold.status, cold.objective,
+                                                              cold.iterations)
+    assert warm.values.tobytes() == cold.values.tobytes()
+    assert np.array_equal(warm.basis.basic, cold.basis.basic)
+    assert np.array_equal(warm.basis.status, cold.basis.status)
+
+
+def test_a_start_resting_on_an_infinite_bound_is_solved_cold(monkeypatch):
+    lp = small_knapsack()
+    cold = solve(lp)
+    status = cold.basis.status.copy()
+    slack = lp.num_variables  # the cap row's slack rests at 0 and has no upper bound
+    assert status[slack] == simplex._AT_LOWER
+    status[slack] = simplex._AT_UPPER
+    seen = installed_starts(monkeypatch)
+    warm = solve(lp, start=Basis(basic=cold.basis.basic, status=status))
+    assert seen == [False]
+    assert_same_solve(warm, cold)
+
+
+def test_a_singular_start_is_solved_cold(monkeypatch):
+    # x and y have parallel columns, so no basis holds both
+    lp = LinearProgram()
+    x = lp.add_variable("x", 0.0, 3.0, 1.0)
+    y = lp.add_variable("y", 0.0, 3.0, 2.0)
+    lp.add_row("cap", {x: 1.0, y: 1.0}, "<=", 4.0)
+    lp.add_row("twice", {x: 2.0, y: 2.0}, "<=", 10.0)
+    cold = solve(lp)
+    status = np.array([simplex._BASIC, simplex._BASIC, simplex._AT_LOWER, simplex._AT_LOWER],
+                      dtype=np.int8)
+    seen = installed_starts(monkeypatch)
+    warm = solve(lp, start=Basis(basic=np.array([x, y]), status=status))
+    assert seen == [False]
+    assert cold.objective == pytest.approx(7.0, abs=1e-9)
+    assert_same_solve(warm, cold)
+
+
 def test_block_of_rows_equals_rows_added_one_by_one():
     columns = np.array([[0, 1], [1, 1], [0, 0]])
     coeffs = np.array([[1.0, 0.0], [2.0, 3.0], [-0.0, 4.0]])

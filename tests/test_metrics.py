@@ -67,6 +67,13 @@ def test_degenerate_gamma_rejected():
         empirical_cvar([1.0, 2.0], [0.5, 0.5], -0.1)
 
 
+def test_a_probability_shortfall_beyond_the_validation_tolerance_leaves_no_tail():
+    # validate_scenarios accepts a sum within PROBABILITY_TOL = 1e-9 of 1
+    assert empirical_cvar([1.0, 2.0], [0.5, 0.5 - 5e-10], 0.0) == pytest.approx(1.5)
+    with pytest.raises(DegenerateTail, match="less than the tail mass"):
+        empirical_cvar([1.0, 2.0], [0.5, 0.5 - 2e-9], 0.0)
+
+
 def test_matches_rockafellar_on_random_distributions():
     rng = np.random.default_rng(99)
     for _ in range(300):
@@ -182,7 +189,8 @@ def test_csv_format(tmp_path, canonical):
     write_metrics_csv(rows, out)
     text = out.read_text().splitlines()
     assert text[0] == ",".join(CSV_HEADER)
-    parsed = list(csv.DictReader(out.open()))
+    with out.open() as handle:
+        parsed = list(csv.DictReader(handle))
     assert len(parsed) == len(rows)
     cvar_cells = [p for p in parsed if p["source"] == "cvar"][0]
     assert cvar_cells["alpha"] == "0.5"

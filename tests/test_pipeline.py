@@ -16,10 +16,13 @@ Frozen oracles used here, all checked by hand:
 import csv
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 from helpers import DATA, assert_reaped, kmeans_reduce_einsum
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spothedge import pipeline
 from spothedge.domain import (Contract, ElasticityCurve, MarketInstance,
@@ -283,6 +286,78 @@ def test_ingest_holes_are_reported_in_timestamp_order(tmp_path, chunk):
     err = ingest_error(path)
     assert isinstance(err, MissingObservation)
     assert str(err) == "node A has no price at t2"
+
+
+PRICE_ROWS = [[b"timestamp", b"node", b"price"]] + [
+    [b"t%d" % t, node, b"%d.5" % (30 + 3 * t + i)]
+    for t in range(4) for i, node in enumerate((b"SYSTEM", b"A", b"B"))]
+OVER_FIELD_LIMIT = b'"' + b"9" * 131_073 + b'"'  # csv reads at most 131 072 characters
+# a price put in place, or a change to a row, a field or the header
+CSV_MUTATIONS = ["x", "nan", "inf", "", "drop", "duplicate", "delete", "blank", "ff", "long",
+                 "rename"]
+
+
+def mutate(rows, op, at, field):
+    """rows with op applied to data row `at` (modulo the data rows there are)
+    and its field `field` (modulo its fields), or to the header."""
+    rows = [list(row) for row in rows]
+    i = 1 + at % max(1, len(rows) - 1)
+    if op == "rename":
+        rows[0][field] = b"renamed"
+    elif i == len(rows):
+        pass  # no data row is left
+    elif op == "duplicate":
+        rows.insert(i, list(rows[i]))
+    elif op == "delete":
+        del rows[i]
+    elif op == "blank":
+        rows.insert(i, [])
+    elif not rows[i]:
+        pass  # a blank line has no field to change
+    elif op == "drop":
+        del rows[i][field % len(rows[i])]
+    elif op == "ff":
+        rows[i][field % len(rows[i])] += b"\xff"
+    elif op == "long":
+        rows[i][field % len(rows[i])] = OVER_FIELD_LIMIT
+    else:
+        rows[i][2:] = [op.encode()]
+    return rows
+
+
+def ingest_outcome(path):
+    """The history's bytes, or the type, message and line of the error."""
+    try:
+        history = ingest_lmp_csv(path)
+    except (ParseError, MissingObservation) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return history.timestamps, history.nodes, history.nodal.tobytes(), history.system.tobytes()
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("price_csv")
+
+
+@settings(max_examples=50, deadline=None)
+@given(mutations=st.lists(st.tuples(st.sampled_from(CSV_MUTATIONS), st.integers(0, 63),
+                                    st.integers(0, 2)), max_size=3))
+def test_a_mutated_price_csv_ingests_or_fails_typed(csv_dir, mutations):
+    """Ingest returns a history or raises ParseError or MissingObservation,
+    the same for every chunk size, and fails exactly when the row-by-row
+    reading finds a problem."""
+    rows = PRICE_ROWS
+    for mutation in mutations:
+        rows = mutate(rows, *mutation)
+    path = csv_dir / "history.csv"
+    path.write_bytes(b"".join(b",".join(row) + b"\r\n" for row in rows))
+    outcomes = set()
+    for size in (1, 3, pipeline.INGEST_CHUNK_ROWS):
+        with mock.patch.object(pipeline, "INGEST_CHUNK_ROWS", size):
+            outcomes.add(ingest_outcome(path))
+    (outcome,) = outcomes
+    failed = outcome[0] in (ParseError, MissingObservation)
+    assert failed == (pipeline._first_problem(path, pipeline.DEFAULT_COLUMNS) is not None)
 
 
 # ----------------------------------------------------------------------

@@ -297,16 +297,11 @@ def _report_dict(report: formulations.AllocationReport) -> dict:
     return doc
 
 
+_METRIC_FIELDS = ("gamma", "zeta", "chi", "zeta_riskfree", "delta_zeta", "delta_chi", "rho")
+
+
 def _metric_dict(row: metrics.MetricRow) -> dict:
-    return {
-        "gamma": row.gamma,
-        "zeta": row.zeta,
-        "chi": row.chi,
-        "zeta_riskfree": row.zeta_riskfree,
-        "delta_zeta": row.delta_zeta,
-        "delta_chi": row.delta_chi,
-        "rho": row.rho,
-    }
+    return {name: getattr(row, name) for name in _METRIC_FIELDS}
 
 
 # ----------------------------------------------------------------------
@@ -451,20 +446,21 @@ def _cmd_validate(args) -> int:
 def _add_common(sub, func) -> None:
     sub.add_argument("--config", help="JSON file of flag values, read as --key=value; "
                                       "flags given here win")
-    sub.add_argument("--out", type=_file_name, help="output directory")
     sub.add_argument("--instance", type=_file_name, help="instance JSON")
     sub.set_defaults(func=func)
 
 
 def _add_model_flags(sub) -> None:
     """The flags that solve and sweep share."""
+    sub.add_argument("--out", type=_file_name, help="output directory")
     sub.add_argument("--scenarios", type=_file_name, help="scenario set JSON")
     sub.add_argument("--lambda", dest="lam", type=float, help="CVaR mean weight in [0, 1]")
     sub.add_argument("--q", type=_file_name, help="q.json with the deviation factor")
     sub.add_argument("--dro-penalty",
                      choices=(formulations.PER_SCENARIO, formulations.PER_PERIOD))
-    sub.add_argument("--gamma", type=_gammas, default="0.9",
-                     help="comma-separated metric tail levels in [0, 1) (default 0.9)")
+    sub.add_argument("--gamma", type=_gammas, default=metrics.DEFAULT_GAMMAS,
+                     help="comma-separated metric tail levels in [0, 1) (default "
+                          f"{','.join(map(str, metrics.DEFAULT_GAMMAS))})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -489,6 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     prep = commands.add_parser("prepare", help="reduce a price CSV into scenarios")
     _add_common(prep, _cmd_prepare)
+    prep.add_argument("--out", type=_file_name, help="output directory")
     prep.add_argument("--raw-csv", type=_file_name, help="long-format price history CSV")
     prep.add_argument("--columns", type=_columns,
                       help="rename CSV columns: timestamp=...,node=...,price=...,system=...")

@@ -34,7 +34,6 @@ from .formulations import (
     CVAR,
     DRO,
     NEUTRAL,
-    PER_SCENARIO,
     AllocationReport,
     FormulationConfig,
     ParameterOutOfRange,
@@ -48,6 +47,7 @@ from .linprog import INFEASIBLE, NumericalFailure
 from .simplex import solve
 
 RHO_FLOOR = 1e-9
+DEFAULT_GAMMAS = (0.9,)  # the tail levels of a sweep, and of the CLI's --gamma
 
 CSV_HEADER = ("source", "alpha", "lambda", "epsilon", "gamma", "spot_fraction",
               "zeta", "chi", "zeta_riskfree", "delta_zeta", "delta_chi", "rho")
@@ -147,8 +147,8 @@ def metric_row(report: AllocationReport, gamma: float,
 
 
 def sweep(instance: MarketInstance, scenarios: ScenarioSet, *,
-          alphas=(), lam: float = 0.1, epsilons=(), q_matrix=None,
-          dro_penalty: str = PER_SCENARIO, gammas=(0.9,),
+          alphas=(), lam: float = FormulationConfig.lam, epsilons=(), q_matrix=None,
+          dro_penalty: str = FormulationConfig.dro_penalty, gammas=DEFAULT_GAMMAS,
           failures: list | None = None) -> list[MetricRow]:
     """Solve the grid and tabulate rows, sorted by ascending spot_fraction as
     written to the CSV (9 significant digits), then by source, alpha, epsilon
@@ -234,19 +234,22 @@ def _cell(value) -> str:
     return f"{value:.9g}"
 
 
-def write_metrics_csv(rows, path) -> None:
-    """Write rows with the fixed header; 9 significant digits, empty cell for
-    an undefined value."""
+def _write_rows(header, rows, path) -> None:
+    """Write rows under header, each cell read from the row's field of the
+    column's name (lambda from lam): the source as it is, every other value
+    with 9 significant digits, an empty cell for an undefined one."""
+    fields = ["lam" if name == "lambda" else name for name in header]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(CSV_HEADER)
+        writer.writerow(header)
         for row in rows:
-            writer.writerow([
-                row.source, _cell(row.alpha), _cell(row.lam), _cell(row.epsilon),
-                _cell(row.gamma), _cell(row.spot_fraction), _cell(row.zeta),
-                _cell(row.chi), _cell(row.zeta_riskfree), _cell(row.delta_zeta),
-                _cell(row.delta_chi), _cell(row.rho),
-            ])
+            writer.writerow([row.source if field == "source" else _cell(getattr(row, field))
+                             for field in fields])
+
+
+def write_metrics_csv(rows, path) -> None:
+    """Write rows with the fixed header CSV_HEADER."""
+    _write_rows(CSV_HEADER, rows, path)
 
 
 TRADEOFF_HEADER = ("spot_fraction", "delta_zeta", "delta_chi", "rho",
@@ -256,12 +259,4 @@ TRADEOFF_HEADER = ("spot_fraction", "delta_zeta", "delta_chi", "rho",
 def write_tradeoff_csv(rows, path) -> None:
     """Reward-to-risk projection of the sweep, one point per row, ordered by
     ascending spot exposure for direct plotting."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TRADEOFF_HEADER)
-        for row in rows:
-            writer.writerow([
-                _cell(row.spot_fraction), _cell(row.delta_zeta),
-                _cell(row.delta_chi), _cell(row.rho), row.source,
-                _cell(row.alpha), _cell(row.epsilon), _cell(row.gamma),
-            ])
+    _write_rows(TRADEOFF_HEADER, rows, path)

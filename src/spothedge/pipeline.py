@@ -461,10 +461,10 @@ def kmeans_reduce(matrix, k: int, seed: int = 0) -> ReducedScenarios:
                             centroids=centroids, inertia=inertia)
 
 
-def kmeans_scan(matrix, ks, seed: int = 0, reduce=None) -> dict:
+def kmeans_scan(matrix, ks, seed: int, reduce) -> dict:
     """{k: reduce(matrix, k, seed=seed)} for every k in ks, computed on
-    every CPU this process may use; reduce defaults to kmeans_reduce and
-    must be deterministic, as the result may come from any process.
+    every CPU this process may use; reduce, kmeans_reduce or a wrapper of
+    it, must be deterministic, as the result may come from any process.
 
     The queue is a pipe holding one record per k, largest k first; a read
     of one whole record is atomic on Linux, and every record is in the pipe
@@ -478,7 +478,6 @@ def kmeans_scan(matrix, ks, seed: int = 0, reduce=None) -> dict:
     runs.  The CLI starts no Python thread, and OpenBLAS stops its own pool
     at a fork.
     """
-    reduce = kmeans_reduce if reduce is None else reduce
     order = sorted(set(ks), reverse=True)  # a larger k takes longer
     if len(order) > SCAN_MAX_KS:
         raise ValueError(f"kmeans_scan takes at most {SCAN_MAX_KS} values of k")

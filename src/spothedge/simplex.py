@@ -6,14 +6,18 @@ fixed at 0).  Nonbasic variables sit at a finite bound (free variables sit
 at zero and may move either way).  A dual simplex phase reaches a primal
 feasible basis, and the primal simplex then runs to optimality from it.
 
-A cold solve starts from a crash basis: each free structural column is
-basic in one of its rows and every other row has its slack, which may lie
-outside its bounds.  The dual phase first computes the reduced costs
-d = c - A^T y once, moves each nonbasic boxed column to the bound its d
-prefers (upper when d > 0) and recomputes the basic values.  A nonbasic
-column that is still dual infeasible, one whose d points past an infinite
-bound or a free one with d != 0, has its cost shifted to c_j - d_j for
-this phase only, so that the basis is dual feasible.  Each dual iteration
+Every basis is put in place by one routine, _install: it marks the basic
+columns, puts every other column on the bound of its status (at zero when
+it is free) and refactorizes, which computes the basic values.  A cold
+solve installs a crash basis: each free structural column is basic in one
+of its rows and every other row has its slack, which may lie outside its
+bounds; should that basis be singular, the slacks alone.  The dual phase
+first computes the reduced costs d = c - A^T y once, moves each nonbasic
+boxed column to the bound its d prefers (upper when d > 0) and installs
+the same basis again with those statuses.  A nonbasic column that is
+still dual infeasible, one whose d points past an infinite bound or a
+free one with d != 0, has its cost shifted to c_j - d_j for this phase
+only, so that the basis is dual feasible.  Each dual iteration
 takes the row with the largest bound violation, computes its row
 alpha = e_r B^-1 A with one BTRAN and one A^T product, and picks the
 entering column by a bound-flipping ratio test: the candidates are sorted
@@ -71,10 +75,9 @@ An optimal solve returns its final basis (LpSolution.basis): the basic
 column of each row and the rest status of every structural and slack
 column.  Passed back as ``start``, it lets a program with the same matrix,
 right-hand side and bounds, and another objective, start from it: the
-nonbasic columns are put on their bounds, the basis is refactorized once
-and, when every basic value lies within FEASIBILITY_TOL of its bounds, the
-primal simplex runs from there; otherwise the dual phase starts from that
-basis.
+start is installed and, when every basic value lies within FEASIBILITY_TOL
+of its bounds, the primal simplex runs from there; otherwise the dual
+phase starts from that basis.
 
 A program that appends columns and rows to another one, leaving the
 other's matrix, right-hand side and bounds as its leading block, takes the
@@ -86,9 +89,9 @@ row whose basic slack is violated: in row order, the first nonbasic
 structural column (in column order) with a nonzero in the row, all of whose
 nonzeros lie in rows that still have a basic slack, and whose new value
 stays inside its own bounds, replaces the slack, which goes to its bound.
-Such a column moves only the slacks of its own rows, so the repair is exact
-and one refactorization follows.  A start that is singular falls back to
-the crash basis of a cold solve.
+Such a column moves only the slacks of its own rows, so the repair is exact,
+and the repaired basis is installed in its turn.  A start that is singular
+falls back to the crash basis of a cold solve.
 """
 
 from __future__ import annotations
@@ -548,10 +551,11 @@ def _dual_start(state, c):
     shifted costs and their reduced costs.
 
     Each nonbasic boxed column moves to the bound its reduced cost prefers
-    (upper when d > 0, lower when d < 0) and the basic values are
-    recomputed.  A nonbasic column that is still dual infeasible, one with
-    an infinite bound whose d points past it or a free one with d != 0,
-    gets the cost c_j - d_j, so that its reduced cost is zero.
+    (upper when d > 0, lower when d < 0), and the same basis is installed
+    again with those statuses.  A nonbasic column that is still dual
+    infeasible, one with an infinite bound whose d points past it or a
+    free one with d != 0, gets the cost c_j - d_j, so that its reduced cost
+    is zero.
     """
     d = _reduced_costs(state, c)
     boxed = np.isfinite(state.lower) & np.isfinite(state.upper) \
@@ -559,11 +563,9 @@ def _dual_start(state, c):
     to_upper = boxed & (d > 0.0) & (state.status == _AT_LOWER)
     to_lower = boxed & (d < 0.0) & (state.status == _AT_UPPER)
     if to_upper.any() or to_lower.any():
-        state.status[to_upper] = _AT_UPPER
-        state.status[to_lower] = _AT_LOWER
-        state.x[to_upper] = state.upper[to_upper]
-        state.x[to_lower] = state.lower[to_lower]
-        state.refactor()
+        # the basis itself is unchanged, so it factors as before
+        _install(state, state.basis, np.where(to_upper, _AT_UPPER,
+                                              np.where(to_lower, _AT_LOWER, state.status)))
     sense, free = _sense(state)
     shifted = d * sense > 0.0
     shifted[free] = d[free] != 0.0
@@ -625,7 +627,7 @@ def _dual_phase(state, c):
         score[free] = np.abs(gain[free])
         candidates = np.nonzero(score > PIVOT_TOL)[0]
         if not candidates.size:
-            if _proves_infeasible(state, rho):
+            if _proves_infeasible(state, rho, alpha):
                 return INFEASIBLE, it - int(stuck.sum())
             stuck[r] = True  # violated within the ray's tolerance
             continue
@@ -662,12 +664,11 @@ def _dual_phase(state, c):
     raise NumericalFailure(f"iteration limit {iteration_limit} exceeded")
 
 
-def _proves_infeasible(state, rho):
-    """Whether rho proves the equality form infeasible: over the bounds,
-    rho A x ranges over an interval that misses rho b by more than
-    FEASIBILITY_TOL * (1 + |rho| |b|).  Entries of rho A within PIVOT_TOL
-    of zero count as zero, as in the ratio test."""
-    alpha = state.rmatvec(rho)
+def _proves_infeasible(state, rho, alpha):
+    """Whether rho, with alpha = rho A, proves the equality form infeasible:
+    over the bounds, rho A x ranges over an interval that misses rho b by
+    more than FEASIBILITY_TOL * (1 + |rho| |b|).  Entries of alpha within
+    PIVOT_TOL of zero count as zero, as in the ratio test."""
     positive, negative = alpha > PIVOT_TOL, alpha < -PIVOT_TOL
     low = np.where(positive, alpha * state.lower, np.where(negative, alpha * state.upper, 0.0))
     high = np.where(positive, alpha * state.upper, np.where(negative, alpha * state.lower, 0.0))
@@ -684,58 +685,64 @@ def _snap(values, lower, upper):
         values[near] = bound[near]
 
 
-def _cold_start(state, rest):
-    """Crash basis: free columns and slacks.
+def _install(state, basic, status):
+    """Make basic the basis; returns False when it is singular.
 
-    Every nonbasic column rests at its bound.  Each free structural column
-    becomes basic in the first of its rows that no earlier free column has
-    taken, and every other row starts with its slack, which may lie
-    outside its bounds.  A singular free-column block falls back to slacks
-    alone.
+    The columns of basic are marked basic and every other column takes its
+    entry of status, with its value on that bound, or at zero when it is
+    free.  The basis is then refactorized, which computes the basic values.
     """
-    m = state.m
-    n = state.ncols - m
-    state.status[:] = rest
-    state.x[:] = _rest_values(state, rest)
-    slacks = n + np.arange(m)
-    state.basis[:] = slacks
-    for j in np.nonzero(rest[:n] == _FREE)[0]:
-        rows = state.indices[state.indptr[j]:state.indptr[j + 1]]
-        open_rows = rows[state.basis[rows] >= n]
-        if open_rows.size:
-            state.basis[open_rows.min()] = j
+    state.basis[:] = basic
+    state.status[:] = status
     state.status[state.basis] = _BASIC
+    state.x[:] = np.where(state.status == _AT_LOWER, state.lower,
+                          np.where(state.status == _AT_UPPER, state.upper, 0.0))
     try:
         state.refactor()
     except NumericalFailure:
-        state.status[:] = rest
-        state.basis[:] = slacks
-        state.status[slacks] = _BASIC
-        state.refactor()
+        return False
+    return True
+
+
+def _cold_start(state, rest):
+    """Install the crash basis: free columns and slacks.
+
+    Each free structural column becomes basic in the first of its rows
+    that no earlier free column has taken, and every other row starts with
+    its slack, which may lie outside its bounds; every nonbasic column
+    rests at its bound.  A singular free-column block falls back to the
+    slacks alone.
+    """
+    m = state.m
+    n = state.ncols - m
+    basic = n + np.arange(m)
+    for j in np.nonzero(rest[:n] == _FREE)[0]:
+        rows = state.indices[state.indptr[j]:state.indptr[j + 1]]
+        open_rows = rows[basic[rows] >= n]
+        if open_rows.size:
+            basic[open_rows.min()] = j
+    if not _install(state, basic, rest):
+        _install(state, n + np.arange(m), rest)  # the identity: never singular
 
 
 def _warm_start(state, start, rest):
     """Install start as the basis; returns whether it could be installed.
 
-    Basic slacks outside their bounds are first repaired by _crash_slacks.
-    Returns False, leaving the state for _cold_start, when the basis is
-    singular, when a nonbasic column rests on an infinite bound, or when
-    it is free while it has a finite one.  The installed basis may still
-    be primal infeasible.
+    Basic slacks outside their bounds are then repaired by _crash_slacks,
+    and the repaired basis is installed in its turn.  Returns False,
+    leaving the state for _cold_start, when either basis is singular, when
+    a nonbasic column rests on an infinite bound, or when it is free while
+    it has a finite one.  The installed basis may still be primal
+    infeasible.
     """
     status = start.status
     at_upper = (status == _AT_UPPER) & np.isfinite(state.upper)
     if not ((status == rest) | at_upper | (status == _BASIC)).all():
         return False
-    state.status[:] = status
-    state.x[:] = _rest_values(state, state.status)
-    state.basis[:] = start.basic
-    try:
-        state.refactor()
-        if _crash_slacks(state, rest):
-            state.refactor()
-    except NumericalFailure:
+    if not _install(state, start.basic, status):
         return False
+    if _crash_slacks(state, rest):
+        return _install(state, state.basis, state.status)
     return True
 
 
@@ -756,7 +763,7 @@ def _crash_slacks(state, rest):
     after the move stays within its bounds; the slack goes to its bound.
     B^-1 a_j of such a column is a_j on those slacks, so it moves only them
     and no earlier choice.  Returns whether any column entered; the caller
-    then refactorizes.
+    then installs the new basis.
     """
     m = state.m
     n = state.ncols - m
@@ -814,12 +821,6 @@ def _rest_status(lower, upper):
     else at zero as a free column."""
     return np.where(np.isfinite(lower), _AT_LOWER,
                     np.where(np.isfinite(upper), _AT_UPPER, _FREE)).astype(np.int8)
-
-
-def _rest_values(state, status):
-    """Each column's value at its rest status; zero for free and basic ones."""
-    return np.where(status == _AT_LOWER, state.lower,
-                    np.where(status == _AT_UPPER, state.upper, 0.0))
 
 
 def _vertex_values(state, n):

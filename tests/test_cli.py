@@ -999,6 +999,22 @@ def test_validate_reports_problems(capsys, micro_files, tmp_path):
     assert any("do not match" in p for p in payload["problems"])
 
 
+def test_validate_takes_no_out_flag(capsys, micro_files, tmp_path):
+    """validate writes no file, so --out is a usage error there, and a
+    config file's "out" entry is another subcommand's flag, ignored."""
+    ipath, spath = micro_files
+    inputs = ["--instance", str(ipath), "--scenarios", str(spath)]
+    code, stdout, err = run(capsys, "validate", *inputs, "--out", str(tmp_path / "d"))
+    doc = one_json_object(err)
+    assert (code, stdout, doc["error"]) == (2, "", "usage")
+    assert "--out" in doc["message"]
+    assert not (tmp_path / "d").exists()
+    config = write_config(tmp_path / "config.json", {"out": str(tmp_path / "d")})
+    assert run(capsys, "validate", *inputs, "--config", config) == \
+        run(capsys, "validate", *inputs)
+    assert not (tmp_path / "d").exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "solve"])
 def test_unreadable_scenarios_are_io_and_parse_errors(capsys, micro_files, tmp_path, command):
     ipath, _ = micro_files

@@ -572,8 +572,8 @@ def test_every_infeasible_random_program_is_certified_by_its_ray(monkeypatch):
     checks = []
     proves = simplex._proves_infeasible
 
-    def recording(state, rho):
-        checks.append(proves(state, rho))
+    def recording(state, rho, alpha):
+        checks.append(proves(state, rho, alpha))
         return checks[-1]
 
     monkeypatch.setattr(simplex, "_proves_infeasible", recording)
@@ -610,9 +610,9 @@ def test_a_perturbed_ray_fails_the_infeasibility_check(monkeypatch, perturb):
     rays = []
     proves = simplex._proves_infeasible
 
-    def recording(state, rho):
+    def recording(state, rho, alpha):
         rays.append(rho.copy())
-        return proves(state, rho)
+        return proves(state, rho, alpha)
 
     monkeypatch.setattr(simplex, "_proves_infeasible", recording)
     assert solve(lp).status == INFEASIBLE
@@ -620,8 +620,11 @@ def test_a_perturbed_ray_fails_the_infeasibility_check(monkeypatch, perturb):
 
     # the row the ray fails to prove stays violated by 1, far beyond the
     # tolerance under which a row no column can repair is accepted
-    monkeypatch.setattr(simplex, "_proves_infeasible",
-                        lambda state, rho: proves(state, perturb(rho)))
+    def perturbed(state, rho, alpha):
+        rho = perturb(rho)
+        return proves(state, rho, state.rmatvec(rho))
+
+    monkeypatch.setattr(simplex, "_proves_infeasible", perturbed)
     with pytest.raises(NumericalFailure):
         solve(lp)
 

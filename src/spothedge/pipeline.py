@@ -6,16 +6,19 @@ inputs the allocation models need:
 1. ingest_lmp_csv: one streaming pass pivoting the file into a wide
    (observations x nodes) matrix plus the system price series, with hard
    errors on malformed rows, duplicate cells, missing observations, bytes
-   that are not UTF-8 and text the csv module cannot read.  The
-   csv rows are parsed INGEST_CHUNK_ROWS at a time into integer timestamp
-   and node codes and a price array; one bincount over the codes then finds
-   duplicates and holes and one scatter fills the matrix.  Memory is one
-   chunk of csv rows, one dict entry per timestamp and node, and three
-   array numbers per row (two codes and the price).  This pass only notices
-   that something is wrong.  A file with a problem is read a second time,
-   row by row, and that reading names the first problem a row-by-row reader
-   meets, at its csv line; it keeps one dict entry per timestamp and node
-   and one integer code per cell.
+   that are not UTF-8 and text the csv module cannot read.  The file is
+   cut after newlines into byte spans, one per CPU, which the process and
+   forked children read (see _spread); a file with a quote (a quoted field
+   may hold a newline), or too small to share, is one span.  Each span's
+   csv rows are parsed INGEST_CHUNK_ROWS at a time straight into its own
+   (timestamp, node) price grid with one byte per cell marking it seen;
+   the spans merge in file order, where the rows read and the cells seen
+   find duplicates and holes.  Memory is one chunk of csv rows per
+   process, the grid, and one dict entry per timestamp and node.  This
+   pass only notices that something is wrong.  A file with a problem is
+   read a second time, row by row, and that reading names the first
+   problem a row-by-row reader meets, at its csv line; it keeps one dict
+   entry per timestamp and node and one integer code per cell.
 2. kmeans_reduce: deterministic k-means (greedy farthest-point seeding from
    a fixed seed, lowest-index tie-breaks) whose clusters become scenarios;
    the representative of a cluster is the member closest to its centroid
@@ -42,12 +45,12 @@ inputs the allocation models need:
    k-means runs in parallel processes do not each wake a thread pool on
    the same CPUs; blocks cannot change a label, which comes from a proven
    bound or from the exact distances.
-   kmeans_scan runs kmeans_reduce for several k at once: the process and
-   min(cpus, len(ks)) - 1 forked children take the k values from a pipe,
-   largest (slowest) first, and the children send their results back
-   pickled.  With one CPU, or off Linux, there are no children; the parent
-   computes any k a dead child did not send, and reaps every child before
-   it returns or raises.
+   kmeans_scan runs kmeans_reduce for several k at once through _spread:
+   the process and min(cpus, len(ks)) - 1 forked children take the k
+   values from a pipe, largest (slowest) first, and the children send
+   their results back pickled.  With one CPU, or off Linux, there are no
+   children; the parent computes any k a dead child did not send, and
+   reaps every child before it returns or raises.
 3. knee_point: picks k on an inertia curve by the largest perpendicular
    distance to the chord between the curve's endpoints.
 4. estimate_q: sample covariance (divisor n-1) of nodal deviations from the
@@ -61,11 +64,13 @@ inputs the allocation models need:
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import operator
 import os
 import pickle
+import sys
 import traceback
 from dataclasses import dataclass
 
@@ -80,7 +85,8 @@ DEFAULT_COLUMNS = {"timestamp": "timestamp", "node": "node", "price": "price",
 #    "price": "total_lmp_rt", "system": "PJM"}
 
 MAX_JITTER_DOUBLINGS = 20
-INGEST_CHUNK_ROWS = 1 << 14  # csv rows parsed per vectorized step
+INGEST_CHUNK_ROWS = 1 << 12  # csv rows parsed per vectorized step
+INGEST_MIN_PIECE = 1 << 20  # bytes: a file read on several CPUs gives each this much at least
 KMEANS_MAX_ITER = 300
 KMEANS_BLOCK = 1 << 17  # floats in one block of exact differences
 # absolute slack on squared distances, far below any price scale, so that
@@ -92,8 +98,8 @@ OUTWARD = 8 * EPS  # relative widening that rounds a bound outward
 # this, on the calling thread alone (interface/gemm.c and gemv.c)
 BLAS_GEMM_ONE_THREAD = 1 << 18
 BLAS_GEMV_ONE_THREAD = 9216
-SCAN_RECORD = 2  # bytes of one entry in kmeans_scan's queue
-SCAN_MAX_KS = 4096 // SCAN_RECORD  # entries that fit a pipe of one page
+FORK_RECORD = 2  # bytes of one entry in _spread's queue
+FORK_MAX_ITEMS = 4096 // FORK_RECORD  # entries that fit a pipe of one page
 
 
 class ParseError(ValueError):
@@ -134,7 +140,8 @@ def ingest_lmp_csv(path, column_map: dict | None = None) -> PriceHistory:
     ParseError with the offending line number; a node missing some
     timestamp, or a timestamp without a system row, raises
     MissingObservation.  A file with any problem is read a second time, row
-    by row, to name the first one.
+    by row, to name the first one.  A UTF-8 byte order mark before the
+    header is skipped.
     """
     colmap = dict(DEFAULT_COLUMNS)
     if column_map:
@@ -156,12 +163,88 @@ def _pivot(path, colmap) -> PriceHistory:
     """The history of a file without problems.  Any problem raises csv.Error,
     ValueError, LookupError or OSError, not always where a row-by-row
     reader would meet it first."""
-    ts_ids: dict[str, int] = {}  # code of each timestamp, first-appearance order
-    node_ids: dict[str, int] = {}  # code of each node, first-appearance order
-    parts = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))]
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        where = {name: i for i, name in enumerate(next(reader, ()))}  # a repeated name: last wins
+    spans = _pieces(path)
+    read = _spread(spans, lambda span: _read_piece(path, span, colmap))
+    if len(spans) == 1:
+        timestamps, names, grid, rows = read[spans[0]]
+    else:  # merged in file order, which keeps the first appearance of each timestamp
+        timestamps, names = (tuple(dict.fromkeys(itertools.chain.from_iterable(
+            read[span][i] for span in spans))) for i in (0, 1))
+        codes = [{name: c for c, name in enumerate(labels)} for labels in (timestamps, names)]
+        grid = np.full((len(timestamps), len(names)), np.nan)
+        rows = 0
+        for span in spans:
+            *labels, prices, count = read.pop(span)
+            cell = np.ix_(*([code[name] for name in part] for code, part in zip(codes, labels)))
+            grid[cell] = np.fmax(grid[cell], prices, out=prices)  # the price where one is NaN
+            rows += count
+    system_key = colmap["system"]
+    # as many rows as cells and no cell left NaN: one price for each, none twice
+    if not (system_key in names and len(names) > 1 and rows == grid.size
+            and not np.isnan(grid).any()):
+        raise ValueError("not one price for every timestamp and node")
+    node_order = tuple(sorted(name for name in names if name != system_key))
+    column = {name: c for c, name in enumerate(names)}
+    return PriceHistory(timestamps=timestamps, nodes=node_order,
+                        nodal=np.take(grid, [column[name] for name in node_order], axis=1),
+                        system=grid[:, column[system_key]].copy())
+
+
+def _pieces(path) -> list[tuple[int, int | None]]:
+    """Byte spans (start, stop) that cover the file in order: one per CPU,
+    none below INGEST_MIN_PIECE bytes, each but the last ending after a
+    newline.  A newline ends a record past the header unless the file holds
+    a quote, as a quoted field may hold one.  Such a file, a small one and
+    a pipe (of size 0, and read only once) are one span, (0, None)."""
+    size = os.path.getsize(path)
+    count = min(_cpus(), size // INGEST_MIN_PIECE, FORK_MAX_ITEMS)
+    if count < 2:
+        return [(0, None)]
+    cuts, targets = [0], [size * i // count for i in range(1, count)]
+    with open(path, "rb") as handle:
+        base = 0
+        while block := handle.read(1 << 20):
+            if b'"' in block:
+                return [(0, None)]
+            while targets and (at := block.find(b"\n", max(targets[0] - 1 - base, 0))) >= 0:
+                cuts.append(base + at + 1)
+                targets.pop(0)
+            base += len(block)
+    cuts.append(size)
+    return [(start, stop) for start, stop in zip(cuts, cuts[1:]) if start < stop]
+
+
+class _Span(io.FileIO):
+    """Bytes start..stop of a file (stop None: to its end), as a raw reader
+    of its own for io.BufferedReader, which reads it through readinto."""
+
+    def __init__(self, path, start, stop):
+        super().__init__(path)
+        if start:  # a pipe cannot seek, and is read whole
+            self.seek(start)
+        self.left = sys.maxsize if stop is None else stop - start
+
+    def readinto(self, buffer):
+        count = super().readinto(memoryview(buffer)[:self.left])
+        self.left -= count
+        return count
+
+
+def _read_piece(path, span, colmap):
+    """(timestamps, nodes, prices, rows) of the records in one span of the
+    file: the names in first-appearance order, their price grid, NaN in
+    each cell no row filled, and the count of rows read."""
+    stamps, names = {}, {}  # code of each name
+    grid, count = np.zeros((0, 0)), 0
+    encoding = "utf-8-sig" if span[0] == 0 else "utf-8"
+    with io.TextIOWrapper(io.BufferedReader(_Span(path, *span)), encoding, newline="") as text:
+        reader = csv.reader(text)
+        if span[0] == 0:
+            header = next(reader, ())
+        else:  # the header lies before the first span only
+            with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+                header = next(csv.reader(handle), ())
+        where = {name: i for i, name in enumerate(header)}  # a repeated name: last wins
         picks = [where[colmap[key]] for key in ("timestamp", "node", "price")]
         while records := list(itertools.islice(reader, INGEST_CHUNK_ROWS)):
             rows = [row for row in records if row]  # blank lines are skipped
@@ -170,31 +253,20 @@ def _pivot(path, colmap) -> PriceHistory:
             prices = np.fromiter(map(float, raw), float, len(raw))
             if not np.isfinite(prices).all() or "" in ts or "" in nodes:
                 raise ValueError("a malformed row")
-            for name in dict.fromkeys(ts):
-                ts_ids.setdefault(name, len(ts_ids))
-            for name in dict.fromkeys(nodes):
-                node_ids.setdefault(name, len(node_ids))
-            parts.append((np.fromiter(map(ts_ids.__getitem__, ts), np.intp, len(ts)),
-                          np.fromiter(map(node_ids.__getitem__, nodes), np.intp, len(nodes)),
-                          prices))
-
-    system_key = colmap["system"]
-    ts_codes, node_codes, prices = (np.concatenate(column) for column in zip(*parts))
-    timestamps = tuple(ts_ids)
-    n_nodes = len(node_ids)
-    key = ts_codes * n_nodes + node_codes
-    cells = len(timestamps) * n_nodes
-    if not (system_key in node_ids and n_nodes > 1 and key.size == cells
-            and np.bincount(key, minlength=cells).max() == 1):
-        raise ValueError("not one price for every timestamp and node")
-
-    node_order = tuple(sorted(name for name in node_ids if name != system_key))
-    column = {name: c for c, name in enumerate(node_order)}
-    column[system_key] = len(node_order)
-    grid = np.empty((len(timestamps), len(node_order) + 1))
-    grid[ts_codes, np.array([column[name] for name in node_ids])[node_codes]] = prices
-    return PriceHistory(timestamps=timestamps, nodes=node_order,
-                        nodal=grid[:, :-1].copy(), system=grid[:, -1].copy())
+            for labels, codes in ((ts, stamps), (nodes, names)):
+                for name in dict.fromkeys(labels):
+                    codes.setdefault(name, len(codes))
+            cell = (np.fromiter(map(stamps.__getitem__, ts), np.intp, len(ts)),
+                    np.fromiter(map(names.__getitem__, nodes), np.intp, len(nodes)))
+            del records, rows, ts, nodes, raw  # one chunk of text at a time
+            shape = tuple(have if n <= have else max(n, 2 * have)  # grows by doubling
+                          for n, have in zip((len(stamps), len(names)), grid.shape))
+            if shape != grid.shape:
+                grid = np.pad(grid, [(0, n - have) for n, have in zip(shape, grid.shape)],
+                              constant_values=np.nan)
+            grid[cell] = prices
+            count += prices.size
+    return tuple(stamps), tuple(names), grid[:len(stamps), :len(names)], count
 
 
 def _first_problem(path, colmap) -> ParseError | MissingObservation | None:
@@ -210,7 +282,7 @@ def _first_problem(path, colmap) -> ParseError | MissingObservation | None:
     system_key = colmap["system"]
     node_ids: dict[str, int] = {}  # code of each node
     present: dict[str, set[int]] = {}  # codes of the nodes seen at each timestamp
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)
@@ -463,60 +535,73 @@ def kmeans_reduce(matrix, k: int, seed: int = 0) -> ReducedScenarios:
 
 def kmeans_scan(matrix, ks, seed: int, reduce) -> dict:
     """{k: reduce(matrix, k, seed=seed)} for every k in ks, computed on
-    every CPU this process may use; reduce, kmeans_reduce or a wrapper of
-    it, must be deterministic, as the result may come from any process.
+    every CPU this process may use by _spread (which ingest reads its spans
+    with too), largest k first; reduce, kmeans_reduce or a wrapper of it,
+    must be deterministic, as the result may come from any process."""
+    order = sorted(set(ks), reverse=True)  # a larger k takes longer
+    runs = _spread(order, lambda k: vars(reduce(matrix, k, seed=seed)))
+    return {k: ReducedScenarios(**runs[k]) for k in ks}
 
-    The queue is a pipe holding one record per k, largest k first; a read
-    of one whole record is atomic on Linux, and every record is in the pipe
-    before the first read.  The parent takes the first k before it forks,
-    so it runs at least one.  Each child sends its runs when the queue is
-    empty and exits 0; the runs of a child that exits otherwise are computed
-    again by the parent.  At most SCAN_MAX_KS values of k.
+
+def _cpus() -> int:
+    """CPUs this process may run on; 1 where the system does not tell."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _spread(items, work) -> dict:
+    """{item: work(item)} for every item, computed by this process and
+    min(cpus, len(items)) - 1 forked children; work must be deterministic
+    and its results picklable.
+
+    The queue is a pipe holding one record per item, in the order given; a
+    read of one whole record is atomic on Linux, and every record is in the
+    pipe before the first read.  The parent takes the first item before it
+    forks, so it works at least one.  Each child sends its results when the
+    queue is empty and exits 0; the items of a child that exits otherwise
+    are worked again by the parent, as are all items when no child can be
+    forked.  Every child is reaped before this returns or raises.
 
     Children are forked, not spawned: a spawned one would import numpy and
-    the package afresh and be sent the matrix, which takes longer than most
-    runs.  The CLI starts no Python thread, and OpenBLAS stops its own pool
+    the package afresh and be sent its inputs, which takes longer than most
+    items.  The CLI starts no Python thread, and OpenBLAS stops its own pool
     at a fork.
     """
-    order = sorted(set(ks), reverse=True)  # a larger k takes longer
-    if len(order) > SCAN_MAX_KS:
-        raise ValueError(f"kmeans_scan takes at most {SCAN_MAX_KS} values of k")
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if len(items) > FORK_MAX_ITEMS:
+        raise ValueError(f"at most {FORK_MAX_ITEMS} items can be spread over processes")
     queue, feed = os.pipe()
-    runs, children, codes = {}, {}, {}
+    done, children, codes = {}, {}, {}
     try:
         with os.fdopen(feed, "wb") as sink:
-            sink.write(b"".join(i.to_bytes(SCAN_RECORD, "little") for i in range(len(order))))
-        k = _take(queue, order)
-        for _ in range(min(cpus, len(order)) - 1):
-            child = _fork_worker(queue, order, matrix, seed, reduce)
+            sink.write(b"".join(i.to_bytes(FORK_RECORD, "little") for i in range(len(items))))
+        item = _take(queue, items)
+        for _ in range(min(_cpus(), len(items)) - 1):
+            child = _fork_worker(queue, items, work)
             if child is None:
                 break
             children[child[0]] = child[1]
-        while k is not None:
-            runs[k] = reduce(matrix, k, seed=seed)
-            k = _take(queue, order)
+        while item is not None:
+            done[item] = work(item)
+            item = _take(queue, items)
         sent = {pid: _drain(results) for pid, results in children.items()}
     finally:
-        _drain(queue)  # after an exception, a child stops once its k is done
+        _drain(queue)  # after an exception, a child stops once its item is done
         os.close(queue)
         for pid, results in children.items():
             os.close(results)  # a child still writing gets EPIPE and exits
             codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     for pid, data in sent.items():
         if codes[pid] == 0 and data:
-            for k, fields in pickle.loads(data).items():
-                runs[k] = ReducedScenarios(**fields)
-    for k in order:
-        if k not in runs:  # taken by a child that died
-            runs[k] = reduce(matrix, k, seed=seed)
-    return {k: runs[k] for k in ks}
+            done.update(pickle.loads(data))
+    for item in items:
+        if item not in done:  # taken by a child that died
+            done[item] = work(item)
+    return done
 
 
-def _take(queue, order):
-    """The k of the next record in the queue, None once it is empty."""
-    record = os.read(queue, SCAN_RECORD)
-    return order[int.from_bytes(record, "little")] if record else None
+def _take(queue, items):
+    """The item of the next record in the queue, None once it is empty."""
+    record = os.read(queue, FORK_RECORD)
+    return items[int.from_bytes(record, "little")] if record else None
 
 
 def _drain(fd) -> bytes:
@@ -527,10 +612,10 @@ def _drain(fd) -> bytes:
     return b"".join(chunks)
 
 
-def _fork_worker(queue, order, matrix, seed, reduce):
-    """(pid, read end of its result pipe) of a forked child that runs every
-    k it takes from the queue, then writes their fields as one pickle and
-    exits 0; None when no pipe or process can be made."""
+def _fork_worker(queue, items, work):
+    """(pid, read end of its result pipe) of a forked child that works every
+    item it takes from the queue, then writes {item: result} as one pickle
+    and exits 0; None when no pipe or process can be made."""
     try:
         results, sink = os.pipe()
     except OSError:
@@ -548,8 +633,8 @@ def _fork_worker(queue, order, matrix, seed, reduce):
     try:
         os.close(results)
         done = {}
-        while (k := _take(queue, order)) is not None:
-            done[k] = vars(reduce(matrix, k, seed=seed))
+        while (item := _take(queue, items)) is not None:
+            done[item] = work(item)
         with os.fdopen(sink, "wb") as out:
             pickle.dump(done, out, protocol=pickle.HIGHEST_PROTOCOL)
         code = 0

@@ -1,4 +1,7 @@
-"""Shared fixtures: the canonical one-market micro instance and variants."""
+"""Shared fixtures: the canonical one-market micro instance and variants,
+and a check that no test leaves a child process behind."""
+
+import os
 
 import numpy as np
 import pytest
@@ -32,3 +35,15 @@ def micro_scenarios(prices=(50.0, 20.0)) -> ScenarioSet:
 @pytest.fixture
 def canonical():
     return micro_instance(), micro_scenarios()
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """After every test, this process has no child, running or unreaped:
+    the CLI's forked workers (k-means scan, CSV ingest) must all be gone."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("a child process is left " + ("running" if pid == 0 else f"unreaped: {pid}"))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import pathlib
 
@@ -26,6 +27,15 @@ def assert_reaped(pids) -> None:
     for pid in set(pids) - {os.getpid()}:
         with pytest.raises(ProcessLookupError):  # a zombie still takes signal 0
             os.kill(pid, 0)
+
+
+def bench_gen():
+    """bench/gen.py, the generator of the benchmark's price histories."""
+    spec = importlib.util.spec_from_file_location("gen", DATA.parent / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
 
 RELATION_POOL = ("<=", "<=", ">=", ">=", "==")
 

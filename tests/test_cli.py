@@ -18,7 +18,7 @@ import sys
 import numpy as np
 import pytest
 from conftest import micro_instance, micro_scenarios
-from helpers import assert_reaped, random_allocation_case
+from helpers import assert_reaped, bench_gen, random_allocation_case
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -599,13 +599,8 @@ def test_prepare_auto_runs_kmeans_once_per_curve_point(capsys, tmp_path, monkeyp
 
 def gen_case(directory: pathlib.Path, hours: int, nodes: int, seed):
     """History and instance paths of a bench/gen.py case."""
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location("gen", DATA.parent / "bench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
     directory.mkdir()
-    csv_path, instance_path, *_ = gen.write_case(directory, hours, nodes, seed)
+    csv_path, instance_path, *_ = bench_gen().write_case(directory, hours, nodes, seed)
     return csv_path, instance_path
 
 

@@ -14,13 +14,17 @@ Frozen oracles used here, all checked by hand:
 """
 
 import csv
+import itertools
 import math
 import os
+import threading
+import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import DATA, assert_reaped, kmeans_reduce_einsum
+from helpers import DATA, assert_reaped, bench_gen, kmeans_reduce_einsum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -199,6 +203,10 @@ def test_ingest_duplicate_of_a_row_in_an_earlier_chunk(tmp_path, chunk):
     err = ingest_error(path)
     assert isinstance(err, ParseError) and err.line == 7
     assert str(err) == "line 7: duplicate observation for (t1, A)"
+    # without t3's A row, the duplicate makes as many rows as cells
+    write_text(path, ["timestamp,node,price", "t1,SYSTEM,9", "t1,A,10", "t2,SYSTEM,9",
+                      "t2,A,11", "t3,SYSTEM,9", "t1,A,12"])
+    assert str(ingest_error(path)) == "line 7: duplicate observation for (t1, A)"
 
 
 def test_ingest_first_bad_line_wins_between_parse_error_and_duplicate(tmp_path, chunk):
@@ -292,9 +300,9 @@ PRICE_ROWS = [[b"timestamp", b"node", b"price"]] + [
     [b"t%d" % t, node, b"%d.5" % (30 + 3 * t + i)]
     for t in range(4) for i, node in enumerate((b"SYSTEM", b"A", b"B"))]
 OVER_FIELD_LIMIT = b'"' + b"9" * 131_073 + b'"'  # csv reads at most 131 072 characters
-# a price put in place, or a change to a row, a field or the header
+# a price put in place, a change to a row, a field, a line end or the header
 CSV_MUTATIONS = ["x", "nan", "inf", "", "drop", "duplicate", "delete", "blank", "ff", "long",
-                 "rename"]
+                 "rename", "cr", "lf", "quoted"]
 
 
 def mutate(rows, op, at, field):
@@ -320,6 +328,12 @@ def mutate(rows, op, at, field):
         rows[i][field % len(rows[i])] += b"\xff"
     elif op == "long":
         rows[i][field % len(rows[i])] = OVER_FIELD_LIMIT
+    elif op == "quoted":  # a quoted field that holds a newline
+        rows[i][field % len(rows[i])] = b'"' + rows[i][field % len(rows[i])] + b'\n"'
+    elif op in ("cr", "lf"):  # the row ends in a bare \r or \n: the next one joins its list
+        following = rows.pop(i + 1) if i + 1 < len(rows) else [b""]
+        rows[i][-1:] = [rows[i][-1] + (b"\r" if op == "cr" else b"\n") + following[0],
+                        *following[1:]]
     else:
         rows[i][2:] = [op.encode()]
     return rows
@@ -344,20 +358,160 @@ def csv_dir(tmp_path_factory):
                                     st.integers(0, 2)), max_size=3))
 def test_a_mutated_price_csv_ingests_or_fails_typed(csv_dir, mutations):
     """Ingest returns a history or raises ParseError or MissingObservation,
-    the same for every chunk size, and fails exactly when the row-by-row
-    reading finds a problem."""
+    the same for every chunk size and every CPU count the file is cut for,
+    and fails exactly when the row-by-row reading finds a problem."""
     rows = PRICE_ROWS
     for mutation in mutations:
         rows = mutate(rows, *mutation)
     path = csv_dir / "history.csv"
     path.write_bytes(b"".join(b",".join(row) + b"\r\n" for row in rows))
     outcomes = set()
-    for size in (1, 3, pipeline.INGEST_CHUNK_ROWS):
-        with mock.patch.object(pipeline, "INGEST_CHUNK_ROWS", size):
+    for cpus, size in itertools.product((1, 2, 3), (1, 3, pipeline.INGEST_CHUNK_ROWS)):
+        with mock.patch.object(pipeline, "INGEST_CHUNK_ROWS", size), \
+                mock.patch.object(pipeline, "INGEST_MIN_PIECE", 1), \
+                mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))):
             outcomes.add(ingest_outcome(path))
     (outcome,) = outcomes
     failed = outcome[0] in (ParseError, MissingObservation)
     assert failed == (pipeline._first_problem(path, pipeline.DEFAULT_COLUMNS) is not None)
+
+
+def split_on(monkeypatch, cpus, log=None, exit_code=None):
+    """Cut every file into one span per CPU of cpus, whatever its size.
+    With a log, every process appends its pid there for each span it
+    reads, and a forked worker with an exit_code leaves with it instead;
+    the parent waits a little before its first span, so that the workers
+    most likely take the others."""
+    monkeypatch.setattr(pipeline, "INGEST_MIN_PIECE", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    if log is None:
+        return
+    read, parent = pipeline._read_piece, os.getpid()
+
+    def logged(path, span, colmap):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()}\n")
+        if exit_code is not None and os.getpid() != parent:
+            os._exit(exit_code)
+        if span[0] == 0 and os.getpid() == parent:
+            time.sleep(0.1)
+        return read(path, span, colmap)
+    monkeypatch.setattr(pipeline, "_read_piece", logged)
+
+
+def logged_spans(log) -> list[int]:
+    return [int(line) for line in log.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 4])
+def test_ingest_in_spans_equals_one_reading(monkeypatch, cpus):
+    want = ingest_outcome(DATA / "toy_lmp.csv")
+    assert pipeline._pieces(DATA / "toy_lmp.csv") == [(0, None)]  # below INGEST_MIN_PIECE
+    split_on(monkeypatch, cpus)
+    assert len(pipeline._pieces(DATA / "toy_lmp.csv")) == cpus
+    assert ingest_outcome(DATA / "toy_lmp.csv") == want
+
+
+def test_spans_cover_the_file_and_end_after_a_newline(tmp_path, monkeypatch):
+    split_on(monkeypatch, 4)
+    path = tmp_path / "prices.csv"
+    text = b"timestamp,node,price\r\nt1,SYSTEM,9\nt1,A,10\rt2,SYSTEM,8\r\nt2,A,11\r\n"
+    path.write_bytes(text)
+    spans = pipeline._pieces(path)
+    assert spans[0][0] == 0 and spans[-1][1] == len(text) and len(spans) > 1
+    assert all(stop == start for (_, stop), (start, _) in zip(spans, spans[1:]))
+    assert all(text[stop - 1:stop] == b"\n" for _, stop in spans)
+    assert ingest_lmp_csv(path).nodal.tolist() == [[10.0], [11.0]]
+    # a quoted field may hold a newline, and a file without one has no place to cut
+    for other in (text.replace(b"t2,A", b'"t2",A'), text.replace(b"\n", b"")):
+        path.write_bytes(other)
+        assert [start for start, _ in pipeline._pieces(path)] == [0]
+
+
+def test_ingest_reads_again_the_span_of_a_worker_that_fails(tmp_path, monkeypatch):
+    want = ingest_outcome(DATA / "toy_lmp.csv")
+    log = tmp_path / "spans.log"
+    split_on(monkeypatch, 3, log, exit_code=1)
+    assert ingest_outcome(DATA / "toy_lmp.csv") == want
+    pids = logged_spans(log)
+    assert pids.count(os.getpid()) == 3  # its own span and those of the workers that left
+    assert_reaped(pids)
+
+
+def test_ingest_reads_every_span_itself_when_it_cannot_fork(tmp_path, monkeypatch):
+    want = ingest_outcome(DATA / "toy_lmp.csv")
+    log = tmp_path / "spans.log"
+    split_on(monkeypatch, 3, log)
+
+    def no_fork():
+        raise BlockingIOError("fork: Resource temporarily unavailable")
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert ingest_outcome(DATA / "toy_lmp.csv") == want
+    assert logged_spans(log) == [os.getpid()] * 3
+
+
+def test_ingest_names_a_line_that_is_not_utf8_in_the_last_span(tmp_path, monkeypatch):
+    rows = "".join(f"t{i},{node},{i}\r\n" for i in range(300) for node in ("SYSTEM", "A"))
+    text = ("timestamp,node,price\r\n" + rows).encode() + b"t300,SYSTEM,\xff\r\nt300,A,1\r\n"
+    path = tmp_path / "late.csv"
+    path.write_bytes(text)
+    log = tmp_path / "spans.log"
+    split_on(monkeypatch, 3, log)
+    assert pipeline._pieces(path)[-1][0] < text.index(b"\xff")
+    err = ingest_error(path)
+    assert type(err) is ParseError and err.line == 602
+    assert str(err).startswith("line 602: not UTF-8 text")
+    assert_reaped(logged_spans(log))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_ingest_reads_a_header_after_a_utf8_bom(tmp_path, monkeypatch, cpus):
+    """Excel's "CSV UTF-8" export starts the file with a byte order mark."""
+    if cpus > 1:
+        split_on(monkeypatch, cpus)
+    path = tmp_path / "excel.csv"
+    lines = ["timestamp,node,price", "t1,SYSTEM,9", "t1,A,10", "t2,SYSTEM,8", "t2,A,11"]
+    path.write_bytes(("\ufeff" + "\r\n".join(lines) + "\r\n").encode())
+    history = ingest_lmp_csv(path)
+    assert history.timestamps == ("t1", "t2") and history.nodes == ("A",)
+    assert history.nodal.tolist() == [[10.0], [11.0]] and history.system.tolist() == [9.0, 8.0]
+    lines[3] = "t2,SYSTEM,x"
+    path.write_bytes(("\ufeff" + "\r\n".join(lines) + "\r\n").encode())
+    assert str(ingest_error(path)) == "line 4: bad price 'x'"
+
+
+def test_ingest_reads_a_pipe_in_one_pass(tmp_path):
+    """`prepare --raw-csv <(zcat prices.csv.gz)` hands ingest a pipe, which
+    can be read only once and has no size to cut."""
+    fifo = tmp_path / "prices.pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, daemon=True,
+                              args=((DATA / "toy_lmp.csv").read_bytes(),))
+    writer.start()
+    try:
+        got = ingest_outcome(fifo)
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert got == ingest_outcome(DATA / "toy_lmp.csv")
+
+
+def test_ingest_peak_memory_of_a_long_history(tmp_path, monkeypatch):
+    """On one CPU, ingest of a 20 000-hour, 8-node history (4.9 MiB of text
+    that pivots to 1.4 MiB of prices) allocates at most 12 MiB at its
+    peak: one chunk of text rows, the price grid and one entry per
+    timestamp and node, not three numbers per row."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    path = tmp_path / "history.csv"
+    bench_gen().write_history(path, 20_000, 8, 0)
+    tracemalloc.start()
+    try:
+        history = ingest_lmp_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert history.nodal.shape == (20_000, 8)
+    assert peak <= 12 * 2**20, peak
 
 
 # ----------------------------------------------------------------------

@@ -6,19 +6,25 @@ inputs the allocation models need:
 1. ingest_lmp_csv: one streaming pass pivoting the file into a wide
    (observations x nodes) matrix plus the system price series, with hard
    errors on malformed rows, duplicate cells, missing observations, bytes
-   that are not UTF-8 and text the csv module cannot read.  The file is
-   cut after newlines into byte spans, one per CPU, which the process and
-   forked children read (see _spread); a file with a quote (a quoted field
-   may hold a newline), or too small to share, is one span.  Each span's
-   csv rows are parsed INGEST_CHUNK_ROWS at a time straight into its own
-   (timestamp, node) price grid with one byte per cell marking it seen;
-   the spans merge in file order, where the rows read and the cells seen
-   find duplicates and holes.  Memory is one chunk of csv rows per
-   process, the grid, and one dict entry per timestamp and node.  This
-   pass only notices that something is wrong.  A file with a problem is
-   read a second time, row by row, and that reading names the first
-   problem a row-by-row reader meets, at its csv line; it keeps one dict
-   entry per timestamp and node and one integer code per cell.
+   that are not UTF-8 and text the csv module cannot read.  A pipe, or
+   any path that is not a regular file, is first copied once into a
+   temporary file.  The file is cut after newlines into byte spans, one
+   per CPU, which the process and forked children read (see _spread); a
+   file too small to share is one span.  A span is read in blocks of
+   about INGEST_CHUNK_BYTES that end at a line break, each split into
+   lines and then into fields by one str.split of the whole block, and
+   parsed straight into the span's own (timestamp, node) price grid, NaN
+   where no row gave a price.  The csv module reads only what that split
+   cannot: a file with a quote (a quoted field may hold a line break or a
+   comma), which is one span read whole, and a block whose lines are not
+   all as wide as the header.  The spans merge in file order, where the
+   rows read and the cells left NaN find duplicates and holes.  Memory is
+   one block of text per process, the grid, and one dict entry per
+   timestamp and node.  This pass only notices that something is wrong.
+   A file with a problem is read a second time, row by row, and that
+   reading names the first problem a row-by-row reader meets, at its csv
+   line; it keeps one dict entry per timestamp and node and one integer
+   code per cell.
 2. kmeans_reduce: deterministic k-means (greedy farthest-point seeding from
    a fixed seed, lowest-index tie-breaks) whose clusters become scenarios;
    the representative of a cluster is the member closest to its centroid
@@ -64,13 +70,15 @@ inputs the allocation models need:
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import math
 import operator
 import os
 import pickle
+import shutil
+import stat
 import sys
+import tempfile
 import traceback
 from dataclasses import dataclass
 
@@ -85,7 +93,9 @@ DEFAULT_COLUMNS = {"timestamp": "timestamp", "node": "node", "price": "price",
 #    "price": "total_lmp_rt", "system": "PJM"}
 
 MAX_JITTER_DOUBLINGS = 20
-INGEST_CHUNK_ROWS = 1 << 12  # csv rows parsed per vectorized step
+INGEST_CHUNK_BYTES = 1 << 17  # bytes of CSV text parsed per vectorized step
+# the ASCII that str.strip removes, but the line ends that cut a block into lines
+ASCII_BLANKS = b" \t\x0b\x0c\x1c\x1d\x1e\x1f"
 INGEST_MIN_PIECE = 1 << 20  # bytes: a file read on several CPUs gives each this much at least
 KMEANS_MAX_ITER = 300
 KMEANS_BLOCK = 1 << 17  # floats in one block of exact differences
@@ -141,7 +151,8 @@ def ingest_lmp_csv(path, column_map: dict | None = None) -> PriceHistory:
     timestamp, or a timestamp without a system row, raises
     MissingObservation.  A file with any problem is read a second time, row
     by row, to name the first one.  A UTF-8 byte order mark before the
-    header is skipped.
+    header is skipped.  A path that is not a regular file, such as a pipe,
+    is first copied into a temporary file, which is read in its place.
     """
     colmap = dict(DEFAULT_COLUMNS)
     if column_map:
@@ -149,6 +160,19 @@ def ingest_lmp_csv(path, column_map: dict | None = None) -> PriceHistory:
         if unknown:
             raise ValueError(f"unknown column_map keys: {sorted(unknown)}")
         colmap.update(column_map)
+    if stat.S_ISREG(os.stat(path).st_mode):
+        return _ingest(path, colmap)
+    # a pipe can be read only once and has no size to cut; forked readers
+    # leave through os._exit, so only this process removes the copy
+    with tempfile.NamedTemporaryFile(suffix=".csv") as copy:
+        with open(path, "rb") as source:
+            shutil.copyfileobj(source, copy, 1 << 20)
+        copy.flush()
+        return _ingest(copy.name, colmap)
+
+
+def _ingest(path, colmap) -> PriceHistory:
+    """The history of a regular file, or the first problem in it."""
     try:
         return _pivot(path, colmap)
     except (csv.Error, ValueError, LookupError, OSError) as exc:
@@ -193,13 +217,11 @@ def _pivot(path, colmap) -> PriceHistory:
 def _pieces(path) -> list[tuple[int, int | None]]:
     """Byte spans (start, stop) that cover the file in order: one per CPU,
     none below INGEST_MIN_PIECE bytes, each but the last ending after a
-    newline.  A newline ends a record past the header unless the file holds
-    a quote, as a quoted field may hold one.  Such a file, a small one and
-    a pipe (of size 0, and read only once) are one span, (0, None)."""
+    newline.  A line break ends a record unless the file holds a quote, as
+    a quoted field may hold one: such a file is one span (0, None), which
+    the csv module reads whole."""
     size = os.path.getsize(path)
-    count = min(_cpus(), size // INGEST_MIN_PIECE, FORK_MAX_ITEMS)
-    if count < 2:
-        return [(0, None)]
+    count = max(1, min(_cpus(), size // INGEST_MIN_PIECE, FORK_MAX_ITEMS))
     cuts, targets = [0], [size * i // count for i in range(1, count)]
     with open(path, "rb") as handle:
         base = 0
@@ -211,23 +233,7 @@ def _pieces(path) -> list[tuple[int, int | None]]:
                 targets.pop(0)
             base += len(block)
     cuts.append(size)
-    return [(start, stop) for start, stop in zip(cuts, cuts[1:]) if start < stop]
-
-
-class _Span(io.FileIO):
-    """Bytes start..stop of a file (stop None: to its end), as a raw reader
-    of its own for io.BufferedReader, which reads it through readinto."""
-
-    def __init__(self, path, start, stop):
-        super().__init__(path)
-        if start:  # a pipe cannot seek, and is read whole
-            self.seek(start)
-        self.left = sys.maxsize if stop is None else stop - start
-
-    def readinto(self, buffer):
-        count = super().readinto(memoryview(buffer)[:self.left])
-        self.left -= count
-        return count
+    return [(start, stop) for start, stop in zip(cuts, cuts[1:]) if start < stop] or [(0, size)]
 
 
 def _read_piece(path, span, colmap):
@@ -236,37 +242,113 @@ def _read_piece(path, span, colmap):
     each cell no row filled, and the count of rows read."""
     stamps, names = {}, {}  # code of each name
     grid, count = np.zeros((0, 0)), 0
-    encoding = "utf-8-sig" if span[0] == 0 else "utf-8"
-    with io.TextIOWrapper(io.BufferedReader(_Span(path, *span)), encoding, newline="") as text:
-        reader = csv.reader(text)
-        if span[0] == 0:
-            header = next(reader, ())
-        else:  # the header lies before the first span only
-            with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-                header = next(csv.reader(handle), ())
-        where = {name: i for i, name in enumerate(header)}  # a repeated name: last wins
-        picks = [where[colmap[key]] for key in ("timestamp", "node", "price")]
-        while records := list(itertools.islice(reader, INGEST_CHUNK_ROWS)):
-            rows = [row for row in records if row]  # blank lines are skipped
-            ts, nodes, raw = (list(map(str.strip, map(operator.itemgetter(i), rows)))
-                              for i in picks)
-            prices = np.fromiter(map(float, raw), float, len(raw))
-            if not np.isfinite(prices).all() or "" in ts or "" in nodes:
-                raise ValueError("a malformed row")
-            for labels, codes in ((ts, stamps), (nodes, names)):
-                for name in dict.fromkeys(labels):
-                    codes.setdefault(name, len(codes))
-            cell = (np.fromiter(map(stamps.__getitem__, ts), np.intp, len(ts)),
-                    np.fromiter(map(names.__getitem__, nodes), np.intp, len(nodes)))
-            del records, rows, ts, nodes, raw  # one chunk of text at a time
-            shape = tuple(have if n <= have else max(n, 2 * have)  # grows by doubling
-                          for n, have in zip((len(stamps), len(names)), grid.shape))
-            if shape != grid.shape:
-                grid = np.pad(grid, [(0, n - have) for n, have in zip(shape, grid.shape)],
-                              constant_values=np.nan)
-            grid[cell] = prices
-            count += prices.size
+    for ts, nodes, raw in _columns(path, span, colmap):
+        prices = np.fromiter(map(float, raw), float, len(raw))
+        if not np.isfinite(prices).all() or "" in ts or "" in nodes:
+            raise ValueError("a malformed row")
+        for labels, codes in ((ts, stamps), (nodes, names)):
+            for name in dict.fromkeys(labels):
+                codes.setdefault(name, len(codes))
+        cell = (np.fromiter(map(stamps.__getitem__, ts), np.intp, len(ts)),
+                np.fromiter(map(names.__getitem__, nodes), np.intp, len(nodes)))
+        del ts, nodes, raw  # one chunk of text at a time
+        shape = tuple(have if n <= have else max(n, 2 * have)  # grows by doubling
+                      for n, have in zip((len(stamps), len(names)), grid.shape))
+        if shape != grid.shape:
+            grid = np.pad(grid, [(0, n - have) for n, have in zip(shape, grid.shape)],
+                          constant_values=np.nan)
+        grid[cell] = prices
+        count += prices.size
     return tuple(stamps), tuple(names), grid[:len(stamps), :len(names)], count
+
+
+def _columns(path, span, colmap):
+    """The timestamp, node and price fields, stripped, of the records in one
+    span of the file, in chunks of about INGEST_CHUNK_BYTES of text.
+
+    A file with a quote (span stop None) is read whole by the csv module.
+    Any other span is read in blocks that end at a line break; _split cuts
+    each block into fields at once, and the csv module reads only a block
+    that _split cannot.  The header is the file's first record.
+    """
+    start, stop = span
+    if stop is None:
+        with open(path, encoding="utf-8-sig", newline="") as text:
+            reader = csv.reader(text)
+            picks = _picks(next(reader, ()), colmap)
+            # records of about 32 bytes, as price rows are
+            while records := list(itertools.islice(reader, max(1, INGEST_CHUNK_BYTES >> 5))):
+                yield _picked(records, picks)
+        return
+    with open(path, "rb") as handle:
+        header, end = _header(handle)
+        picks = _picks(header, colmap)
+        start = max(start, end)
+        handle.seek(start)
+        for block in _blocks(handle, stop - start):
+            yield (_split(block, len(header), picks)
+                   or _picked(csv.reader(map(bytes.decode, block.splitlines())), picks))
+
+
+def _header(handle) -> tuple[list[str], int]:
+    """The fields of the first line of a quote-free binary file, as the csv
+    module reads them, and the offset of the byte after that line."""
+    (line, *_) = next(_blocks(handle, sys.maxsize), b"").splitlines(keepends=True) or [b""]
+    return next(csv.reader([line.decode("utf-8-sig")]), []), len(line)
+
+
+def _picks(header, colmap) -> list[int]:
+    """Where the timestamp, node and price columns are in the header; a
+    name the header repeats is read from its last column."""
+    where = {name: i for i, name in enumerate(header)}
+    return [where[colmap[key]] for key in ("timestamp", "node", "price")]
+
+
+def _picked(records, picks) -> list[list[str]]:
+    """The picked fields, stripped, of csv records; blank lines (no fields)
+    are skipped."""
+    rows = [row for row in records if row]
+    return [list(map(str.strip, map(operator.itemgetter(i), rows))) for i in picks]
+
+
+def _blocks(handle, left):
+    """The next `left` bytes of a binary file, fewer at its end, in blocks
+    that each end at a line break but the last.  Each read tops the part of
+    a line carried over up to INGEST_CHUNK_BYTES, or doubles it, so a block
+    is no longer than that unless it holds a line over half as long, and a
+    long line is read in linear time."""
+    rest = b""
+    while left > 0 and (data := handle.read(
+            min(max(INGEST_CHUNK_BYTES - len(rest), len(rest)), left))):
+        left -= len(data)
+        data = rest + data
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1  # \r, \n and \r\n end csv lines
+        if cut:
+            yield data[:cut]
+        rest = data[cut:]
+    if rest:
+        yield rest
+
+
+def _split(block, width, picks) -> list[list[str]] | None:
+    """The picked fields, stripped, of a block of quote-free lines, each a
+    record, cut in one pass over the block; None when a line is not `width`
+    fields wide, or may hold a field over the csv module's size limit, as
+    the csv module must read such a block.  Blank lines are skipped."""
+    lines = list(filter(None, block.splitlines()))  # breaks at \r, \n and \r\n only
+    count, limit = len(lines), csv.field_size_limit()
+    if len(block) > limit and max(map(len, lines), default=0) > limit:
+        return None
+    joined = b",\n,".join(lines)  # no line holds a \n: a field "\n" ends each record
+    del lines  # one copy of the block's text at a time
+    padded = not joined.isascii() or any(map(joined.__contains__, ASCII_BLANKS))
+    fields = joined.decode("utf-8").split(",")
+    del joined
+    stride = width + 1
+    if len(fields) != count * stride - 1 or fields[width::stride].count("\n") != count - 1:
+        return None
+    columns = [fields[i::stride] for i in picks]
+    return [list(map(str.strip, column)) for column in columns] if padded else columns
 
 
 def _first_problem(path, colmap) -> ParseError | MissingObservation | None:
@@ -288,12 +370,10 @@ def _first_problem(path, colmap) -> ParseError | MissingObservation | None:
             header = next(reader, None)
             if header is None:
                 return ParseError("empty file", 1)
-            names = [colmap[key] for key in ("timestamp", "node", "price")]
-            missing_cols = set(names) - set(header)
+            missing_cols = {colmap[key] for key in ("timestamp", "node", "price")} - set(header)
             if missing_cols:
                 return ParseError(f"missing columns {sorted(missing_cols)}", 1)
-            where = {name: i for i, name in enumerate(header)}  # a repeated name: last wins
-            picks = [where[name] for name in names]
+            picks = _picks(header, colmap)
             for row in reader:
                 if not row:
                     continue

@@ -17,6 +17,7 @@ import csv
 import itertools
 import math
 import os
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -165,13 +166,11 @@ def test_ingest_missing_system_row(tmp_path):
 
 @pytest.fixture(params=[1, 2, 3, None], ids=["chunk1", "chunk2", "chunk3", "default"])
 def chunk(request, monkeypatch):
-    """Reads CSV files a few rows at a time (or in default-sized chunks).
-
-    raising=False: the error semantics below also hold for a row-by-row
-    reader that has no chunk size.
-    """
+    """Reads CSV files in blocks of a few bytes, which cut lines and \\r\\n
+    pairs apart, or in default-sized blocks."""
+    assert pipeline.INGEST_CHUNK_BYTES > 3
     if request.param is not None:
-        monkeypatch.setattr(pipeline, "INGEST_CHUNK_ROWS", request.param, raising=False)
+        monkeypatch.setattr(pipeline, "INGEST_CHUNK_BYTES", request.param)
     return request.param
 
 
@@ -189,7 +188,7 @@ def test_ingest_chunk_size_does_not_change_the_history(chunk, monkeypatch):
     history = ingest_lmp_csv(DATA / "toy_lmp.csv")
     assert len(history.timestamps) == 200 and history.nodes == ("ALPHA", "BRAVO", "CHARLIE")
     assert history.nodal.flags.c_contiguous
-    monkeypatch.setattr(pipeline, "INGEST_CHUNK_ROWS", 1 << 14, raising=False)
+    monkeypatch.setattr(pipeline, "INGEST_CHUNK_BYTES", 1 << 20)  # the whole file at once
     reference = ingest_lmp_csv(DATA / "toy_lmp.csv")
     assert history.timestamps == reference.timestamps
     assert history.nodal.tobytes() == reference.nodal.tobytes()
@@ -252,6 +251,10 @@ def test_ingest_short_rows_read_as_empty_fields(tmp_path, chunk):
     write_text(path, ["timestamp,node,price,node", "t1,X,9,SYSTEM", "t1,X,10,A,extra"])
     history = ingest_lmp_csv(path)
     assert history.nodes == ("A",) and history.system.tolist() == [9.0]
+    # a row short of a column ingest does not use, then a longer one: as
+    # many fields as two full rows, which would pivot if read as one run
+    write_text(path, ["timestamp,node,price,note", "t1,SYSTEM,9", "z,t1,A,10,n"])
+    assert str(ingest_error(path)) == "line 3: bad price 'A'"
 
 
 def test_ingest_quoted_field_over_two_lines_keeps_csv_line_numbers(tmp_path, chunk):
@@ -278,6 +281,10 @@ def test_ingest_unreadable_text_is_a_parse_error_after_earlier_rows(tmp_path, ch
     err = ingest_error(path)
     assert type(err) is ParseError and err.line == 2002
     assert "field limit" in str(err)
+    # the limit holds for a field without quotes in a column ingest does not use
+    path.write_bytes(b"timestamp,node,price,note\r\nt1,SYSTEM,9,\r\nt1,A,10," + b"9" * 200_000)
+    err = ingest_error(path)
+    assert (type(err), err.line) == (ParseError, 3) and "field limit" in str(err)
     # a malformed row before the unreadable one is reported first
     path.write_bytes(head.replace(b"t7,A,7", b"t7,A,x") + b"t1000,SYSTEM,\xff\r\n")
     assert str(ingest_error(path)) == "line 17: bad price 'x'"
@@ -302,7 +309,9 @@ PRICE_ROWS = [[b"timestamp", b"node", b"price"]] + [
 OVER_FIELD_LIMIT = b'"' + b"9" * 131_073 + b'"'  # csv reads at most 131 072 characters
 # a price put in place, a change to a row, a field, a line end or the header
 CSV_MUTATIONS = ["x", "nan", "inf", "", "drop", "duplicate", "delete", "blank", "ff", "long",
-                 "rename", "cr", "lf", "quoted"]
+                 "rename", "cr", "lf", "quoted", "space", "tab", "nbsp", "wide", "column", "bom",
+                 "huge", "quote"]
+PADDING = {"space": b" ", "tab": b"\t", "nbsp": "\xa0".encode()}
 
 
 def mutate(rows, op, at, field):
@@ -312,6 +321,11 @@ def mutate(rows, op, at, field):
     i = 1 + at % max(1, len(rows) - 1)
     if op == "rename":
         rows[0][field] = b"renamed"
+    elif op == "bom":
+        rows[0][0] = "\ufeff".encode() + rows[0][0]
+    elif op == "column":  # a header column, with a value on each row
+        for n, row in enumerate(rows):
+            row.insert(field, b"note" if n == 0 else b"n%d" % n)
     elif i == len(rows):
         pass  # no data row is left
     elif op == "duplicate":
@@ -324,10 +338,18 @@ def mutate(rows, op, at, field):
         pass  # a blank line has no field to change
     elif op == "drop":
         del rows[i][field % len(rows[i])]
+    elif op in PADDING:
+        rows[i][field % len(rows[i])] = PADDING[op] + rows[i][field % len(rows[i])] + PADDING[op]
+    elif op == "wide":  # one row longer than the header
+        rows[i].append(b"extra")
     elif op == "ff":
         rows[i][field % len(rows[i])] += b"\xff"
     elif op == "long":
         rows[i][field % len(rows[i])] = OVER_FIELD_LIMIT
+    elif op == "huge":  # the same field without its quotes
+        rows[i][field % len(rows[i])] = OVER_FIELD_LIMIT.strip(b'"')
+    elif op == "quote":  # a quoted field, on one line
+        rows[i][field % len(rows[i])] = b'"' + rows[i][field % len(rows[i])] + b'"'
     elif op == "quoted":  # a quoted field that holds a newline
         rows[i][field % len(rows[i])] = b'"' + rows[i][field % len(rows[i])] + b'\n"'
     elif op in ("cr", "lf"):  # the row ends in a bare \r or \n: the next one joins its list
@@ -353,27 +375,50 @@ def csv_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("price_csv")
 
 
+def ingests_as_csv_reads_it(path):
+    """The outcome of ingest, asserted the same for every block size and
+    every CPU count the file is cut for as when the csv module reads the
+    whole file."""
+    with mock.patch.object(pipeline, "_pieces", lambda path: [(0, None)]):  # as a quoted file
+        reference = ingest_outcome(path)
+    outcomes = set()
+    for cpus, size in itertools.product((1, 2, 3), (1, 2, 3, pipeline.INGEST_CHUNK_BYTES)):
+        with mock.patch.object(pipeline, "INGEST_CHUNK_BYTES", size), \
+                mock.patch.object(pipeline, "INGEST_MIN_PIECE", 1), \
+                mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))):
+            outcomes.add(ingest_outcome(path))
+    assert outcomes == {reference}
+    return reference
+
+
+def write_rows(path, rows):
+    path.write_bytes(b"".join(b",".join(row) + b"\r\n" for row in rows))
+
+
 @settings(max_examples=50, deadline=None)
 @given(mutations=st.lists(st.tuples(st.sampled_from(CSV_MUTATIONS), st.integers(0, 63),
                                     st.integers(0, 2)), max_size=3))
 def test_a_mutated_price_csv_ingests_or_fails_typed(csv_dir, mutations):
     """Ingest returns a history or raises ParseError or MissingObservation,
-    the same for every chunk size and every CPU count the file is cut for,
-    and fails exactly when the row-by-row reading finds a problem."""
+    as the csv module's reading does, and fails exactly when the row-by-row
+    reading finds a problem."""
     rows = PRICE_ROWS
     for mutation in mutations:
         rows = mutate(rows, *mutation)
     path = csv_dir / "history.csv"
-    path.write_bytes(b"".join(b",".join(row) + b"\r\n" for row in rows))
-    outcomes = set()
-    for cpus, size in itertools.product((1, 2, 3), (1, 3, pipeline.INGEST_CHUNK_ROWS)):
-        with mock.patch.object(pipeline, "INGEST_CHUNK_ROWS", size), \
-                mock.patch.object(pipeline, "INGEST_MIN_PIECE", 1), \
-                mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))):
-            outcomes.add(ingest_outcome(path))
-    (outcome,) = outcomes
+    write_rows(path, rows)
+    outcome = ingests_as_csv_reads_it(path)
     failed = outcome[0] in (ParseError, MissingObservation)
     assert failed == (pipeline._first_problem(path, pipeline.DEFAULT_COLUMNS) is not None)
+
+
+@pytest.mark.parametrize("op", CSV_MUTATIONS)
+def test_each_mutation_ingests_as_the_csv_module_reads_it(tmp_path, op):
+    """Every mutation once, on each field of the fifth data row."""
+    for field in range(3):
+        path = tmp_path / f"field{field}.csv"
+        write_rows(path, mutate(PRICE_ROWS, op, 4, field))
+        ingests_as_csv_reads_it(path)
 
 
 def split_on(monkeypatch, cpus, log=None, exit_code=None):
@@ -406,7 +451,8 @@ def logged_spans(log) -> list[int]:
 @pytest.mark.parametrize("cpus", [2, 3, 4])
 def test_ingest_in_spans_equals_one_reading(monkeypatch, cpus):
     want = ingest_outcome(DATA / "toy_lmp.csv")
-    assert pipeline._pieces(DATA / "toy_lmp.csv") == [(0, None)]  # below INGEST_MIN_PIECE
+    size = (DATA / "toy_lmp.csv").stat().st_size
+    assert pipeline._pieces(DATA / "toy_lmp.csv") == [(0, size)]  # below INGEST_MIN_PIECE
     split_on(monkeypatch, cpus)
     assert len(pipeline._pieces(DATA / "toy_lmp.csv")) == cpus
     assert ingest_outcome(DATA / "toy_lmp.csv") == want
@@ -494,6 +540,32 @@ def test_ingest_reads_a_pipe_in_one_pass(tmp_path):
         writer.join(timeout=60)
     assert not writer.is_alive()
     assert got == ingest_outcome(DATA / "toy_lmp.csv")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_ingest_names_the_bad_line_of_a_pipe(tmp_path, monkeypatch, cpus):
+    """A pipe is read once, into a temporary file that every CPU reads
+    and the row-by-row reading reads again; the copy is removed after."""
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    log = tmp_path / "spans.log"
+    split_on(monkeypatch, cpus, log)
+    fifo = tmp_path / "prices.pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, daemon=True,
+                              args=(b"timestamp,node,price\nt1,SYSTEM,9\nt1,A,x\n",))
+    writer.start()
+    got = []
+    reader = threading.Thread(target=lambda: got.append(ingest_outcome(fifo)), daemon=True)
+    reader.start()
+    reader.join(timeout=60)
+    writer.join(timeout=1)
+    assert not reader.is_alive() and not writer.is_alive()
+    assert got == [(ParseError, "line 3: bad price 'x'", 3)]
+    assert len(set(logged_spans(log))) == cpus
+    assert_reaped(logged_spans(log))
+    assert list(temp.iterdir()) == []
 
 
 def test_ingest_peak_memory_of_a_long_history(tmp_path, monkeypatch):

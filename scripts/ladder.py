@@ -56,12 +56,11 @@ def timed_solve(lp):
     [(k, levels, spikes) per refactorization])."""
     factored = []
     dual_its = 0
-    peel, dual_phase = simplex._peel, simplex._dual_phase
+    kernel_inverse_t, dual_phase = simplex._kernel_inverse_t, simplex._dual_phase
 
-    def recording_peel(rows, cols, k):
-        row_order, col_order, starts = peel(rows, cols, k)
+    def recording_kernel_inverse_t(rows, cols, vals, starts, k):
         factored.append((k, len(starts) - 1, k - starts[-1]))
-        return row_order, col_order, starts
+        return kernel_inverse_t(rows, cols, vals, starts, k)
 
     def recording_dual_phase(state, c):
         nonlocal dual_its
@@ -69,13 +68,14 @@ def timed_solve(lp):
         dual_its += iterations
         return status, iterations
 
-    simplex._peel, simplex._dual_phase = recording_peel, recording_dual_phase
+    simplex._kernel_inverse_t = recording_kernel_inverse_t
+    simplex._dual_phase = recording_dual_phase
     try:
         start = time.perf_counter()
         solution = simplex.solve(lp)
         seconds = time.perf_counter() - start
     finally:
-        simplex._peel, simplex._dual_phase = peel, dual_phase
+        simplex._kernel_inverse_t, simplex._dual_phase = kernel_inverse_t, dual_phase
     return solution, dual_its, seconds, factored
 
 

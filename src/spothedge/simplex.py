@@ -70,6 +70,17 @@ inversion (Hellerman and Rarick 1971; Suhl and Suhl 1990).
 
 At exit, basic values within 1e-9 * max(1, |bound|) of a finite bound are
 snapped onto it, so that rounding noise never reaches the reported values.
+The structural values left strictly inside their bounds are then solved
+again from the tight rows, those whose slack sits on a bound, so that every
+basis of one degenerate vertex reports the same bits.  The same _peel
+orders that block, from its nonzeros alone: levels of row singletons, the
+lowest row taking a column that several could fix, and spike columns where
+no singleton is left.  Each level is solved with one bincount, and the
+spikes in the least squares sense through the normal equations of their
+small Schur complement, the only dense step; one refinement pass solves
+again for the residual.  The tight rows that the peel left out are checked
+last: when one misses, or the Schur complement is ill-conditioned, the
+basis's own values are kept.
 
 An optimal solve returns its final basis (LpSolution.basis): the basic
 column of each row and the rest status of every structural and slack
@@ -250,7 +261,7 @@ class _State:
         local, rows, vals = self.entries(self.basis[struct_pos])
         in_kernel = kernel_index[rows] >= 0
         row_order, col_order, starts = _peel(kernel_index[rows[in_kernel]],
-                                             local[in_kernel], k)
+                                             local[in_kernel], k, k)
         # relabel K's rows and columns into peel order
         self.kernel_rows = kernel_rows[row_order]
         self.struct_pos = struct_pos[col_order]
@@ -286,38 +297,46 @@ class _State:
             self.refactor()
 
 
-def _peel(rows, cols, k):
-    """Order the rows and columns of a k x k kernel given by its nonzeros
-    (rows, cols) so that it is block lower triangular up to a border.
+def _peel(rows, cols, n_rows, n_cols):
+    """Order the rows and columns of an n_rows x n_cols block (n_rows >=
+    n_cols) given by its nonzeros (rows, cols) so that it is block lower
+    triangular up to a border.
 
     Each round takes every live row with a single live nonzero, together
-    with that nonzero's column (one row per column, the first in entry
-    order); the rows of one round form a level, and the kernel restricted
-    to a level's rows and columns is diagonal.  A round that finds no such
-    row sets spike columns aside instead (_spike_columns) and peeling goes
-    on.  Peeled rows and columns come first, level by level, each row with
-    its column in the same place; the p spike columns come last, with the
-    p rows left unpeeled.  Returns (row order, column order, level starts),
-    the last start being k - p.
+    with that nonzero's column; when several such rows share a column, the
+    lowest row takes it and the others are left out.  The rows of one round
+    form a level, and the block restricted to a level's rows and columns is
+    diagonal.  A round that finds no such row sets spike columns aside
+    instead (_spike_columns) and peeling goes on.  The order depends on the
+    nonzeros' positions alone, not on the order they are listed in.  Peeled
+    rows and columns come first, level by level in column order, each row
+    with its column in the same place; the p spike columns come last, and
+    the rows left unpeeled (p of them when the block is square) follow the
+    peeled ones in index order.  Returns (row order, column order, level
+    starts), the last start being n_cols - p.
     """
-    row_live = np.ones(k, dtype=bool)
-    col_live = np.ones(k, dtype=bool)
+    row_live = np.ones(n_rows, dtype=bool)
+    col_live = np.ones(n_cols, dtype=bool)
     live = np.ones(rows.size, dtype=bool)
     row_levels, col_levels, spikes, starts = [], [], [], [0]
-    left = k
+    left = n_cols
     while left:
         live_rows, live_cols = rows[live], cols[live]
-        single = np.bincount(live_rows, minlength=k)[live_rows] == 1
+        single = np.bincount(live_rows, minlength=n_rows)[live_rows] == 1
         if single.any():
-            level_cols, first = np.unique(live_cols[single], return_index=True)
-            level_rows = live_rows[single][first]
+            # by column, then row: the first entry of each column has its lowest row
+            level_cols, level_rows = np.divmod(
+                np.unique(live_cols[single] * n_rows + live_rows[single]), n_rows)
+            first = np.ones(level_cols.size, dtype=bool)
+            first[1:] = level_cols[1:] != level_cols[:-1]
+            level_cols, level_rows = level_cols[first], level_rows[first]
             row_levels.append(level_rows)
             col_levels.append(level_cols)
             starts.append(starts[-1] + level_cols.size)
             row_live[level_rows] = False
             taken = level_cols
         else:
-            taken = _spike_columns(live_rows, live_cols, col_live)
+            taken = _spike_columns(live_rows, live_cols, col_live, n_rows)
             spikes.append(taken)
         col_live[taken] = False
         left -= taken.size
@@ -327,7 +346,7 @@ def _peel(rows, cols, k):
     return row_order, col_order, starts
 
 
-def _spike_columns(rows, cols, col_live):
+def _spike_columns(rows, cols, col_live, n_rows):
     """Live columns to set aside as spikes, given the live nonzeros.
 
     The densest column (the lowest index on ties) comes first, then, in
@@ -346,13 +365,13 @@ def _spike_columns(rows, cols, col_live):
     while undecided.any():
         keep = undecided[cols]
         r, c = rows[keep], cols[keep]
-        best = np.full(k, k)  # per row, the best rank among its undecided columns
+        best = np.full(n_rows, k)  # per row, the best rank among its undecided columns
         np.minimum.at(best, r, rank[c])
         take = undecided.copy()
         take[c[best[r] < rank[c]]] = False
         chosen |= take
         undecided &= ~take
-        row_taken = np.zeros(k, dtype=bool)
+        row_taken = np.zeros(n_rows, dtype=bool)
         row_taken[r[take[c]]] = True
         undecided[c[row_taken[r]]] = False
     return np.nonzero(chosen)[0]
@@ -598,21 +617,24 @@ def _dual_phase(state, c):
     c, d = _dual_start(state, c)
     sense, free = _sense(state)
     lower, upper = state.lower, state.upper
+    spans = upper - lower  # inf unless boxed
+    basis = state.basis  # updated in place by each exchange
+    # the basic values and bounds by basis position; state.x[basis] is
+    # written back at every exit and read again after a refactorization
+    x_b, lower_b, upper_b = state.x[basis], lower[basis], upper[basis]
     unit = np.zeros(state.m)
     stuck = np.zeros(state.m, dtype=bool)
     for it in range(iteration_limit):
-        basis = state.basis
-        x_b = state.x[basis]
-        below = lower[basis] - x_b
-        violation = np.maximum(below, x_b - upper[basis])
+        below = lower_b - x_b
+        violation = np.maximum(below, x_b - upper_b)
         r = int(np.argmax(np.where(stuck, 0.0, violation)))
         if stuck[r] or violation[r] <= FEASIBILITY_TOL:
+            state.x[basis] = x_b
             left = np.maximum(violation[stuck], 0.0).sum()
             if left > FEASIBILITY_TOL * (1.0 + np.abs(state.b).sum()):
                 raise NumericalFailure("rows that no column can repair stay violated, "
                                        "but their rows of B^-1 prove no infeasibility")
             return OPTIMAL, it - int(stuck.sum())
-        p = basis[r]
         up = below[r] > 0.0  # x_p must rise to its lower bound
 
         unit[r] = 1.0
@@ -624,16 +646,18 @@ def _dual_phase(state, c):
         # x_p by -alpha_j per unit, so it helps when -alpha_j has x_p's sign
         gain = -alpha if up else alpha
         score = sense * gain
-        score[free] = np.abs(gain[free])
+        if free.size:
+            score[free] = np.abs(gain[free])
         candidates = np.nonzero(score > PIVOT_TOL)[0]
         if not candidates.size:
             if _proves_infeasible(state, rho, alpha):
+                state.x[basis] = x_b
                 return INFEASIBLE, it - int(stuck.sum())
             stuck[r] = True  # violated within the ray's tolerance
             continue
         ratios = np.abs(d[candidates]) / np.abs(alpha[candidates])
         candidates = candidates[np.argsort(ratios, kind="stable")]
-        span = upper[candidates] - lower[candidates]  # inf unless boxed
+        span = spans[candidates]
         passed = np.cumsum(np.abs(alpha[candidates]) * span)
         k = min(int(np.searchsorted(passed, violation[r])), candidates.size - 1)
         q = candidates[k]
@@ -648,18 +672,21 @@ def _dual_phase(state, c):
             local, rows, vals = state.entries(flips)
             moved = np.bincount(rows, weights=vals * delta[local], minlength=state.m)
             rows = np.nonzero(moved)[0]
-            state.x[basis] -= state.b_solve(rows, moved[rows])
+            x_b -= state.b_solve(rows, moved[rows])
 
         w = state.ftran(q)
-        t = (state.x[p] - (lower[p] if up else upper[p])) / w[r]
-        state.x[q] += t
-        state.x[basis] -= t * w
+        p = basis[r]
+        t = (x_b[r] - (lower_b[r] if up else upper_b[r])) / w[r]
+        x_b -= t * w
+        x_b[r] = state.x[q] + t
+        lower_b[r], upper_b[r] = lower[q], upper[q]
         theta = d[q] / alpha[q]
         d -= theta * alpha
         d[q] = 0.0
         d[p] = -theta
         free = _exchange(state, r, q, w, _AT_LOWER if up else _AT_UPPER, sense, free)
         if state.etas == 0:  # refactorized
+            x_b = state.x[basis]
             d = _reduced_costs(state, c)
     raise NumericalFailure(f"iteration limit {iteration_limit} exceeded")
 
@@ -828,11 +855,18 @@ def _vertex_values(state, n):
     bases the simplex ended in.
 
     Values within SNAP_TOL of a finite bound are put on it (_snap).  The
-    remaining basic structural values are solved again from the rows whose
-    slack sits on a bound and the values of every other column: a QR least
-    squares solve in column and row order, plus one refinement step on the
-    residual.  Two bases of one degenerate vertex therefore give the same
-    bits, where their own factorizations differ in the last place.
+    remaining basic structural values, the interior ones, are solved again
+    from the tight rows, those whose slack sits on a bound, and the values
+    of every other column.  That block is ordered by _peel from its
+    nonzeros alone: levels of row singletons, the lowest row first where
+    several could fix one column, and spike columns set aside where no
+    singleton is left.  _PeeledBlock solves it, and one refinement step
+    solves again for the residual.  The tight rows the peel left out are
+    then checked: when one misses by more than SNAP_TOL * (1 + |b_i| +
+    sum_j |a_ij x_j|), or the spikes' Schur complement is ill-conditioned,
+    the basis's own values are kept.  Two bases of one degenerate vertex
+    therefore give the same bits, where their own factorizations differ in
+    the last place.
     """
     x = state.x.copy()
     _snap(x, state.lower, state.upper)
@@ -841,20 +875,114 @@ def _vertex_values(state, n):
     col, row, val = state.entries(interior)
     tight = on_bound[n + row]  # entries in rows whose slack sits on a bound
     rows, local = np.unique(row[tight], return_inverse=True)
-    if interior.size == 0 or rows.size < interior.size:
+    k = interior.size
+    if k == 0 or rows.size < k:
         return x[:n]
-    block = np.zeros((rows.size, interior.size))
-    block[local, col[tight]] = val[tight]
+    block = _PeeledBlock(local, col[tight], val[tight], rows.size, k)
+    if not block.solvable:
+        return x[:n]  # ill-conditioned spikes: keep the basis's own values
     fixed = x.copy()
     fixed[interior] = 0.0
+    rows = rows[block.row_order]
     rhs = (state.b - state.matvec(fixed))[rows]
-    q, r = np.linalg.qr(block)
-    try:
-        x_i = np.linalg.solve(r, q.T @ rhs)
-        x[interior] = x_i + np.linalg.solve(r, q.T @ (rhs - block @ x_i))
-    except np.linalg.LinAlgError:
-        pass  # numerically dependent columns: keep the basis's own values
-    return x[:n]
+    x_i = block.solve(rhs)
+    x_i += block.solve(rhs - block.product(x_i))
+    fixed[interior[block.col_order]] = x_i
+    left_out = slice(block.peeled, None)
+    miss = np.abs(rhs - block.product(x_i))[left_out]
+    scale = np.abs(state.b) + np.bincount(state.indices, minlength=state.m,
+                                          weights=np.abs(state.data * fixed[state.col_of]))
+    if (miss > SNAP_TOL * (1.0 + scale[rows[left_out]])).any():
+        return x[:n]
+    return fixed[:n]
+
+
+class _PeeledBlock:
+    """Solves with an r x k block of full column rank, r >= k, given by its
+    nonzeros, in the order _peel gives it.
+
+    In peel order the block is [[T, B], [C, D]]: T, the q x q peeled part,
+    is lower triangular by levels with a diagonal block P_l at each level,
+    B and D hold the p = k - q spike columns, and C and D the r - q rows
+    left unpeeled.  A solve substitutes level by level, each level with one
+    bincount, so that x_T = a + Z x_S with T a = rhs_T and T Z = -B; the
+    unpeeled rows then leave S x_S = rhs_U - C a with the Schur complement
+    S = D + C Z, which its pseudo-inverse S^+ settles in the least squares
+    sense, the only dense step (the bordered form of _kernel_inverse_t).
+    Z and S^+ are computed once, Z with the levels on p right-hand sides
+    at a time and S^+ from the p x p normal equations, by the same LU
+    solve that _kernel_inverse_t's inversion uses.  Their error grows with
+    cond(S)^2, so solvable is False unless cond(S), estimated as
+    |S|_F |S^+|_F, stays below eps^-1/4, where one refinement step brings
+    a solve back to full accuracy.  Vectors over rows and columns are in
+    peel order (row_order, col_order).
+    """
+
+    def __init__(self, rows, cols, vals, r, k):
+        self.row_order, self.col_order, starts = _peel(rows, cols, r, k)
+        row_label = np.empty(r, dtype=int)
+        row_label[self.row_order] = np.arange(r)
+        col_label = np.empty(k, dtype=int)
+        col_label[self.col_order] = np.arange(k)
+        rows, cols = row_label[rows], col_label[cols]
+        self.entries = (rows, cols, vals)
+        self.r, self.starts = r, starts
+        q = self.peeled = starts[-1]
+        self.pivots = np.empty(q)
+        diagonal = (rows == cols) & (cols < q)  # each peeled row meets its column
+        self.pivots[rows[diagonal]] = vals[diagonal]
+        below = np.nonzero((cols < q) & ~diagonal)[0]
+        below = below[np.argsort(cols[below], kind="stable")]
+        self.below = rows[below], cols[below], vals[below]
+        self.level_ends = np.searchsorted(cols[below], starts)
+        self.z = None
+        self.solvable = True
+        p = k - q
+        if p:
+            spike = cols >= q
+            rhs = np.zeros((r, p))
+            rhs[rows[spike], cols[spike] - q] = -vals[spike]
+            self.z = self._substitute(rhs)
+            schur = -rhs[q:]
+            try:  # S^+ = (S^T S)^-1 S^T
+                self.schur_pinv = np.linalg.solve(schur.T @ schur, schur.T)
+            except np.linalg.LinAlgError:
+                self.solvable = False
+            else:
+                cond = np.linalg.norm(schur) * np.linalg.norm(self.schur_pinv)
+                self.solvable = cond < np.finfo(float).eps ** -0.25
+
+    def _substitute(self, rhs):
+        """Forward substitution through the peeled levels on the columns of
+        rhs (r x w): returns the values of the q peeled columns and leaves
+        in rhs's unpeeled rows what they still have to meet."""
+        w = rhs.shape[1]
+        x = np.empty((self.peeled, w))
+        rows, cols, vals = self.below
+        ends = self.level_ends
+        for a, b, lo, hi in zip(self.starts[:-1], self.starts[1:], ends[:-1], ends[1:]):
+            x[a:b] = rhs[a:b] / self.pivots[a:b, None]
+            if hi > lo:  # the entries below a level lie in rows past it
+                flat = ((rows[lo:hi, None] - b) * w + np.arange(w)).ravel()
+                moved = (vals[lo:hi, None] * x[cols[lo:hi]]).ravel()
+                rhs[b:] -= np.bincount(flat, weights=moved,
+                                       minlength=(self.r - b) * w).reshape(-1, w)
+        return x
+
+    def solve(self, rhs):
+        """x with block x = rhs on the peeled rows and, in the least
+        squares sense, on the rest: the solution when there is one."""
+        rhs = rhs[:, None].copy()
+        x_t = self._substitute(rhs)[:, 0]
+        if self.z is None:
+            return x_t
+        x_s = self.schur_pinv @ rhs[self.peeled:, 0]
+        return np.concatenate([x_t + self.z @ x_s, x_s])
+
+    def product(self, x):
+        """block @ x."""
+        rows, cols, vals = self.entries
+        return np.bincount(rows, weights=vals * x[cols], minlength=self.r)
 
 
 def _leading_start(start, lp):

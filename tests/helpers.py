@@ -17,7 +17,7 @@ from spothedge.formulations import (CVAR, DRO, PER_SCENARIO, FormulationConfig,
 from spothedge.linprog import LinearProgram
 from spothedge.pipeline import (PriceHistory, ReducedScenarios, estimate_q, ingest_lmp_csv,
                                 kmeans_reduce, scenarios_from_representatives)
-from spothedge.simplex import _AT_LOWER, _AT_UPPER, _FREE, OPTIMALITY_TOL
+from spothedge.simplex import _AT_LOWER, _AT_UPPER, _BASIC, _FREE, OPTIMALITY_TOL, _snap
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -57,6 +57,14 @@ def random_lp(rng: np.random.Generator) -> LinearProgram:
         rel = RELATION_POOL[rng.integers(0, len(RELATION_POOL))]
         lp.add_row(f"r{i}", {j: float(body[i, j]) for j in range(n)}, rel, float(rhs[i]))
     return lp
+
+
+def nth_random_lp(draw: int) -> LinearProgram:
+    """Draw number draw (from 0) of random_lp(np.random.default_rng(99))."""
+    rng = np.random.default_rng(99)
+    for _ in range(draw):
+        random_lp(rng)
+    return random_lp(rng)
 
 
 def random_allocation_case(rng: np.random.Generator) -> tuple[MarketInstance, ScenarioSet]:
@@ -281,3 +289,36 @@ def mask_rule_entering(d, status, lower, upper, bland: bool):
     if eligible.size == 0:
         return None
     return int(eligible[0]) if bland else int(eligible[np.argmax(np.abs(d[eligible]))])
+
+
+def vertex_values_qr(state, n: int) -> np.ndarray:
+    """Reference exit values: the dense QR least-squares re-solve that
+    simplex._vertex_values replaced.
+
+    Values within SNAP_TOL of a finite bound are put on it.  The remaining
+    basic structural values are solved again from the rows whose slack sits
+    on a bound and the values of every other column: a QR least squares
+    solve in column and row order, plus one refinement step on the residual.
+    Numerically dependent columns keep the basis's own values.
+    """
+    x = state.x.copy()
+    _snap(x, state.lower, state.upper)
+    on_bound = (x == state.lower) | (x == state.upper)
+    interior = np.nonzero((state.status[:n] == _BASIC) & ~on_bound[:n])[0]
+    col, row, val = state.entries(interior)
+    tight = on_bound[n + row]  # entries in rows whose slack sits on a bound
+    rows, local = np.unique(row[tight], return_inverse=True)
+    if interior.size == 0 or rows.size < interior.size:
+        return x[:n]
+    block = np.zeros((rows.size, interior.size))
+    block[local, col[tight]] = val[tight]
+    fixed = x.copy()
+    fixed[interior] = 0.0
+    rhs = (state.b - state.matvec(fixed))[rows]
+    q, r = np.linalg.qr(block)
+    try:
+        x_i = np.linalg.solve(r, q.T @ rhs)
+        x[interior] = x_i + np.linalg.solve(r, q.T @ (rhs - block @ x_i))
+    except np.linalg.LinAlgError:
+        pass
+    return x[:n]

@@ -401,17 +401,20 @@ def test_sweep_writes_all_outputs(capsys, micro_files, tmp_path):
 
 
 # sha256 of the solve and sweep outputs on the bundled data at 16 scenarios
-# (prepare --k 16 --seed 7), recorded from the all-artificial cold start that
-# the crash basis replaced
+# (prepare --k 16 --seed 7).  The sweep digests and dro_per_period were
+# recorded from the all-artificial cold start that the crash basis replaced;
+# risk_neutral, cvar and dro_per_scenario were recorded again once the exit
+# values came from the peeled solve of the tight rows instead of a dense QR,
+# which moved a few numbers of those reports by one unit in the last place
 SOLVE_DIGESTS = {
     "risk_neutral": (
-        [], "9445e4006efe3529913b4a57ba615762841083cb500f37fda889baf6f5a9bd45"),
+        [], "8b5d707098fdb7c18012300199334d9998e9a86daf2faef5a3a8ba5d072469c5"),
     "cvar": (
         ["--alpha", "0.25", "--lambda", "0.2"],
-        "49a7975876c85427be198f5daebe63ddedc2d268b9bb576cf408e1e049baea54"),
+        "2a1a333e627eb8512ec4ab9d4e49a78fb425947d32b2db3942f85cba08a13004"),
     "dro_per_scenario": (
         ["--epsilon", "1", "--dro-penalty", "per_scenario"],
-        "58b16bc6bc36a27eff10d50e33d0d7a39bc8eec21d8d0ca12b1127216ff32f90"),
+        "7851e1692733305a173f708e5b0a33be961a27405db629378697dea3008b931f"),
     "dro_per_period": (
         ["--epsilon", "1", "--dro-penalty", "per_period"],
         "4be61f6a2b8fb6630ad7764639a6edc8dc79fabf3b752034529618d6aa87bee6"),

@@ -102,14 +102,13 @@ def test_kernel_inverse_matches_numpy_at_every_refactorization(monkeypatch, k, k
     """K^-T against np.linalg.inv(K).T at each basis a toy solve factors,
     its final basis included; from 16 scenarios on, the robust models'
     bases set spike columns aside."""
-    peel = simplex._peel
+    kernel_inverse_t = simplex._kernel_inverse_t
     refactor = simplex._State.refactor
     spikes = []
 
-    def recording_peel(rows, cols, size):
-        row_order, col_order, starts = peel(rows, cols, size)
-        spikes.append(size - starts[-1])
-        return row_order, col_order, starts
+    def recording_kernel_inverse_t(rows, cols, vals, starts, k):
+        spikes.append(k - starts[-1])
+        return kernel_inverse_t(rows, cols, vals, starts, k)
 
     def checked_refactor(state):
         refactor(state)
@@ -118,7 +117,7 @@ def test_kernel_inverse_matches_numpy_at_every_refactorization(monkeypatch, k, k
         if cols.size:
             assert_close(state.kinv_t, np.linalg.inv(kernel).T)
 
-    monkeypatch.setattr(simplex, "_peel", recording_peel)
+    monkeypatch.setattr(simplex, "_kernel_inverse_t", recording_kernel_inverse_t)
     monkeypatch.setattr(simplex._State, "refactor", checked_refactor)
     lp = toy_lp(k, kind)
     installed(lp, simplex.solve(lp).basis)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import random_allocation_case, random_lp, toy_case
+from helpers import nth_random_lp, random_allocation_case, random_lp, toy_case
 
 from spothedge import metrics, simplex
 from spothedge.formulations import (CVAR, DRO, PER_PERIOD, PER_SCENARIO,
@@ -195,13 +195,6 @@ def test_random_allocation_cases_match_highs():
         for config in configs:
             lp, _vm = build(instance, scenarios, config)
             assert_agrees_with_highs(lp)
-
-
-def nth_random_lp(draw: int):
-    rng = np.random.default_rng(99)
-    for _ in range(draw):
-        random_lp(rng)
-    return random_lp(rng)
 
 
 # the draws of random_lp(default_rng(99)) among the first 1500 on which the

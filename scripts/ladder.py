@@ -56,11 +56,11 @@ def timed_solve(lp):
     [(k, levels, spikes) per refactorization])."""
     factored = []
     dual_its = 0
-    kernel_inverse_t, dual_phase = simplex._kernel_inverse_t, simplex._dual_phase
+    inverse_t, dual_phase = simplex._PeeledBlock.inverse_t, simplex._dual_phase
 
-    def recording_kernel_inverse_t(rows, cols, vals, starts, k):
-        factored.append((k, len(starts) - 1, k - starts[-1]))
-        return kernel_inverse_t(rows, cols, vals, starts, k)
+    def recording_inverse_t(block):
+        factored.append((block.k, len(block.starts) - 1, block.k - block.peeled))
+        return inverse_t(block)
 
     def recording_dual_phase(state, c):
         nonlocal dual_its
@@ -68,14 +68,14 @@ def timed_solve(lp):
         dual_its += iterations
         return status, iterations
 
-    simplex._kernel_inverse_t = recording_kernel_inverse_t
+    simplex._PeeledBlock.inverse_t = recording_inverse_t
     simplex._dual_phase = recording_dual_phase
     try:
         start = time.perf_counter()
         solution = simplex.solve(lp)
         seconds = time.perf_counter() - start
     finally:
-        simplex._kernel_inverse_t, simplex._dual_phase = kernel_inverse_t, dual_phase
+        simplex._PeeledBlock.inverse_t, simplex._dual_phase = inverse_t, dual_phase
     return solution, dual_its, seconds, factored
 
 

@@ -35,7 +35,9 @@ Step, period and scenario indices are dense and 0-based; every
 (market, step, period, scenario) combination must appear exactly once.
 Indices, ``periods`` and elasticity ``steps`` must be JSON integers >= 0,
 each other number shown must be a JSON number (not a boolean), each market
-name a string, and each array or object shown must be one.
+name a string, and each array or object shown must be one.  The validators
+also refuse every number that is not finite: Python's JSON reader takes
+NaN, Infinity and 1e400 (as inf).
 """
 
 from __future__ import annotations
@@ -162,10 +164,12 @@ def validate_instance(instance: MarketInstance) -> list[str]:
             problems.append(f"{tag}: unknown market")
         if len(contract.wholesale_price) != instance.periods:
             problems.append(f"{tag}: wholesale_price needs one entry per period")
-        if contract.max_volume < 0:
-            problems.append(f"{tag}: negative max_volume")
-        if contract.flex_above_min < 0:
-            problems.append(f"{tag}: negative flex_above_min")
+        for name in ("max_volume", "flex_above_min"):
+            value = getattr(contract, name)
+            if value < 0:
+                problems.append(f"{tag}: negative {name}")
+            elif not math.isfinite(value):  # NaN too
+                problems.append(f"{tag}: non-finite {name}")
         if not all(math.isfinite(w) for w in contract.wholesale_price):
             problems.append(f"{tag}: non-finite wholesale price")
     for market, value in instance.transport_cost.items():
@@ -178,9 +182,11 @@ def validate_instance(instance: MarketInstance) -> list[str]:
             problems.append(f"elasticity names unknown market {market!r}")
         if curve.steps < 1:
             problems.append(f"elasticity for {market!r}: steps must be >= 1")
-        if curve.width <= 0:
-            problems.append(f"elasticity for {market!r}: width must be > 0")
-        if curve.steps > 1 and curve.decrement <= 0:
+        if not 0 < curve.width < math.inf:
+            problems.append(f"elasticity for {market!r}: width must be > 0 and finite")
+        if not math.isfinite(curve.decrement):
+            problems.append(f"elasticity for {market!r}: non-finite decrement")
+        elif curve.steps > 1 and curve.decrement <= 0:
             problems.append(
                 f"elasticity for {market!r}: decrement must be > 0 to keep "
                 "the staircase strictly descending")
@@ -194,6 +200,8 @@ def validate_scenarios(instance: MarketInstance, scenarios: ScenarioSet) -> list
     if probs.ndim != 1 or probs.shape[0] == 0:
         problems.append("probabilities must be a non-empty vector")
         return problems
+    if not np.isfinite(probs).all():
+        problems.append("non-finite scenario probability")
     if (probs < -PROBABILITY_TOL).any():
         problems.append("negative scenario probability")
     if abs(float(probs.sum()) - 1.0) > PROBABILITY_TOL:
@@ -393,18 +401,21 @@ def scenarios_from_dict(doc: dict) -> ScenarioSet:
     for market, cells in by_market.items():
         n_k = max(k for k, _t, _s in cells) + 1
         n_t = max(t for _k, t, _s in cells) + 1
-        price = np.full((n_k, n_t, n_s), np.nan)
-        width = np.full((n_k, n_t, n_s), np.nan)
-        for (k, t, s), (p, w) in cells.items():
+        for _k, _t, s in cells:
             if s >= n_s:
                 raise ValueError(f"scenarios: {market} entry has scenario index {s} "
                                  f"outside 0..{n_s - 1}")
-            price[k, t, s] = p
-            width[k, t, s] = w
-        if np.isnan(price).any():
-            k, t, s = [int(v[0]) for v in np.nonzero(np.isnan(price))]
+        if len(cells) < n_k * n_t * n_s:  # checked before the staircase is allocated
+            flat = sorted((k * n_t + t) * n_s + s for k, t, s in cells)
+            first = next((i for i, f in enumerate(flat) if f != i), len(flat))
+            k, t, s = first // (n_t * n_s), first // n_s % n_t, first % n_s
             raise ValueError(f"scenarios: {market} is missing the spot entry for "
                              f"step {k}, period {t}, scenario {s}")
+        price = np.empty((n_k, n_t, n_s))
+        width = np.empty((n_k, n_t, n_s))
+        for (k, t, s), (p, w) in cells.items():
+            price[k, t, s] = p
+            width[k, t, s] = w
         prices[market] = price
         widths[market] = width
     return ScenarioSet(probabilities=probabilities, prices=prices, widths=widths)

@@ -41,12 +41,14 @@ Primal pricing is Dantzig's largest reduced cost, switching to Bland's
 rule after 3*(rows+columns) consecutive non-improving iterations so that
 degenerate programs terminate.  Each column carries a sense: +1 when it
 rests at its lower bound and can move, -1 at its upper bound, 0 when it is
-basic, fixed or free.  The sense is set at the start of each phase and
-updated at every status change, so that a column's primal score is d_j
-times its sense (|d_j| for a free nonbasic column) and the entering column
-is the first argmax of the scores, or under Bland's rule the first score
-above OPTIMALITY_TOL; the dual ratio test takes its candidates by the same
-senses.
+basic, fixed or free.  The state keeps the senses, which only _rest,
+giving columns a status with the value and sense that go with it, and
+_exchange, making a column basic, change; it also keeps the list of free
+nonbasic columns, which _install sets and _exchange shortens.  A column's
+primal score is d_j times its sense (|d_j| for a free nonbasic column)
+and the entering column is the first argmax of the scores, or under
+Bland's rule the first score above OPTIMALITY_TOL; the dual ratio test
+takes its candidates by the same senses.
 
 The equality-form matrix is stored column-sparse (CSC arrays): the
 structural columns, then one unit column per slack.  It is computed once
@@ -62,11 +64,12 @@ number of matrix-vector products however many etas there are.  Every
 REFACTOR_EVERY pivots the basis is refactorized from scratch, which empties
 the eta file and recomputes the basic values.  A refactorization
 eliminates the basic slack unit columns directly.  The remaining
-structural block is nearly triangular: rounds of row singletons order it
-into levels, a few spike columns are set aside where no singleton is left,
-and its inverse comes from one matrix product per level plus the bordered
-inverse around a p x p Schur complement for the p spikes, the only dense
-inversion (Hellerman and Rarick 1971; Suhl and Suhl 1990).
+structural block, the kernel, is nearly triangular: _peel orders it into
+levels by rounds of row singletons and sets a few spike columns aside
+where no singleton is left, and _PeeledBlock, which orders the exit's
+block too, gives its inverse from one matrix product per level plus the
+bordered inverse around a p x p Schur complement for the p spikes, the
+only dense inversion (Hellerman and Rarick 1971; Suhl and Suhl 1990).
 
 At exit, basic values within 1e-9 * max(1, |bound|) of a finite bound are
 snapped onto it, so that rounding noise never reaches the reported values.
@@ -146,8 +149,13 @@ class _State:
     kernel_rows (R) and struct_pos (S) are kept in the order _peel gives K:
     level by level, each peeled row with its column, then the spike columns
     with the rows left unpeeled.  kinv_t holds K^-T in that order
-    (_kernel_inverse_t); only the spikes' Schur complement is inverted
+    (_PeeledBlock.inverse_t); only the spikes' Schur complement is inverted
     densely.
+
+    sense and free are the columns' senses and the free nonbasic columns
+    (see the module docstring).  rest_x and rest_sense hold, by status code
+    and column, the value and sense a column takes with that status; _rest
+    reads them.
 
     The eta file holds the e pivots since the last refactorization in
     preallocated arrays.  Pivot j entered a column with w_j = B_j^-1 a at
@@ -174,6 +182,14 @@ class _State:
         self.ncols = indptr.size - 1
         self.x = np.zeros(self.ncols)
         self.status = np.full(self.ncols, _AT_LOWER, dtype=np.int8)
+        self.sense = np.zeros(self.ncols)
+        self.free = np.empty(0, dtype=int)
+        # a column's value and sense by status code (row) and column, for _rest
+        movable = upper - lower > 0.0
+        zero = np.zeros(self.ncols)
+        self.rest_x = np.stack([lower, upper, zero, zero])
+        self.rest_sense = np.stack([np.where(movable, 1.0, 0.0),
+                                    np.where(movable, -1.0, 0.0), zero, zero])
         self.basis = np.zeros(self.m, dtype=int)
         self.etas = 0  # pivots in the eta file
         self.eta_t = np.empty((REFACTOR_EVERY, self.m))
@@ -260,20 +276,16 @@ class _State:
 
         local, rows, vals = self.entries(self.basis[struct_pos])
         in_kernel = kernel_index[rows] >= 0
-        row_order, col_order, starts = _peel(kernel_index[rows[in_kernel]],
-                                             local[in_kernel], k, k)
-        # relabel K's rows and columns into peel order
-        self.kernel_rows = kernel_rows[row_order]
-        self.struct_pos = struct_pos[col_order]
+        kernel = _PeeledBlock(kernel_index[rows[in_kernel]], local[in_kernel],
+                              vals[in_kernel], k, k)
+        self.kernel_rows = kernel_rows[kernel.row_order]
+        self.struct_pos = struct_pos[kernel.col_order]
         self.kernel_index = kernel_index
         kernel_index[self.kernel_rows] = np.arange(k)
-        col_label = np.empty(k, dtype=int)
-        col_label[col_order] = np.arange(k)
-        local = col_label[local]
-        self.kinv_t = _kernel_inverse_t(kernel_index[rows[in_kernel]], local[in_kernel],
-                                        vals[in_kernel], starts, k)
+        self.kinv_t = kernel.inverse_t()
         coupled = ~in_kernel
-        self.coupling = (self.unit_index[rows[coupled]], local[coupled], vals[coupled])
+        self.coupling = (self.unit_index[rows[coupled]], kernel.col_label[local[coupled]],
+                         vals[coupled])
         self.etas = 0
 
         nonbasic = self.x.copy()
@@ -377,77 +389,7 @@ def _spike_columns(rows, cols, col_live, n_rows):
     return np.nonzero(chosen)[0]
 
 
-def _kernel_inverse_t(rows, cols, vals, starts, k):
-    """K^-T of a k x k kernel in peel order (see _peel), from its nonzeros.
-
-    With T the peeled block, K = [[T, B], [C, D]].  T is lower triangular
-    by levels, and its block at level l is the diagonal matrix P_l of the
-    level's pivots, so the rows of Z = T^-T at level l follow from those of
-    the later levels by one GEMM, last level first:
-
-        Z_l = P_l^-1 (I_l - T_{>l,l}^T Z_{>l}).
-
-    The p spike columns are closed by the bordered inverse around the
-    Schur complement S = D - C T^-1 B, whose p x p inverse is the only
-    dense inversion.  Besides the result, one temporary of up to k x k
-    exists at a time.  Raises NumericalFailure when S is singular.
-    """
-    q = starts[-1]
-    p = k - q
-    kinv_t = np.zeros((k, k))
-    diagonal = (rows == cols) & (rows < q)  # each peeled row meets its column
-    pivots = np.empty(q)
-    pivots[rows[diagonal]] = vals[diagonal]
-    below = (rows > cols) & (rows < q)
-    for a, b in zip(starts[-2::-1], starts[:0:-1]):
-        level = np.arange(a, b)
-        kinv_t[level, level] = 1.0 / pivots[a:b]
-        if b < q:
-            sel = below & (cols >= a) & (cols < b)
-            block = np.zeros((b - a, q - b))
-            block[cols[sel] - a, rows[sel] - b] = vals[sel]
-            out = kinv_t[a:b, b:q]
-            np.matmul(block, kinv_t[b:q, b:q], out=out)
-            out *= (-1.0 / pivots[a:b])[:, None]
-    if p:
-        z = kinv_t[:q, :q]
-        border_row, border_col = rows >= q, cols >= q
-        c_t = np.zeros((q, p))
-        sel = border_row & ~border_col
-        c_t[cols[sel], rows[sel] - q] = vals[sel]
-        b_t = np.zeros((p, q))
-        sel = ~border_row & border_col
-        b_t[cols[sel] - q, rows[sel]] = vals[sel]
-        schur_t = np.zeros((p, p))
-        sel = border_row & border_col
-        schur_t[cols[sel] - q, rows[sel] - q] = vals[sel]
-        g = kinv_t[:q, q:]  # T^-T C^T, then -T^-T C^T S^-T
-        h = kinv_t[q:, :q]  # B^T T^-T, then -S^-T B^T T^-T
-        np.matmul(z, c_t, out=g)
-        np.matmul(b_t, z, out=h)
-        schur_t -= h @ c_t
-        try:
-            kinv_t[q:, q:] = np.linalg.inv(schur_t)
-        except np.linalg.LinAlgError:
-            raise NumericalFailure("singular basis at refactorization") from None
-        g[...] = -(g @ kinv_t[q:, q:])
-        z -= g @ h
-        h[...] = -(kinv_t[q:, q:] @ h)
-    return kinv_t
-
-
-def _sense(state):
-    """(sense, free) of the columns: sense is +1 for a column at its lower
-    bound that can move, -1 for one at its upper bound that can move, and 0
-    for a basic, fixed or free one; free lists the free nonbasic columns."""
-    status = state.status
-    movable = state.upper - state.lower > 0.0
-    sense = np.where(movable & (status == _AT_LOWER), 1.0,
-                     np.where(movable & (status == _AT_UPPER), -1.0, 0.0))
-    return sense, np.nonzero(status == _FREE)[0]
-
-
-def _entering(d, sense, free, bland):
+def _entering(state, d, bland):
     """The entering column for reduced costs d, or None when none improves.
 
     A column's score is d times its sense, |d| for a free one; Dantzig's
@@ -456,8 +398,8 @@ def _entering(d, sense, free, bland):
     """
     if not d.size:
         return None
-    score = d * sense
-    score[free] = np.abs(d[free])
+    score = d * state.sense
+    score[state.free] = np.abs(d[state.free])
     j = int(np.argmax(score > OPTIMALITY_TOL)) if bland else int(np.argmax(score))
     return j if score[j] > OPTIMALITY_TOL else None
 
@@ -477,10 +419,8 @@ def _ratio_test(state, j, direction, w, bland):
 
     span = state.upper[j] - state.lower[j]  # inf for free or half-bounded columns
     t_basic = t.min() if state.m else np.inf
-    if span <= t_basic:
+    if span <= t_basic:  # always when no row blocks
         return span, -1, 0
-    if not np.isfinite(t_basic):
-        return np.inf, -1, 0
     ties = np.nonzero(t <= t_basic + 1e-12 * (1.0 + t_basic))[0]
     if bland:
         row = int(ties[np.argmin(k[ties])])
@@ -494,23 +434,17 @@ def _iteration_limit(state):
     return 10_000 + 50 * (state.m + state.ncols)
 
 
-def _exchange(state, row, j, w, hit, sense, free):
+def _exchange(state, row, j, w, hit):
     """Pivot column j, with B^-1 a_j = w, into the basis at row; the
     column basic there leaves onto its lower bound (hit == _AT_LOWER) or
-    its upper bound.  Updates the senses and returns the free nonbasic
-    columns."""
-    leaving = state.basis[row]
-    state.x[leaving] = state.lower[leaving] if hit == _AT_LOWER else state.upper[leaving]
-    state.status[leaving] = hit
-    movable = state.upper[leaving] - state.lower[leaving] > 0.0
-    sense[leaving] = (1.0 if hit == _AT_LOWER else -1.0) if movable else 0.0
+    its upper bound."""
+    _rest(state, state.basis[row], hit)
     if state.status[j] == _FREE:
-        free = free[free != j]
+        state.free = state.free[state.free != j]
     state.basis[row] = j
     state.status[j] = _BASIC
-    sense[j] = 0.0
+    state.sense[j] = 0.0
     state.pivot(row, w)
-    return free
 
 
 def _run_phase(state, c):
@@ -521,11 +455,10 @@ def _run_phase(state, c):
     bland = False
     stall = 0
     stall_switch = 3 * (state.m + state.ncols)
-    sense, free = _sense(state)
     z = float(c @ state.x)
     for it in range(iteration_limit):
         d = _reduced_costs(state, c)
-        j = _entering(d, sense, free, bland)
+        j = _entering(state, d, bland)
         if j is None:
             return OPTIMAL, it
         direction = 1.0 if d[j] > 0 else -1.0
@@ -537,17 +470,10 @@ def _run_phase(state, c):
         state.x[j] += direction * t
         if state.m:
             state.x[state.basis] -= direction * t * w
-        if row < 0:
-            # bound flip, no basis change
-            if direction > 0:
-                state.x[j] = state.upper[j]
-                state.status[j] = _AT_UPPER
-            else:
-                state.x[j] = state.lower[j]
-                state.status[j] = _AT_LOWER
-            sense[j] = -direction
+        if row < 0:  # bound flip, no basis change
+            _rest(state, j, _AT_UPPER if direction > 0 else _AT_LOWER)
         else:
-            free = _exchange(state, row, j, w, hit, sense, free)
+            _exchange(state, row, j, w, hit)
 
         z_new = float(c @ state.x)
         if z_new <= z + 1e-12 * (1.0 + abs(z)):
@@ -585,9 +511,8 @@ def _dual_start(state, c):
         # the basis itself is unchanged, so it factors as before
         _install(state, state.basis, np.where(to_upper, _AT_UPPER,
                                               np.where(to_lower, _AT_LOWER, state.status)))
-    sense, free = _sense(state)
-    shifted = d * sense > 0.0
-    shifted[free] = d[free] != 0.0
+    shifted = d * state.sense > 0.0
+    shifted[state.free] = d[state.free] != 0.0
     c = c.copy()
     c[shifted] -= d[shifted]
     d[shifted] = 0.0
@@ -615,7 +540,6 @@ def _dual_phase(state, c):
     """
     iteration_limit = _iteration_limit(state)
     c, d = _dual_start(state, c)
-    sense, free = _sense(state)
     lower, upper = state.lower, state.upper
     spans = upper - lower  # inf unless boxed
     basis = state.basis  # updated in place by each exchange
@@ -645,7 +569,8 @@ def _dual_phase(state, c):
         # lower bound, down at the upper, either way when free) changes
         # x_p by -alpha_j per unit, so it helps when -alpha_j has x_p's sign
         gain = -alpha if up else alpha
-        score = sense * gain
+        score = state.sense * gain
+        free = state.free
         if free.size:
             score[free] = np.abs(gain[free])
         candidates = np.nonzero(score > PIVOT_TOL)[0]
@@ -666,9 +591,7 @@ def _dual_phase(state, c):
         if flips.size:
             to_upper = state.status[flips] == _AT_LOWER
             delta = np.where(to_upper, span[:k], -span[:k])
-            state.x[flips] = np.where(to_upper, upper[flips], lower[flips])
-            state.status[flips] = np.where(to_upper, _AT_UPPER, _AT_LOWER)
-            sense[flips] = -sense[flips]
+            _rest(state, flips, np.where(to_upper, _AT_UPPER, _AT_LOWER))
             local, rows, vals = state.entries(flips)
             moved = np.bincount(rows, weights=vals * delta[local], minlength=state.m)
             rows = np.nonzero(moved)[0]
@@ -684,7 +607,7 @@ def _dual_phase(state, c):
         d -= theta * alpha
         d[q] = 0.0
         d[p] = -theta
-        free = _exchange(state, r, q, w, _AT_LOWER if up else _AT_UPPER, sense, free)
+        _exchange(state, r, q, w, _AT_LOWER if up else _AT_UPPER)
         if state.etas == 0:  # refactorized
             x_b = state.x[basis]
             d = _reduced_costs(state, c)
@@ -712,6 +635,15 @@ def _snap(values, lower, upper):
         values[near] = bound[near]
 
 
+def _rest(state, cols, status):
+    """Give the columns cols the status status, with the value and sense
+    that go with it (_State's rest tables): the value is the bound the
+    status names, or zero for a free or basic column."""
+    state.status[cols] = status
+    state.x[cols] = state.rest_x[status, cols]
+    state.sense[cols] = state.rest_sense[status, cols]
+
+
 def _install(state, basic, status):
     """Make basic the basis; returns False when it is singular.
 
@@ -720,10 +652,10 @@ def _install(state, basic, status):
     free.  The basis is then refactorized, which computes the basic values.
     """
     state.basis[:] = basic
-    state.status[:] = status
-    state.status[state.basis] = _BASIC
-    state.x[:] = np.where(state.status == _AT_LOWER, state.lower,
-                          np.where(state.status == _AT_UPPER, state.upper, 0.0))
+    status = status.copy()
+    status[state.basis] = _BASIC
+    _rest(state, np.arange(state.ncols), status)
+    state.free = np.nonzero(status == _FREE)[0]
     try:
         state.refactor()
     except NumericalFailure:
@@ -836,8 +768,7 @@ def _crash_slacks(state, rest):
         state.x[j] = moved[k]
         state.basis[position[n + i]] = j
         state.status[j] = _BASIC
-        state.status[n + i] = rest[n + i]
-        slack_x[i] = target
+        _rest(state, n + i, rest[n + i])  # the slack's rest bound is target
         closed[row_cols[row_ptr[i]:row_ptr[i + 1]]] += 1
         entered = True
     return entered
@@ -878,7 +809,7 @@ def _vertex_values(state, n):
     k = interior.size
     if k == 0 or rows.size < k:
         return x[:n]
-    block = _PeeledBlock(local, col[tight], val[tight], rows.size, k)
+    block = _PeeledBlock(local, col[tight], val[tight], rows.size, k).least_squares()
     if not block.solvable:
         return x[:n]  # ill-conditioned spikes: keep the basis's own values
     fixed = x.copy()
@@ -898,52 +829,113 @@ def _vertex_values(state, n):
 
 
 class _PeeledBlock:
-    """Solves with an r x k block of full column rank, r >= k, given by its
-    nonzeros, in the order _peel gives it.
+    """An r x k block, r >= k, given by its nonzeros and put in the order
+    _peel gives it: the kernel K of a refactorization (r == k) and the
+    tight-row block of the exit values.
 
     In peel order the block is [[T, B], [C, D]]: T, the q x q peeled part,
-    is lower triangular by levels with a diagonal block P_l at each level,
-    B and D hold the p = k - q spike columns, and C and D the r - q rows
-    left unpeeled.  A solve substitutes level by level, each level with one
-    bincount, so that x_T = a + Z x_S with T a = rhs_T and T Z = -B; the
-    unpeeled rows then leave S x_S = rhs_U - C a with the Schur complement
-    S = D + C Z, which its pseudo-inverse S^+ settles in the least squares
-    sense, the only dense step (the bordered form of _kernel_inverse_t).
-    Z and S^+ are computed once, Z with the levels on p right-hand sides
-    at a time and S^+ from the p x p normal equations, by the same LU
-    solve that _kernel_inverse_t's inversion uses.  Their error grows with
-    cond(S)^2, so solvable is False unless cond(S), estimated as
-    |S|_F |S^+|_F, stays below eps^-1/4, where one refinement step brings
-    a solve back to full accuracy.  Vectors over rows and columns are in
-    peel order (row_order, col_order).
+    is lower triangular by levels with the diagonal block P_l of the
+    level's pivots at level l, B and D hold the p = k - q spike columns,
+    and C and D the r - q rows left unpeeled.  The block keeps T's pivots,
+    the entries of its q columns below the diagonal, C's included, sorted
+    by column with the end of each level among them, and [B; D] dense
+    (spikes).  row_order and col_order list the block's rows and columns in
+    peel order, col_label gives each column's place in it, and vectors over
+    rows and columns are in peel order.  inverse_t gives K^-T;
+    least_squares prepares solve, which settles the rows C and D in the
+    least squares sense.
     """
 
     def __init__(self, rows, cols, vals, r, k):
-        self.row_order, self.col_order, starts = _peel(rows, cols, r, k)
+        self.row_order, self.col_order, self.starts = _peel(rows, cols, r, k)
         row_label = np.empty(r, dtype=int)
         row_label[self.row_order] = np.arange(r)
-        col_label = np.empty(k, dtype=int)
-        col_label[self.col_order] = np.arange(k)
-        rows, cols = row_label[rows], col_label[cols]
+        self.col_label = np.empty(k, dtype=int)
+        self.col_label[self.col_order] = np.arange(k)
+        rows, cols = row_label[rows], self.col_label[cols]
         self.entries = (rows, cols, vals)
-        self.r, self.starts = r, starts
-        q = self.peeled = starts[-1]
+        self.r, self.k = r, k
+        q = self.peeled = self.starts[-1]
         self.pivots = np.empty(q)
         diagonal = (rows == cols) & (cols < q)  # each peeled row meets its column
         self.pivots[rows[diagonal]] = vals[diagonal]
         below = np.nonzero((cols < q) & ~diagonal)[0]
         below = below[np.argsort(cols[below], kind="stable")]
         self.below = rows[below], cols[below], vals[below]
-        self.level_ends = np.searchsorted(cols[below], starts)
+        self.level_ends = np.searchsorted(cols[below], self.starts)
+        spike = cols >= q
+        self.spikes = np.zeros((r, k - q))
+        self.spikes[rows[spike], cols[spike] - q] = vals[spike]
+
+    def inverse_t(self):
+        """K^-T of a square block.
+
+        The rows of Z = T^-T at level l follow from those of the later
+        levels by one GEMM, last level first:
+
+            Z_l = P_l^-1 (I_l - T_{>l,l}^T Z_{>l}).
+
+        The p spike columns are closed by the bordered inverse around the
+        Schur complement S = D - C T^-1 B, whose p x p inverse is the only
+        dense inversion.  Besides the result, one temporary of up to k x k
+        exists at a time.  Raises NumericalFailure when S is singular.
+        """
+        k, q, pivots = self.k, self.peeled, self.pivots
+        kinv_t = np.zeros((k, k))
+        rows, cols, vals = self.below
+        starts, ends = self.starts, self.level_ends
+        for a, b, lo, hi in zip(starts[-2::-1], starts[:0:-1], ends[-2::-1], ends[:0:-1]):
+            level = np.arange(a, b)
+            kinv_t[level, level] = 1.0 / pivots[a:b]
+            if b < q:
+                in_t = rows[lo:hi] < q  # C's entries lie past row q
+                block = np.zeros((b - a, q - b))
+                block[cols[lo:hi][in_t] - a, rows[lo:hi][in_t] - b] = vals[lo:hi][in_t]
+                out = kinv_t[a:b, b:q]
+                np.matmul(block, kinv_t[b:q, b:q], out=out)
+                out *= (-1.0 / pivots[a:b])[:, None]
+        if q < k:
+            z = kinv_t[:q, :q]
+            in_c = rows >= q
+            c_t = np.zeros((q, k - q))
+            c_t[cols[in_c], rows[in_c] - q] = vals[in_c]
+            b_t = self.spikes[:q].T.copy()
+            schur_t = self.spikes[q:].T.copy()
+            g = kinv_t[:q, q:]  # T^-T C^T, then -T^-T C^T S^-T
+            h = kinv_t[q:, :q]  # B^T T^-T, then -S^-T B^T T^-T
+            np.matmul(z, c_t, out=g)
+            np.matmul(b_t, z, out=h)
+            schur_t -= h @ c_t
+            try:
+                kinv_t[q:, q:] = np.linalg.inv(schur_t)
+            except np.linalg.LinAlgError:
+                raise NumericalFailure("singular basis at refactorization") from None
+            g[...] = -(g @ kinv_t[q:, q:])
+            z -= g @ h
+            h[...] = -(kinv_t[q:, q:] @ h)
+        return kinv_t
+
+    def least_squares(self):
+        """Prepare solve for a block of full column rank; returns the block.
+
+        A solve substitutes level by level, each level with one bincount,
+        so that x_T = a + Z x_S with T a = rhs_T and T Z = -B; the unpeeled
+        rows then leave S x_S = rhs_U - C a with the Schur complement
+        S = D + C Z, which its pseudo-inverse S^+ settles in the least
+        squares sense, the only dense step (the bordered form of
+        inverse_t).  Z and S^+ are computed here, Z with the levels on p
+        right-hand sides at a time and S^+ from the p x p normal equations,
+        by the same LU solve that inverse_t's inversion uses.  Their error
+        grows with cond(S)^2, so solvable is False unless cond(S), estimated
+        as |S|_F |S^+|_F, stays below eps^-1/4, where one refinement step
+        brings a solve back to full accuracy.
+        """
         self.z = None
         self.solvable = True
-        p = k - q
-        if p:
-            spike = cols >= q
-            rhs = np.zeros((r, p))
-            rhs[rows[spike], cols[spike] - q] = -vals[spike]
+        if self.peeled < self.k:
+            rhs = 0.0 - self.spikes  # -[B; D], +0.0 off its nonzeros
             self.z = self._substitute(rhs)
-            schur = -rhs[q:]
+            schur = -rhs[self.peeled:]
             try:  # S^+ = (S^T S)^-1 S^T
                 self.schur_pinv = np.linalg.solve(schur.T @ schur, schur.T)
             except np.linalg.LinAlgError:
@@ -951,6 +943,7 @@ class _PeeledBlock:
             else:
                 cond = np.linalg.norm(schur) * np.linalg.norm(self.schur_pinv)
                 self.solvable = cond < np.finfo(float).eps ** -0.25
+        return self
 
     def _substitute(self, rhs):
         """Forward substitution through the peeled levels on the columns of

@@ -10,6 +10,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -755,6 +756,146 @@ def test_prepare_on_inputs_that_make_no_scenarios_is_a_data_error(capsys, tmp_pa
                        "--out", str(tmp_path / "out"))
     assert code == 2
     assert one_json_object(err) == {"error": "data", "message": message}
+
+
+@pytest.mark.parametrize("case, error, message", [
+    ("k_zero", "data", "--k must lie in 1..200, got 0"),
+    ("unknown_column", "usage", "argument --columns: has unknown keys ['bogus']"),
+    ("out_under_a_file", "io", "cannot create output directory {out}: [Errno 20] "
+                               "Not a directory: '{out}'"),
+    ("tiny_decrement", "data", "prepared scenarios do not fit the instance"),
+])
+def test_prepare_refuses_a_bad_k_column_out_or_staircase(capsys, tmp_path, case, error,
+                                                         message):
+    """A decrement of 1e-12 passes validate_instance, but the staircase it
+    makes does not descend by more than STAIRCASE_TOL."""
+    ipath, out, flags = DATA / "toy_instance.json", tmp_path / "out", ["--k", "2"]
+    if case == "k_zero":
+        flags = ["--k", "0"]
+    elif case == "unknown_column":
+        flags += ["--columns", "bogus=x"]
+    elif case == "out_under_a_file":
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+    else:
+        doc = json.loads(ipath.read_text())
+        doc["elasticity"]["ALPHA"]["decrement"] = 1e-12
+        ipath = tmp_path / "instance.json"
+        ipath.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, "prepare", "--instance", str(ipath),
+                            "--raw-csv", str(DATA / "toy_lmp.csv"), *flags, "--out", str(out))
+    doc = one_json_object(err)
+    assert (code, stdout, doc["error"]) == (2, "", error)
+    assert doc["message"] == message.format(out=out)
+    if case == "tiny_decrement":
+        assert doc["problems"] == ["ALPHA: staircase not strictly descending at step 0->1, "
+                                   "period 0, scenario 0"]
+
+
+@pytest.mark.parametrize("what, change, problem", [
+    ("scenarios", lambda doc: {**doc, "probabilities": [math.nan, 0.5]},
+     "non-finite scenario probability"),
+    ("instance", lambda doc: _contract(doc, max_volume=math.nan),
+     "contract 0 (hub): non-finite max_volume"),
+    ("instance", lambda doc: _contract(doc, flex_above_min="1e400"),
+     "contract 0 (hub): non-finite flex_above_min"),
+    ("instance", lambda doc: _contract(doc, flex_above_min=math.nan),
+     "contract 0 (hub): non-finite flex_above_min"),
+    ("instance", lambda doc: {**doc, "elasticity": _curve(width=math.nan)},
+     "elasticity for 'hub': width must be > 0 and finite"),
+    ("instance", lambda doc: {**doc, "elasticity": _curve(decrement=math.nan)},
+     "elasticity for 'hub': non-finite decrement"),
+], ids=["probability_nan", "max_volume_nan", "flex_1e400", "flex_nan", "width_nan",
+        "decrement_nan"])
+def test_a_number_that_is_not_finite_is_a_data_error_that_names_its_field(
+        capsys, micro_files, what, change, problem):
+    """JSON reads NaN and 1e400 (as inf) as numbers.  Unchecked, the NaN
+    probability and max_volume and the 1e400 flex exited 1 with a traceback
+    from the LP build, and a NaN flex solved as a contract without flex."""
+    ipath, spath = micro_files
+    path = {"instance": ipath, "scenarios": spath}[what]
+    path.write_text(json.dumps(change(json.loads(path.read_text()))).replace('"1e400"', "1e400"))
+    code, stdout, err = run(capsys, "solve", "--instance", str(ipath), "--scenarios", str(spath))
+    doc = one_json_object(err)
+    assert (code, stdout, doc["error"]) == (2, "", "data")
+    assert problem in doc["problems"]
+
+
+MUTATIONS = {
+    "drop": None, "text": lambda old: "x", "array": lambda old: [], "object": lambda old: {},
+    "null": lambda old: None, "bool": lambda old: True, "in_array": lambda old: [old],
+    "in_object": lambda old: {"x": old}, "huge": lambda old: 1e300,
+    "inf": lambda old: math.inf, "minus_inf": lambda old: -math.inf,
+    "nan": lambda old: math.nan, "zero": lambda old: 0, "big_int": lambda old: 10 ** 6,
+    "negative": lambda old: -old if type(old) in (int, float) else -1,
+}
+
+
+def json_paths(doc, path=()):
+    """The path of every value in doc: each key of an object and the first
+    two entries of each array."""
+    yield path
+    if isinstance(doc, dict):
+        children = doc.items()
+    else:
+        children = enumerate(doc[:2]) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield from json_paths(value, path + (key,))
+
+
+def mutated(doc, path, mutation):
+    """doc with the value at path dropped or replaced by MUTATIONS[mutation]."""
+    doc = json.loads(json.dumps(doc))
+    if not path:
+        return MUTATIONS[mutation](doc) if MUTATIONS[mutation] else {}
+    *head, key = path
+    holder = doc
+    for step in head:
+        holder = holder[step]
+    if MUTATIONS[mutation] is None:
+        del holder[key]
+    else:
+        holder[key] = MUTATIONS[mutation](holder[key])
+    return doc
+
+
+@pytest.fixture(scope="module")
+def toy_files(tmp_path_factory):
+    """The toy instance and the scenarios and q that prepare --k 4 makes of
+    the toy history: their paths and their parsed contents."""
+    root = tmp_path_factory.mktemp("toy_files")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        assert main(["prepare", "--instance", str(DATA / "toy_instance.json"), "--raw-csv",
+                     str(DATA / "toy_lmp.csv"), "--k", "4", "--out", str(root)]) == 0
+    paths = {"instance": DATA / "toy_instance.json", "scenarios": root / "scenarios.json",
+             "q": root / "q.json"}
+    return paths, {what: json.loads(path.read_text()) for what, path in paths.items()}
+
+
+@pytest.mark.parametrize("what", ["instance", "scenarios", "q"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_mutated_toy_file_solves_or_fails_typed(toy_files, what, data):
+    """One value of the toy instance, scenario or q file is dropped, given
+    another JSON type, nested, or made huge, infinite, NaN, zero or
+    negative; a dro solve then succeeds, or exits 2 or 3 with one JSON
+    object on stderr, never with a traceback or a warning."""
+    paths, docs = toy_files
+    path = data.draw(st.sampled_from(list(json_paths(docs[what]))))
+    mutation = data.draw(st.sampled_from(list(MUTATIONS)))
+    files = dict(paths)
+    files[what] = paths["q"].with_name(f"mutated_{what}.json")
+    files[what].write_text(json.dumps(mutated(docs[what], path, mutation)))
+    argv = ["solve", "--instance", str(files["instance"]), "--scenarios",
+            str(files["scenarios"]), "--kind", "dro", "--epsilon", "1", "--q", str(files["q"])]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    assert (code == 0) == (stderr.getvalue() == "")
+    if code:
+        one_json_object(stderr.getvalue())
 
 
 # ----------------------------------------------------------------------

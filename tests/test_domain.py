@@ -1,5 +1,7 @@
 """Domain model tests: validators and the JSON file contract."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,23 @@ def test_scenarios_from_dict_rejects_duplicates_and_holes():
     stray = dict(doc, spot=doc["spot"] + [dict(doc["spot"][0], scenario=9)])
     with pytest.raises(ValueError, match="outside 0..1"):
         scenarios_from_dict(stray)
+
+
+def test_entries_that_cannot_fill_the_staircase_are_refused_before_it_is_allocated():
+    """An extra entry with step 10**6 leaves east's staircase with holes.
+    Unchecked, two NaN-filled staircases of (10**6 + 1) x 2 x 2 floats were
+    allocated and searched before the hole was found, a 164 MB peak."""
+    doc = scenarios_to_dict(small_scenarios())
+    doc["spot"].append(dict(doc["spot"][0], step=10 ** 6))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="east is missing the spot entry for step 2, "
+                                             "period 0, scenario 0"):
+            scenarios_from_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_a_negative_step_cannot_overwrite_the_last_tranche():

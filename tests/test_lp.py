@@ -448,6 +448,33 @@ def test_bound_flipping_ratio_test_flips_the_boxed_columns_it_passes(monkeypatch
     assert sol.objective == pytest.approx(highs_objective(lp), abs=1e-9)
 
 
+def tied_blocking_rows():
+    """The entering column x0 moves up by w = B^-1 a_0 = (1, 0.5, 2, 4) in
+    a state whose rows hold the basic columns 3, 1, 2 and 4, each at
+    x = w t with t = 1, 1 + 1e-13, 1 + 1e-13 and 1 + 1e-9 above its lower
+    bound 0.  Rows 0-2 tie within 1e-12 relative; row 3 stays out."""
+    lp = LinearProgram()
+    for j in range(5):
+        lp.add_variable(f"x{j}", 0.0, 10.0, 0.0)
+    for i in range(4):
+        lp.add_row(f"r{i}", {i + 1: 1.0}, "<=", 10.0)
+    state = simplex._equality_form(lp)
+    w = np.array([1.0, 0.5, 2.0, 4.0])
+    state.basis[:] = [3, 1, 2, 4]
+    state.x[state.basis] = w * np.array([1.0, 1.0 + 1e-13, 1.0 + 1e-13, 1.0 + 1e-9])
+    return state, w
+
+
+@pytest.mark.parametrize("bland, row", [(False, 2), (True, 1)])
+def test_ratio_test_breaks_ties_by_the_largest_step_or_under_bland_the_lowest_column(bland,
+                                                                                    row):
+    """Dantzig's rule takes the tied row whose basic value moves most (row
+    2, |w| = 2), Bland's the tied row with the lowest basic column (row 1,
+    column 1); neither takes row 0, the strict minimum."""
+    state, w = tied_blocking_rows()
+    assert simplex._ratio_test(state, 0, 1.0, w, bland) == (1.0, row, simplex._AT_LOWER)
+
+
 def boxed(lp, bound):
     """lp with every infinite bound replaced by -bound or bound."""
     box = LinearProgram()

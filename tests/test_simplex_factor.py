@@ -1,9 +1,10 @@
 """The simplex's linear algebra against dense NumPy references: FTRAN and
 BTRAN through the array eta file, K^-T from the triangular kernel
 refactorization, singular kernels, and sense-vector pricing against the
-mask rule it replaced (helpers.mask_rule_entering)."""
+mask rule it replaced (helpers.mask_rule_entering).  The bits of every K^-T
+and of the exit values of two toy solves are pinned by digest."""
 
-import types
+import hashlib
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ from spothedge.formulations import (CVAR, DRO, PER_PERIOD, PER_SCENARIO,
 from spothedge.linprog import OPTIMAL, LinearProgram, NumericalFailure
 
 RTOL = 1e-10
+CVAR_TIED = "cvar_tied"  # alpha 0.1, lambda 0: the exit's tight rows have spikes
 
 
 def toy_lp(k, kind):
     instance, scenarios, q = toy_case(k)
     config = {RISK_NEUTRAL: FormulationConfig(),
               CVAR: FormulationConfig(kind=CVAR, alpha=0.25, lam=0.2),
+              CVAR_TIED: FormulationConfig(kind=CVAR, alpha=0.1, lam=0.0),
               PER_SCENARIO: FormulationConfig(kind=DRO, epsilon=1.0, q_matrix=q,
                                               dro_penalty=PER_SCENARIO),
               PER_PERIOD: FormulationConfig(kind=DRO, epsilon=1.0, q_matrix=q,
@@ -102,13 +105,13 @@ def test_kernel_inverse_matches_numpy_at_every_refactorization(monkeypatch, k, k
     """K^-T against np.linalg.inv(K).T at each basis a toy solve factors,
     its final basis included; from 16 scenarios on, the robust models'
     bases set spike columns aside."""
-    kernel_inverse_t = simplex._kernel_inverse_t
+    inverse_t = simplex._PeeledBlock.inverse_t
     refactor = simplex._State.refactor
     spikes = []
 
-    def recording_kernel_inverse_t(rows, cols, vals, starts, k):
-        spikes.append(k - starts[-1])
-        return kernel_inverse_t(rows, cols, vals, starts, k)
+    def recording_inverse_t(block):
+        spikes.append(block.k - block.peeled)
+        return inverse_t(block)
 
     def checked_refactor(state):
         refactor(state)
@@ -117,12 +120,38 @@ def test_kernel_inverse_matches_numpy_at_every_refactorization(monkeypatch, k, k
         if cols.size:
             assert_close(state.kinv_t, np.linalg.inv(kernel).T)
 
-    monkeypatch.setattr(simplex, "_kernel_inverse_t", recording_kernel_inverse_t)
+    monkeypatch.setattr(simplex._PeeledBlock, "inverse_t", recording_inverse_t)
     monkeypatch.setattr(simplex._State, "refactor", checked_refactor)
     lp = toy_lp(k, kind)
     installed(lp, simplex.solve(lp).basis)
     if k >= 16 and kind in (PER_SCENARIO, PER_PERIOD):
         assert max(spikes) > 0
+
+
+# sha256 over each refactorization's kernel rows, structural positions and
+# K^-T, in that order, then the exit values, of a toy S=16 solve
+FACTOR_DIGESTS = {
+    PER_SCENARIO: "4cf3be9c5c00692ed89b9c9dc4ee3c03afdbc7fa76386a174226d81a1afdb0e9",
+    CVAR_TIED: "3ffa3ec4f04094d67bf8986da0b8e000ef458ebf264d5e663abe7eb395fed4c4",
+}
+
+
+@pytest.mark.parametrize("kind", list(FACTOR_DIGESTS))
+def test_every_kernel_inverse_and_the_exit_values_keep_their_bits(monkeypatch, kind):
+    """dro per scenario sets spike columns aside at S=16, and the tied
+    cvar's exit solves its spikes through a Schur complement."""
+    digest = hashlib.sha256()
+    refactor = simplex._State.refactor
+
+    def hashed_refactor(state):
+        refactor(state)
+        for array in (state.kernel_rows, state.struct_pos, state.kinv_t):
+            digest.update(array.tobytes())
+
+    monkeypatch.setattr(simplex._State, "refactor", hashed_refactor)
+    solution = simplex.solve(toy_lp(16, kind))
+    digest.update(solution.values.tobytes())
+    assert digest.hexdigest() == FACTOR_DIGESTS[kind]
 
 
 def singular_lp():
@@ -169,11 +198,13 @@ def test_sense_pricing_picks_the_mask_rules_column():
         free = status == simplex._FREE
         lower[free], upper[free] = -np.inf, np.inf
         d = rng.choice(pool, size=ncols) * rng.choice([-1.0, 1.0], size=ncols)
-        state = types.SimpleNamespace(status=status, lower=lower, upper=upper)
-        sense, free_cols = simplex._sense(state)
+        state = simplex._State(np.zeros(ncols + 1, dtype=int), np.empty(0, dtype=int),
+                               np.empty(0), np.empty(0), lower, upper)  # no rows
+        simplex._rest(state, np.arange(ncols), status)
+        state.free = np.nonzero(status == simplex._FREE)[0]
         for bland in (False, True):
             want = mask_rule_entering(d, status, lower, upper, bland)
-            assert simplex._entering(d, sense, free_cols, bland) == want
+            assert simplex._entering(state, d, bland) == want
             if want is not None:
                 picked[bland].add(int(status[want]))
     for bland in (False, True):  # every kind of eligible column was picked

@@ -28,19 +28,18 @@ TOY_CONFIGS = {
 def exits_against_the_oracle(monkeypatch):
     """Record (values, QR oracle values, spike columns) at every exit."""
     seen = []
-    vertex_values, block = simplex._vertex_values, simplex._PeeledBlock
+    vertex_values, least_squares = simplex._vertex_values, simplex._PeeledBlock.least_squares
 
-    class CountingBlock(block):
-        def __init__(self, rows, cols, vals, r, k):
-            super().__init__(rows, cols, vals, r, k)
-            seen[-1][2] = k - self.peeled
+    def counting(block):
+        seen[-1][2] = block.k - block.peeled
+        return least_squares(block)
 
     def recording(state, n):
         seen.append([None, vertex_values_qr(state, n), 0])
         seen[-1][0] = vertex_values(state, n)
         return seen[-1][0]
 
-    monkeypatch.setattr(simplex, "_PeeledBlock", CountingBlock)
+    monkeypatch.setattr(simplex._PeeledBlock, "least_squares", counting)
     monkeypatch.setattr(simplex, "_vertex_values", recording)
     return seen
 
@@ -133,7 +132,7 @@ def crossed(d):
 @pytest.mark.parametrize("d, solvable", [(2.0, True), (1.0 + 1e-6, False)])
 def test_an_ill_conditioned_schur_complement_is_not_solved(d, solvable):
     rows, cols, vals = crossed(d)
-    block = simplex._PeeledBlock(rows, cols, vals, 4, 4)
+    block = simplex._PeeledBlock(rows, cols, vals, 4, 4).least_squares()
     assert block.peeled == 2 and block.solvable == solvable
     if solvable:
         want = np.array([1.0, 2.0, 3.0, 4.0])  # by column

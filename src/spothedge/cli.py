@@ -21,6 +21,12 @@ its inertia curve: --k auto scans k = 1..10 in forked workers, one per CPU,
 and the outputs do not depend on how many; a fixed --k N is a one-point
 curve, run in the process itself, whose knee is N.
 
+Each subcommand returns the JSON document it prints, as text, and the
+files it writes; main alone loads the instance, and once the subcommand has
+succeeded makes the --out directory, writes the files into it and prints
+the document last.  So a failing run makes no directory and prints nothing
+on stdout.
+
 Exit codes: 0 success, 2 bad input, 3 solver failure.  Any failure prints a
 single JSON object to stderr, e.g. {"error": "io", "message": "..."}.
 """
@@ -68,17 +74,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _dump(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _emit(doc) -> None:
-    sys.stdout.write(_dump(doc))
-
-
-def _write(path: Path, text: str) -> None:
-    try:
-        path.write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise CliError("io", f"cannot write {path}: {exc}") from exc
 
 
 def _load_json(path, what: str) -> dict:
@@ -213,19 +208,6 @@ def _columns(text: str) -> dict:
     return mapping
 
 
-def _out_dir(args, required: bool = True) -> Path | None:
-    if args.out is None:
-        if required:
-            raise CliError("usage", "--out is required")
-        return None
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError("io", f"cannot create output directory {out}: {exc}") from exc
-    return out
-
-
 def _config_text(value) -> str:
     """A config entry's value as it would follow --key= on the command line."""
     def scalar(item):
@@ -305,10 +287,10 @@ def _metric_dict(row: metrics.MetricRow) -> dict:
 
 
 # ----------------------------------------------------------------------
-# subcommands
+# subcommands: each maps its arguments and the instance to the JSON text it
+# prints and {file name: text, or a writer given the file's path}
 
-def _cmd_solve(args) -> int:
-    instance = _load_instance(args.instance)
+def _cmd_solve(args, instance: MarketInstance) -> tuple[str, dict]:
     scenarios = _load_scenario_set(args.scenarios, instance)
     q = None
     if args.kind == formulations.DRO:
@@ -317,44 +299,37 @@ def _cmd_solve(args) -> int:
         q = _load_q(args.q, instance)
     config = formulations.FormulationConfig(
         q_matrix=q, **_given(args, "kind", "alpha", "lam", "epsilon", "dro_penalty"))
-    out = _out_dir(args, required=False)
     report = formulations.solve_allocation(instance, scenarios, config)
     riskfree = metrics.risk_free_profit(instance, scenarios)
     doc = _report_dict(report)
     doc["metrics"] = [_metric_dict(metrics.metric_row(report, g, riskfree))
                       for g in args.gamma]
     text = _dump(doc)
-    sys.stdout.write(text)
-    if out is not None:
-        _write(out / "report.json", text)
-    return 0
+    return text, {"report.json": text}
 
 
-def _cmd_sweep(args) -> int:
-    instance = _load_instance(args.instance)
+def _cmd_sweep(args, instance: MarketInstance) -> tuple[str, dict]:
     scenarios = _load_scenario_set(args.scenarios, instance)
     q = _load_q(args.q, instance) if args.q is not None else None
-    out = _out_dir(args)
+    if args.out is None:
+        raise CliError("usage", "--out is required")
     failures: list[dict] = []
     rows = metrics.sweep(
         instance, scenarios, alphas=args.alpha_grid, epsilons=args.epsilon_grid,
         q_matrix=q, gammas=args.gamma, failures=failures,
         **_given(args, "lam", "dro_penalty"))
-    try:
-        metrics.write_metrics_csv(rows, out / "metrics.csv")
-        metrics.write_tradeoff_csv(rows, out / "tradeoff.csv")
-    except OSError as exc:
-        raise CliError("io", f"cannot write into {out}: {exc}") from exc
-    _write(out / "failures.json", _dump(failures))
-    _emit({"rows": len(rows), "failures": len(failures), "out": str(out)})
-    return 0
+    # through the module's name, so that a caller can wrap the writers
+    return _dump({"rows": len(rows), "failures": len(failures), "out": str(Path(args.out))}), {
+        "metrics.csv": lambda path: metrics.write_metrics_csv(rows, path),
+        "tradeoff.csv": lambda path: metrics.write_tradeoff_csv(rows, path),
+        "failures.json": _dump(failures)}
 
 
-def _cmd_prepare(args) -> int:
-    instance = _load_instance(args.instance)
+def _cmd_prepare(args, instance: MarketInstance) -> tuple[str, dict]:
     if args.raw_csv is None:
         raise CliError("usage", "--raw-csv is required")
-    out = _out_dir(args)
+    if args.out is None:
+        raise CliError("usage", "--out is required")
     try:
         history = ingest_lmp_csv(args.raw_csv, column_map=args.columns or None)
     except OSError as exc:
@@ -378,8 +353,10 @@ def _cmd_prepare(args) -> int:
         ks = [args.k]  # a one-point curve: one run, no fork, and its knee
     else:
         raise CliError("data", f"--k must lie in 1..{n_obs}, got {args.k}")
-    # through this module's name, so that a caller can wrap every run
-    runs = kmeans_scan(matrix, ks, args.seed, kmeans_reduce)
+    try:  # through this module's name, so that a caller can wrap every run
+        runs = kmeans_scan(matrix, ks, args.seed, kmeans_reduce)
+    except ValueError as exc:  # fewer distinct rows than k
+        raise CliError("data", str(exc)) from exc
     chosen_k = knee_point(ks, [runs[k].inertia for k in ks])
     reduced = runs[chosen_k]  # k-means is deterministic: no second run
     curve = [[k, runs[k].inertia] for k in ks]
@@ -398,17 +375,13 @@ def _cmd_prepare(args) -> int:
         raise CliError("data", "prepared scenarios do not fit the instance",
                        problems=problems)
 
-    try:
-        save_scenarios(scenario_set, out / "scenarios.json")
-    except OSError as exc:
-        raise CliError("io", f"cannot write into {out}: {exc}") from exc
-    _write(out / "q.json", _dump({
+    q_doc = {
         "markets": list(instance.markets),
         "q": estimate.q.tolist(),
         "sigma": estimate.sigma.tolist(),
         "q_bar": estimate.q_bar.tolist(),
         "jitter": estimate.jitter,
-    }))
+    }
     summary = {
         "observations": n_obs,
         "nodes": list(history.nodes),
@@ -424,20 +397,35 @@ def _cmd_prepare(args) -> int:
                                       for i in reduced.representative_indices],
         "probabilities": reduced.probabilities.tolist(),
     }
-    _write(out / "prep_summary.json", _dump(summary))
-    _emit(summary)
-    return 0
+    text = _dump(summary)
+    return text, {"scenarios.json": lambda path: save_scenarios(scenario_set, path),
+                  "q.json": _dump(q_doc), "prep_summary.json": text}
 
 
-def _cmd_validate(args) -> int:
-    instance = _load_instance(args.instance)  # raises on structural problems
+def _cmd_validate(args, instance: MarketInstance) -> tuple[str, dict]:
     problems = []
     if args.scenarios is not None:
         problems = validate_scenarios(instance, _read_scenarios(args.scenarios))
     if problems:
         raise CliError("data", "validation failed", problems=problems)
-    _emit({"ok": True, "problems": []})
-    return 0
+    return _dump({"ok": True, "problems": []}), {}
+
+
+def _save(out: Path, files: dict) -> None:
+    """Make the directory out and put each file in it: text as UTF-8, a
+    writer called with the file's path; an OSError names what failed."""
+    path = out
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, content in files.items():
+            path = out / name
+            if callable(content):
+                content(path)
+            else:
+                path.write_text(content, encoding="utf-8")
+    except OSError as exc:
+        what = f"create output directory {out}" if path is out else f"write {path}"
+        raise CliError("io", f"cannot {what}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -508,7 +496,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config is not None:
             args = parser.parse_args(_with_config(parser, args, argv))
-        return args.func(args)
+        text, files = args.func(args, _load_instance(args.instance))
+        if getattr(args, "out", None) is not None:  # validate takes no --out
+            _save(Path(args.out), files)
+        sys.stdout.write(text)  # last: a failed run prints nothing
+        return 0
     except formulations.ParameterOutOfRange as exc:  # raised by solve and sweep
         error = CliError("usage", str(exc))
     except (formulations.SolveFailed, NumericalFailure) as exc:

@@ -43,14 +43,18 @@ inputs the allocation models need:
    stale stays stale, as its bounds only widen, until a screen resets them.
    A re-seed keeps them too: the emptied centroid jumps at least as far as
    the re-seeded row's lower bound, so the update leaves that row stale.
-   Centroid sums come from bincount, which adds the members in row order
-   as a boolean-mask mean does.  The final pass needs each row's distance
-   to its own centroid only.  The exact distances are built in row blocks,
-   never as a whole (n, k, M) tensor, and the screen runs in column blocks
-   small enough that OpenBLAS keeps each product on one thread, so that
-   k-means runs in parallel processes do not each wake a thread pool on
-   the same CPUs; blocks cannot change a label, which comes from a proven
-   bound or from the exact distances.
+   A re-seed takes only a row equal to no live centroid (a cluster of
+   equal rows counts as sitting on them), as the cluster would tie there
+   and empty again; with none left, as with fewer distinct rows than k,
+   kmeans_reduce raises ValueError.  Centroid sums come from bincount,
+   which adds the members in row order as a boolean-mask mean does.  The
+   final pass needs each row's distance to its own centroid only.  The
+   exact distances are built in row blocks, never as a whole (n, k, M)
+   tensor, and the screen runs in column blocks small enough that OpenBLAS
+   keeps each product on one thread, so that k-means runs in parallel
+   processes do not each wake a thread pool on the same CPUs; blocks
+   cannot change a label, which comes from a proven bound or from the
+   exact distances.
    kmeans_scan runs kmeans_reduce for several k at once through _spread:
    the process and min(cpus, len(ks)) - 1 forked children take the k
    values from a pipe, largest (slowest) first, and the children send
@@ -532,10 +536,12 @@ def kmeans_reduce(matrix, k: int, seed: int = 0) -> ReducedScenarios:
 
     Seeding is greedy farthest-point from a seed-chosen start, assignment
     ties go to the lowest cluster index, an emptied cluster is re-seeded at
-    the point farthest from its current centroid, and iteration stops when
-    assignments no longer change (at most 300 rounds).  The representative
-    of each cluster is its member closest to the centroid, lowest row index
-    on ties; probabilities are exact cluster shares.
+    the point farthest from its current centroid among the rows equal to no
+    live centroid, and iteration stops when assignments no longer change (at
+    most 300 rounds).  ValueError when no such row is left, as with fewer
+    distinct rows than k.  The representative of each cluster is its member
+    closest to the centroid, lowest row index on ties; probabilities are
+    exact cluster shares.
     """
     x = np.asarray(matrix, dtype=float)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -578,9 +584,22 @@ def kmeans_reduce(matrix, k: int, seed: int = 0) -> ReducedScenarios:
             for j in range(k):
                 if counts[j] == 0:
                     # re-seed an emptied cluster at the farthest point, drawn
-                    # only from clusters that can spare a member
+                    # only from clusters that can spare a member and from rows
+                    # equal to no live centroid (a re-seeded one counts), on
+                    # which the cluster would tie and empty again; a cluster
+                    # of equal rows sits on them, whatever its mean rounds to
                     current = _own_sq_dist(x, previous, new_labels)
-                    far = int(np.argmax(np.where(counts[new_labels] >= 2, current, -1.0)))
+                    free = counts[new_labels] >= 2
+                    for live in np.flatnonzero(counts):
+                        members = x[new_labels == live]
+                        same = (members == members[0]).all()
+                        free &= (x != (members[0] if same else members.mean(axis=0))).any(axis=1)
+                    if not free.any():
+                        raise ValueError(
+                            f"cannot make {k} clusters of {len(np.unique(x, axis=0))} "
+                            "distinct rows: every row that could re-seed an emptied "
+                            "cluster equals a live centroid")
+                    far = int(np.argmax(np.where(free, current, -1.0)))
                     counts[new_labels[far]] -= 1
                     counts[j] = 1
                     new_labels[far] = j

@@ -12,6 +12,7 @@ cross-check the simplex.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, product
 
 import numpy as np
@@ -28,14 +29,30 @@ class DimensionTooLarge(ValueError):
     """Program exceeds the enumeration limits (8 variables, 12 rows)."""
 
 
+@cache
+def _subsets(m: int, r: int) -> np.ndarray:
+    """Every r-subset of range(m), one per row, (C(m, r), r); read-only, as
+    every program of the same shape shares it."""
+    subsets = np.array(list(combinations(range(m), r)), dtype=int)
+    subsets.flags.writeable = False
+    return subsets
+
+
+@cache
+def _corners(n: int) -> np.ndarray:
+    """Every upper (True) or lower choice for n variables, (2^n, n); read-only."""
+    bits = np.array(list(product((0, 1), repeat=n)), dtype=bool)
+    bits.flags.writeable = False
+    return bits
+
+
 def _candidate_block(a, b, lower, upper, r, m, n):
     """All basic-solution candidates with exactly r active rows, (count, n)."""
     if r == 0:
-        bits = np.array(list(product((0, 1), repeat=n)), dtype=bool)  # (2^n, n)
-        return np.where(bits, upper[None, :], lower[None, :])
+        return np.where(_corners(n), upper[None, :], lower[None, :])
 
-    rows_c = np.array(list(combinations(range(m), r)), dtype=int)  # (CR, r)
-    vars_c = np.array(list(combinations(range(n), r)), dtype=int)  # (CB, r)
+    rows_c = _subsets(m, r)  # (CR, r)
+    vars_c = _subsets(n, r)  # (CB, r)
     mats = a[rows_c[:, None, :, None], vars_c[None, :, None, :]]  # (CR, CB, r, r)
 
     # Hadamard-scaled determinant filter: drop singular active sets.
@@ -54,7 +71,7 @@ def _candidate_block(a, b, lower, upper, r, m, n):
     nonbasic = np.nonzero(~in_basis)[1].reshape(vars_k.shape[0], n - r)  # (K, n-r)
 
     # Every lower/upper assignment of the nonbasic variables, solved at once.
-    bits = np.array(list(product((0, 1), repeat=n - r)), dtype=bool)  # (P, n-r)
+    bits = _corners(n - r)  # (P, n-r)
     x_nb = np.where(bits[None, :, :], upper[nonbasic][:, None, :],
                     lower[nonbasic][:, None, :])  # (K, P, n-r)
     a_nb = a[rows_k[:, :, None], nonbasic[:, None, :]]  # (K, r, n-r)

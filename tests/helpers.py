@@ -191,7 +191,8 @@ def kmeans_reduce_einsum(matrix, k: int, seed: int = 0) -> ReducedScenarios:
     """Reference k-means: the (n, k, M) einsum distances of every round.
 
     The same algorithm as ``spothedge.pipeline.kmeans_reduce`` (farthest-point
-    seeding, lowest index on ties, re-seeding of emptied clusters, boolean-mask
+    seeding, lowest index on ties, re-seeding of emptied clusters on a row
+    equal to no live centroid, ValueError when none is left, boolean-mask
     means, representative closest to its centroid), written the direct way.
     The package version must match it field for field, bit for bit.
     """
@@ -218,7 +219,15 @@ def kmeans_reduce_einsum(matrix, k: int, seed: int = 0) -> ReducedScenarios:
         for j in range(k):
             if counts[j] == 0:
                 current = d[np.arange(n), new_labels]
-                far = int(np.argmax(np.where(counts[new_labels] >= 2, current, -1.0)))
+                clusters = [x[new_labels == c] for c in range(k) if counts[c]]
+                live = np.array([rows[0] if (rows == rows[0]).all() else rows.mean(axis=0)
+                                 for rows in clusters])
+                on_live = (x[:, None, :] == live[None, :, :]).all(axis=2).any(axis=1)
+                free = (counts[new_labels] >= 2) & ~on_live
+                if not free.any():
+                    raise ValueError(f"cannot make {k} clusters of "
+                                     f"{len(np.unique(x, axis=0))} distinct rows")
+                far = int(np.argmax(np.where(free, current, -1.0)))
                 counts[new_labels[far]] -= 1
                 counts[j] = 1
                 new_labels[far] = j

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -792,6 +793,101 @@ def test_prepare_refuses_a_bad_k_column_out_or_staircase(capsys, tmp_path, case,
                                    "period 0, scenario 0"]
 
 
+def cycled_toy_csv(path, hours: int, period: int) -> None:
+    """A price CSV of the toy history's first `period` hours repeated over
+    `hours` hours, so that it holds `period` distinct price rows."""
+    body = (DATA / "toy_lmp.csv").read_text().splitlines()[1:1 + 4 * period]
+    lines = ["timestamp,node,price"]
+    for hour in range(hours):
+        for line in body[4 * (hour % period):4 * (hour % period) + 4]:
+            _, node, price = line.split(",")
+            lines.append(f"2024-02-{1 + hour // 24:02d}T{hour % 24:02d}:00,{node},{price}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("k", ["4", "auto"])
+def test_prepare_refuses_more_clusters_than_distinct_price_rows(capsys, tmp_path, k):
+    """Three distinct price rows over 40 hours: k = 4, and the auto scan's
+    k = 10 (the largest, which the process itself runs first), cannot be
+    formed, which is a data error, not 300 rounds of k-means and a result."""
+    csv_path, out = tmp_path / "cycled.csv", tmp_path / "out"
+    cycled_toy_csv(csv_path, hours=40, period=3)
+    code, stdout, err = run(capsys, "prepare", "--instance", str(DATA / "toy_instance.json"),
+                            "--raw-csv", str(csv_path), "--k", k, "--out", str(out))
+    doc = one_json_object(err)
+    assert (code, stdout, doc["error"]) == (2, "", "data")
+    clusters = 10 if k == "auto" else 4
+    assert doc["message"].startswith(f"cannot make {clusters} clusters of 3 distinct rows: ")
+    assert not out.exists()
+
+
+def micro_sweep_epsilons_without_q(tmp_path, monkeypatch, micro_files):
+    ipath, spath = micro_files
+    return ["sweep", "--instance", str(ipath), "--scenarios", str(spath),
+            "--epsilon-grid", "1"]
+
+
+def micro_solve_infeasible(tmp_path, monkeypatch, micro_files):
+    ipath, spath = micro_files
+    monkeypatch.setattr(formulations, "solve",
+                        lambda lp: LpSolution(status=INFEASIBLE, iterations=0))
+    return ["solve", "--instance", str(ipath), "--scenarios", str(spath)]
+
+
+def toy_prepare_k_zero(tmp_path, monkeypatch, micro_files):
+    return ["prepare", "--instance", str(DATA / "toy_instance.json"),
+            "--raw-csv", str(DATA / "toy_lmp.csv"), "--k", "0"]
+
+
+def toy_prepare_tiny_decrement(tmp_path, monkeypatch, micro_files):
+    doc = json.loads((DATA / "toy_instance.json").read_text())
+    doc["elasticity"]["ALPHA"]["decrement"] = 1e-12
+    ipath = tmp_path / "instance.json"
+    ipath.write_text(json.dumps(doc))
+    return ["prepare", "--instance", str(ipath), "--raw-csv", str(DATA / "toy_lmp.csv"),
+            "--k", "2"]
+
+
+@pytest.mark.parametrize("failing, code, error", [
+    (toy_prepare_k_zero, 2, "data"), (toy_prepare_tiny_decrement, 2, "data"),
+    (micro_sweep_epsilons_without_q, 2, "usage"), (micro_solve_infeasible, 3, "solver")],
+    ids=["prepare_k_zero", "prepare_tiny_decrement", "sweep_epsilons_without_q",
+         "solve_infeasible"])
+@pytest.mark.parametrize("existing", [False, True], ids=["new_out", "existing_out"])
+def test_a_failing_run_makes_no_output_and_prints_nothing(capsys, monkeypatch, micro_files,
+                                                         tmp_path, failing, code, error,
+                                                         existing):
+    """Files are written only once a subcommand's work has succeeded: a
+    failing run makes no --out directory, leaves one that exists as it
+    found it, and prints nothing on stdout."""
+    out = tmp_path / "out"
+    if existing:
+        out.mkdir()
+        (out / "report.json").write_text("from an earlier run\n")
+        found = {path.name: path.read_bytes() for path in out.iterdir()}
+        stamp = out.stat().st_mtime_ns
+    argv = failing(tmp_path, monkeypatch, micro_files)
+    got, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert (got, stdout, one_json_object(err)["error"]) == (code, "", error)
+    if existing:
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == found
+        assert out.stat().st_mtime_ns == stamp
+    else:
+        assert not out.exists()
+
+
+def test_a_file_that_cannot_be_written_is_named_in_an_io_error(capsys, micro_files, tmp_path):
+    ipath, spath = micro_files
+    out = tmp_path / "out"
+    (out / "tradeoff.csv").mkdir(parents=True)
+    code, stdout, err = run(capsys, "sweep", "--instance", str(ipath), "--scenarios", str(spath),
+                            "--alpha-grid", "0.5", "--out", str(out))
+    doc = one_json_object(err)
+    assert (code, stdout, doc["error"]) == (2, "", "io")
+    assert doc["message"] == (f"cannot write {out}/tradeoff.csv: [Errno 21] Is a directory: "
+                              f"'{out}/tradeoff.csv'")
+
+
 @pytest.mark.parametrize("what, change, problem", [
     ("scenarios", lambda doc: {**doc, "probabilities": [math.nan, 0.5]},
      "non-finite scenario probability"),
@@ -879,23 +975,29 @@ def toy_files(tmp_path_factory):
 def test_a_mutated_toy_file_solves_or_fails_typed(toy_files, what, data):
     """One value of the toy instance, scenario or q file is dropped, given
     another JSON type, nested, or made huge, infinite, NaN, zero or
-    negative; a dro solve then succeeds, or exits 2 or 3 with one JSON
-    object on stderr, never with a traceback or a warning."""
+    negative; a dro solve then succeeds and writes a report.json equal to
+    its stdout, or exits 2 or 3 with one JSON object on stderr and no --out
+    directory, never with a traceback or a warning."""
     paths, docs = toy_files
     path = data.draw(st.sampled_from(list(json_paths(docs[what]))))
     mutation = data.draw(st.sampled_from(list(MUTATIONS)))
     files = dict(paths)
     files[what] = paths["q"].with_name(f"mutated_{what}.json")
     files[what].write_text(json.dumps(mutated(docs[what], path, mutation)))
+    out = paths["q"].with_name(f"out_{what}")
+    shutil.rmtree(out, ignore_errors=True)
     argv = ["solve", "--instance", str(files["instance"]), "--scenarios",
-            str(files["scenarios"]), "--kind", "dro", "--epsilon", "1", "--q", str(files["q"])]
+            str(files["scenarios"]), "--kind", "dro", "--epsilon", "1", "--q", str(files["q"]),
+            "--out", str(out)]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
     assert code in (0, 2, 3)
-    assert (code == 0) == (stderr.getvalue() == "")
+    assert (code == 0) == (stderr.getvalue() == "") == out.is_dir()
     if code:
         one_json_object(stderr.getvalue())
+    else:
+        assert (out / "report.json").read_bytes() == stdout.getvalue().encode()
 
 
 # ----------------------------------------------------------------------

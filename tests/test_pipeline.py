@@ -625,12 +625,29 @@ def test_kmeans_single_cluster_matches_mean():
     np.testing.assert_allclose(red.probabilities, [1.0])
 
 
-def test_kmeans_identical_points_keep_all_clusters_alive():
-    x = np.zeros((5, 2))
-    red = kmeans_reduce(x, k=2, seed=3)
+def test_kmeans_refuses_more_clusters_than_distinct_rows():
+    """With fewer distinct rows than k, farthest-point seeds coincide and the
+    tie empties a cluster.  A re-seed on a duplicate of a live centroid ties
+    again, so the reduction used to run all KMEANS_MAX_ITER rounds and
+    return the last one's state; now it takes no such row and, with none
+    left, refuses k.  Up to the distinct count it still converges."""
+    with pytest.raises(ValueError, match="^cannot make 2 clusters of 1 distinct rows: "):
+        kmeans_reduce(np.zeros((5, 2)), k=2, seed=3)
+    base = np.array([[30.0, 31.0], [45.0, 31.0], [30.0, 52.5], [30.0, 31.5]])
+    x = np.repeat(base, [9, 2, 6, 11], axis=0)
+    for k in (5, 7, 28):
+        for seed in (0, 5):
+            with pytest.raises(ValueError, match=f"^cannot make {k} clusters of 4 "):
+                kmeans_reduce(x, k, seed=seed)
+    red = kmeans_reduce(x, 4, seed=5)
     assert red.inertia == 0.0
-    assert sorted(np.bincount(red.labels, minlength=2).tolist()) == [1, 4]
-    assert red.probabilities.sum() == pytest.approx(1.0)
+    assert sorted(red.probabilities * 28) == [2, 6, 9, 11]
+    # the mean of 10 copies of the first row, and of 6 of the second, is an
+    # ulp off the row: its cluster still sits on every copy
+    x = np.repeat([[36.96, 36.5, 36.74], [41.09, 36.89, 40.2]], [10, 6], axis=0)
+    assert (x[:10].mean(axis=0) != x[0]).any() and (x[10:].mean(axis=0) != x[10]).any()
+    with pytest.raises(ValueError, match="^cannot make 3 clusters of 2 distinct rows: "):
+        kmeans_reduce(x, 3, seed=0)
 
 
 def test_kmeans_is_deterministic_per_seed():
@@ -716,14 +733,21 @@ def test_kmeans_equals_the_oracle_on_exact_ties(order, monkeypatch):
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_kmeans_equals_the_oracle_when_clusters_empty(order):
     # identical points, and fewer distinct points than clusters: the seeds
-    # coincide, ties go to the lowest index and emptied clusters are re-seeded
-    assert_same_reduction(np.asarray(np.full((7, 3), 2.5), order=order), 4, 0)
+    # coincide, ties go to the lowest index, and an emptied cluster finds no
+    # row to re-seed on that differs from every live centroid
     base = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 5.0]])
-    x = np.asarray(np.repeat(base, [5, 3, 4], axis=0), order=order)
-    for k in (3, 4, 6, 12):
-        for seed in (0, 1, 7):
-            assert_same_reduction(x, k, seed)
-            assert (kmeans_reduce(x, k, seed=seed).probabilities > 0).all()
+    cases = [(np.full((7, 3), 2.5), (4,)), (np.repeat(base, [5, 3, 4], axis=0), (4, 6, 12))]
+    for x, ks in cases:
+        x = np.asarray(x, order=order)
+        for k in ks:
+            for seed in (0, 1, 7):
+                with pytest.raises(ValueError) as got:
+                    kmeans_reduce(x, k, seed=seed)
+                with pytest.raises(ValueError) as want:
+                    kmeans_reduce_einsum(x, k, seed=seed)
+                assert str(got.value).startswith(str(want.value) + ": ")
+    for seed in (0, 1, 7):
+        assert_same_reduction(x, 3, seed)
 
 
 def test_kmeans_screen_leaves_near_ties_to_the_exact_distances():

@@ -26,8 +26,8 @@ from .metrics import (DegenerateTail, MetricRow, empirical_cvar, metric_row,
                       risk_free_profit, sweep, write_metrics_csv,
                       write_tradeoff_csv)
 from .pipeline import (MissingObservation, NotPositiveDefinite,
-                       ParseError, PriceHistory,
-                       QEstimate, ReducedScenarios, estimate_q,
+                       ParseError, PriceHistory, QEstimate,
+                       ReducedScenarios, TooFewDistinctRows, estimate_q,
                        factor_covariance, ingest_lmp_csv, kmeans_reduce,
                        knee_point, scenarios_from_representatives)
 from .simplex import solve
@@ -41,9 +41,10 @@ __all__ = [
     "MetricRow", "MissingObservation", "NotPositiveDefinite",
     "NumericalFailure", "OPTIMAL", "ParameterOutOfRange", "ParseError",
     "PriceHistory", "QEstimate", "ReducedScenarios", "ScenarioSet",
-    "SolveFailed", "SupplyStep", "UNBOUNDED", "build_cvar", "build_dro",
-    "build_risk_neutral", "empirical_cvar", "estimate_q", "extract_report",
-    "factor_covariance", "ingest_lmp_csv", "kmeans_reduce", "knee_point",
+    "SolveFailed", "SupplyStep", "TooFewDistinctRows", "UNBOUNDED",
+    "build_cvar", "build_dro", "build_risk_neutral", "empirical_cvar",
+    "estimate_q", "extract_report", "factor_covariance", "ingest_lmp_csv",
+    "kmeans_reduce", "knee_point",
     "load_instance", "load_scenarios", "metric_row", "risk_free_profit",
     "save_instance", "save_scenarios", "scenarios_from_representatives",
     "solve", "solve_allocation", "sweep", "validate_instance",

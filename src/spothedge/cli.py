@@ -46,8 +46,8 @@ from .domain import (MarketInstance, ScenarioSet, instance_from_dict,
                      validate_scenarios)
 from .linprog import NumericalFailure
 from .pipeline import (DEFAULT_COLUMNS, MissingObservation, NotPositiveDefinite,
-                       ParseError, estimate_q, ingest_lmp_csv, kmeans_reduce,
-                       kmeans_scan, knee_point, scenarios_from_representatives)
+                       ParseError, TooFewDistinctRows, estimate_q, ingest_lmp_csv,
+                       kmeans_reduce, kmeans_scan, knee_point, scenarios_from_representatives)
 
 MAX_AUTO_K = 10
 
@@ -355,7 +355,7 @@ def _cmd_prepare(args, instance: MarketInstance) -> tuple[str, dict]:
         raise CliError("data", f"--k must lie in 1..{n_obs}, got {args.k}")
     try:  # through this module's name, so that a caller can wrap every run
         runs = kmeans_scan(matrix, ks, args.seed, kmeans_reduce)
-    except ValueError as exc:  # fewer distinct rows than k
+    except TooFewDistinctRows as exc:
         raise CliError("data", str(exc)) from exc
     chosen_k = knee_point(ks, [runs[k].inertia for k in ks])
     reduced = runs[chosen_k]  # k-means is deterministic: no second run

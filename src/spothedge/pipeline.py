@@ -46,7 +46,7 @@ inputs the allocation models need:
    A re-seed takes only a row equal to no live centroid (a cluster of
    equal rows counts as sitting on them), as the cluster would tie there
    and empty again; with none left, as with fewer distinct rows than k,
-   kmeans_reduce raises ValueError.  Centroid sums come from bincount,
+   kmeans_reduce raises TooFewDistinctRows.  Centroid sums come from bincount,
    which adds the members in row order as a boolean-mask mean does.  The
    final pass needs each row's distance to its own centroid only.  The
    exact distances are built in row blocks, never as a whole (n, k, M)
@@ -130,6 +130,11 @@ class MissingObservation(ValueError):
 
 class NotPositiveDefinite(RuntimeError):
     """Covariance stayed non-PSD even after the jitter ladder."""
+
+
+class TooFewDistinctRows(ValueError):
+    """k-means emptied a cluster and found no row to re-seed it on: every
+    row that could re-seed it equals a live centroid."""
 
 
 @dataclass(frozen=True)
@@ -538,8 +543,8 @@ def kmeans_reduce(matrix, k: int, seed: int = 0) -> ReducedScenarios:
     ties go to the lowest cluster index, an emptied cluster is re-seeded at
     the point farthest from its current centroid among the rows equal to no
     live centroid, and iteration stops when assignments no longer change (at
-    most 300 rounds).  ValueError when no such row is left, as with fewer
-    distinct rows than k.  The representative of each cluster is its member
+    most 300 rounds).  TooFewDistinctRows when no such row is left, as with
+    fewer distinct rows than k.  The representative of each cluster is its member
     closest to the centroid, lowest row index on ties; probabilities are
     exact cluster shares.
     """
@@ -595,10 +600,10 @@ def kmeans_reduce(matrix, k: int, seed: int = 0) -> ReducedScenarios:
                         same = (members == members[0]).all()
                         free &= (x != (members[0] if same else members.mean(axis=0))).any(axis=1)
                     if not free.any():
-                        raise ValueError(
-                            f"cannot make {k} clusters of {len(np.unique(x, axis=0))} "
-                            "distinct rows: every row that could re-seed an emptied "
-                            "cluster equals a live centroid")
+                        raise TooFewDistinctRows(
+                            f"cannot make {k} clusters: every row that could re-seed an "
+                            "emptied cluster equals a live centroid "
+                            f"({len(np.unique(x, axis=0))} distinct rows)")
                     far = int(np.argmax(np.where(free, current, -1.0)))
                     counts[new_labels[far]] -= 1
                     counts[j] = 1
@@ -636,9 +641,20 @@ def kmeans_scan(matrix, ks, seed: int, reduce) -> dict:
     """{k: reduce(matrix, k, seed=seed)} for every k in ks, computed on
     every CPU this process may use by _spread (which ingest reads its spans
     with too), largest k first; reduce, kmeans_reduce or a wrapper of it,
-    must be deterministic, as the result may come from any process."""
+    must be deterministic, as the result may come from any process.  When
+    reduce raises TooFewDistinctRows for some k, the scan raises the one of
+    the largest such k, whichever process ran it."""
+    def run(k):
+        try:
+            return vars(reduce(matrix, k, seed=seed))
+        except TooFewDistinctRows as exc:
+            return exc
+
     order = sorted(set(ks), reverse=True)  # a larger k takes longer
-    runs = _spread(order, lambda k: vars(reduce(matrix, k, seed=seed)))
+    runs = _spread(order, run)
+    for k in order:
+        if isinstance(runs[k], TooFewDistinctRows):
+            raise runs[k]
     return {k: ReducedScenarios(**runs[k]) for k in ks}
 
 

@@ -15,8 +15,9 @@ from spothedge.domain import (Contract, MarketInstance, ScenarioSet,
 from spothedge.formulations import (CVAR, DRO, PER_SCENARIO, FormulationConfig,
                                     _penalty_groups)
 from spothedge.linprog import LinearProgram
-from spothedge.pipeline import (PriceHistory, ReducedScenarios, estimate_q, ingest_lmp_csv,
-                                kmeans_reduce, scenarios_from_representatives)
+from spothedge.pipeline import (PriceHistory, ReducedScenarios, TooFewDistinctRows,
+                                estimate_q, ingest_lmp_csv, kmeans_reduce,
+                                scenarios_from_representatives)
 from spothedge.simplex import _AT_LOWER, _AT_UPPER, _BASIC, _FREE, OPTIMALITY_TOL, _snap
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
@@ -192,7 +193,7 @@ def kmeans_reduce_einsum(matrix, k: int, seed: int = 0) -> ReducedScenarios:
 
     The same algorithm as ``spothedge.pipeline.kmeans_reduce`` (farthest-point
     seeding, lowest index on ties, re-seeding of emptied clusters on a row
-    equal to no live centroid, ValueError when none is left, boolean-mask
+    equal to no live centroid, TooFewDistinctRows when none is left, boolean-mask
     means, representative closest to its centroid), written the direct way.
     The package version must match it field for field, bit for bit.
     """
@@ -225,8 +226,10 @@ def kmeans_reduce_einsum(matrix, k: int, seed: int = 0) -> ReducedScenarios:
                 on_live = (x[:, None, :] == live[None, :, :]).all(axis=2).any(axis=1)
                 free = (counts[new_labels] >= 2) & ~on_live
                 if not free.any():
-                    raise ValueError(f"cannot make {k} clusters of "
-                                     f"{len(np.unique(x, axis=0))} distinct rows")
+                    raise TooFewDistinctRows(
+                        f"cannot make {k} clusters: every row that could re-seed an "
+                        "emptied cluster equals a live centroid "
+                        f"({len(np.unique(x, axis=0))} distinct rows)")
                 far = int(np.argmax(np.where(free, current, -1.0)))
                 counts[new_labels[far]] -= 1
                 counts[j] = 1

@@ -808,8 +808,8 @@ def cycled_toy_csv(path, hours: int, period: int) -> None:
 @pytest.mark.parametrize("k", ["4", "auto"])
 def test_prepare_refuses_more_clusters_than_distinct_price_rows(capsys, tmp_path, k):
     """Three distinct price rows over 40 hours: k = 4, and the auto scan's
-    k = 10 (the largest, which the process itself runs first), cannot be
-    formed, which is a data error, not 300 rounds of k-means and a result."""
+    k = 10 (the largest it cannot make), cannot be formed, which is a data
+    error, not 300 rounds of k-means and a result."""
     csv_path, out = tmp_path / "cycled.csv", tmp_path / "out"
     cycled_toy_csv(csv_path, hours=40, period=3)
     code, stdout, err = run(capsys, "prepare", "--instance", str(DATA / "toy_instance.json"),
@@ -817,7 +817,8 @@ def test_prepare_refuses_more_clusters_than_distinct_price_rows(capsys, tmp_path
     doc = one_json_object(err)
     assert (code, stdout, doc["error"]) == (2, "", "data")
     clusters = 10 if k == "auto" else 4
-    assert doc["message"].startswith(f"cannot make {clusters} clusters of 3 distinct rows: ")
+    assert doc["message"].startswith(f"cannot make {clusters} clusters: ")
+    assert doc["message"].endswith(" (3 distinct rows)")
     assert not out.exists()
 
 

@@ -33,7 +33,7 @@ from spothedge import pipeline
 from spothedge.domain import (Contract, ElasticityCurve, MarketInstance,
                               SupplyStep, validate_instance, validate_scenarios)
 from spothedge.pipeline import (MissingObservation, NotPositiveDefinite,
-                                ParseError, estimate_q, factor_covariance,
+                                ParseError, TooFewDistinctRows, estimate_q, factor_covariance,
                                 ingest_lmp_csv, kmeans_reduce, knee_point,
                                 scenarios_from_representatives)
 
@@ -631,13 +631,15 @@ def test_kmeans_refuses_more_clusters_than_distinct_rows():
     again, so the reduction used to run all KMEANS_MAX_ITER rounds and
     return the last one's state; now it takes no such row and, with none
     left, refuses k.  Up to the distinct count it still converges."""
-    with pytest.raises(ValueError, match="^cannot make 2 clusters of 1 distinct rows: "):
+    with pytest.raises(TooFewDistinctRows,
+                       match=r"^cannot make 2 clusters: .*\(1 distinct rows\)$"):
         kmeans_reduce(np.zeros((5, 2)), k=2, seed=3)
     base = np.array([[30.0, 31.0], [45.0, 31.0], [30.0, 52.5], [30.0, 31.5]])
     x = np.repeat(base, [9, 2, 6, 11], axis=0)
     for k in (5, 7, 28):
         for seed in (0, 5):
-            with pytest.raises(ValueError, match=f"^cannot make {k} clusters of 4 "):
+            with pytest.raises(TooFewDistinctRows,
+                               match=rf"^cannot make {k} clusters: .*\(4 distinct rows\)$"):
                 kmeans_reduce(x, k, seed=seed)
     red = kmeans_reduce(x, 4, seed=5)
     assert red.inertia == 0.0
@@ -646,7 +648,8 @@ def test_kmeans_refuses_more_clusters_than_distinct_rows():
     # ulp off the row: its cluster still sits on every copy
     x = np.repeat([[36.96, 36.5, 36.74], [41.09, 36.89, 40.2]], [10, 6], axis=0)
     assert (x[:10].mean(axis=0) != x[0]).any() and (x[10:].mean(axis=0) != x[10]).any()
-    with pytest.raises(ValueError, match="^cannot make 3 clusters of 2 distinct rows: "):
+    with pytest.raises(TooFewDistinctRows,
+                       match=r"^cannot make 3 clusters: .*\(2 distinct rows\)$"):
         kmeans_reduce(x, 3, seed=0)
 
 
@@ -736,18 +739,18 @@ def test_kmeans_equals_the_oracle_when_clusters_empty(order):
     # coincide, ties go to the lowest index, and an emptied cluster finds no
     # row to re-seed on that differs from every live centroid
     base = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 5.0]])
-    cases = [(np.full((7, 3), 2.5), (4,)), (np.repeat(base, [5, 3, 4], axis=0), (4, 6, 12))]
-    for x, ks in cases:
-        x = np.asarray(x, order=order)
+    three = np.asarray(np.repeat(base, [5, 3, 4], axis=0), order=order)
+    for x, ks in [(np.asarray(np.full((7, 3), 2.5), order=order), (4,)), (three, (4, 6, 12))]:
         for k in ks:
             for seed in (0, 1, 7):
-                with pytest.raises(ValueError) as got:
+                with pytest.raises(TooFewDistinctRows) as got:
                     kmeans_reduce(x, k, seed=seed)
-                with pytest.raises(ValueError) as want:
+                with pytest.raises(TooFewDistinctRows) as want:
                     kmeans_reduce_einsum(x, k, seed=seed)
-                assert str(got.value).startswith(str(want.value) + ": ")
+                assert str(got.value) == str(want.value)
     for seed in (0, 1, 7):
-        assert_same_reduction(x, 3, seed)
+        assert_same_reduction(three, 3, seed)
+        assert (kmeans_reduce(three, 3, seed=seed).probabilities > 0).all()
 
 
 def test_kmeans_screen_leaves_near_ties_to_the_exact_distances():
@@ -899,6 +902,24 @@ def test_kmeans_scan_reaps_its_workers_when_the_parent_raises(monkeypatch, tmp_p
     with pytest.raises(ValueError, match="no k-means here"):
         # the parent takes the largest k first
         pipeline.kmeans_scan(x, range(1, 9), 0, scan_log(log, fail_on=8))
+    assert_reaped(logged_pids(log))
+
+
+@pytest.mark.parametrize("cpus", [1, 3, 5])
+def test_kmeans_scan_names_the_largest_k_it_cannot_make(monkeypatch, tmp_path, cpus):
+    # k = 6 and 4 fail in whichever processes take them; the parent takes 8
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    x = mixture(np.random.default_rng(17), 200, 2)
+    log = tmp_path / "runs.log"
+    logged = scan_log(log)
+
+    def reduce(matrix, k, seed):
+        reduced = logged(matrix, k, seed)
+        if k in (4, 6):
+            raise TooFewDistinctRows(f"no k = {k}")
+        return reduced
+    with pytest.raises(TooFewDistinctRows, match="^no k = 6$"):
+        pipeline.kmeans_scan(x, range(1, 9), 0, reduce)
     assert_reaped(logged_pids(log))
 
 

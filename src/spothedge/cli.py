@@ -23,9 +23,11 @@ curve, run in the process itself, whose knee is N.
 
 Each subcommand returns the JSON document it prints, as text, and the
 files it writes; main alone loads the instance, and once the subcommand has
-succeeded makes the --out directory, writes the files into it and prints
-the document last.  So a failing run makes no directory and prints nothing
-on stdout.
+succeeded makes the --out directory, writes the files into it under
+temporary names, renames them once the last is written and prints the
+document last.  So a run whose work fails makes no directory, a failed
+write leaves the files of an earlier run in place, and stdout stays empty
+on every failure.
 
 Exit codes: 0 success, 2 bad input, 3 solver failure.  Any failure prints a
 single JSON object to stderr, e.g. {"error": "io", "message": "..."}.
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -413,19 +416,30 @@ def _cmd_validate(args, instance: MarketInstance) -> tuple[str, dict]:
 
 def _save(out: Path, files: dict) -> None:
     """Make the directory out and put each file in it: text as UTF-8, a
-    writer called with the file's path; an OSError names what failed."""
-    path = out
+    writer called with a path.  Each file is written under a temporary
+    name in out, and all are renamed once the last is written, so a failed
+    write leaves out as it was.  An OSError names the file, not its
+    temporary name."""
+    path, temporary = out, {}
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name, content in files.items():
             path = out / name
+            temporary[path] = out / f".{name}.{os.getpid()}.tmp"
             if callable(content):
-                content(path)
+                content(temporary[path])
             else:
-                path.write_text(content, encoding="utf-8")
+                temporary[path].write_text(content, encoding="utf-8")
+        for path, temp in temporary.items():
+            temp.replace(path)
     except OSError as exc:
-        what = f"create output directory {out}" if path is out else f"write {path}"
-        raise CliError("io", f"cannot {what}: {exc}") from exc
+        for temp in temporary.values():
+            temp.unlink(missing_ok=True)
+        if path is out:
+            raise CliError("io", f"cannot create output directory {out}: {exc}") from exc
+        # an error on a temporary name reads as one on the file itself
+        reason = OSError(exc.errno, exc.strerror, str(path)) if exc.filename else exc
+        raise CliError("io", f"cannot write {path}: {reason}") from exc
 
 
 # ----------------------------------------------------------------------

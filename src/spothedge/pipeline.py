@@ -14,17 +14,16 @@ inputs the allocation models need:
    about INGEST_CHUNK_BYTES that end at a line break, each split into
    lines and then into fields by one str.split of the whole block, and
    parsed straight into the span's own (timestamp, node) price grid, NaN
-   where no row gave a price.  The csv module reads only what that split
-   cannot: a file with a quote (a quoted field may hold a line break or a
-   comma), which is one span read whole, and a block whose lines are not
-   all as wide as the header.  The spans merge in file order, where the
+   where no row gave a price.  The spans merge in file order, where the
    rows read and the cells left NaN find duplicates and holes.  Memory is
    one block of text per process, the grid, and one dict entry per
-   timestamp and node.  This pass only notices that something is wrong.
-   A file with a problem is read a second time, row by row, and that
-   reading names the first problem a row-by-row reader meets, at its csv
-   line; it keeps one dict entry per timestamp and node and one integer
-   code per cell.
+   timestamp and node.  This pass reads only a file without a quote (a
+   quoted field may hold a line break or a comma) whose lines are all as
+   wide as the header, and it only notices that something is wrong.  Any
+   other file, and any file with a problem, is read row by row by the csv
+   module (_read_rows), which returns the history or names the first
+   problem it meets, at its csv line; it keeps one dict entry per
+   timestamp and node and one float per cell.
 2. kmeans_reduce: deterministic k-means (greedy farthest-point seeding from
    a fixed seed, lowest-index tie-breaks) whose clusters become scenarios;
    the representative of a cluster is the member closest to its centroid
@@ -76,14 +75,13 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import operator
 import os
 import pickle
 import shutil
 import stat
 import sys
 import tempfile
-import traceback
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,10 +156,11 @@ def ingest_lmp_csv(path, column_map: dict | None = None) -> PriceHistory:
     text the csv module rejects (such as a field over its size limit) raise
     ParseError with the offending line number; a node missing some
     timestamp, or a timestamp without a system row, raises
-    MissingObservation.  A file with any problem is read a second time, row
-    by row, to name the first one.  A UTF-8 byte order mark before the
-    header is skipped.  A path that is not a regular file, such as a pipe,
-    is first copied into a temporary file, which is read in its place.
+    MissingObservation.  A file with a quote, a line not as wide as the
+    header or any problem is read row by row, which names the first
+    problem.  A UTF-8 byte order mark before the header is skipped.  A path
+    that is not a regular file, such as a pipe, is first copied into a
+    temporary file, which is read in its place.
     """
     colmap = dict(DEFAULT_COLUMNS)
     if column_map:
@@ -184,18 +183,16 @@ def _ingest(path, colmap) -> PriceHistory:
     """The history of a regular file, or the first problem in it."""
     try:
         return _pivot(path, colmap)
-    except (csv.Error, ValueError, LookupError, OSError) as exc:
-        traceback.clear_frames(exc.__traceback__)  # free _pivot's arrays before reading again
-        problem = _first_problem(path, colmap)
-        if problem is None:  # a read error that did not happen again
-            raise
-        raise problem from exc
+    except (csv.Error, ValueError, LookupError, OSError):
+        pass  # read again after the handler, which frees _pivot's arrays
+    return _read_rows(path, colmap)
 
 
 def _pivot(path, colmap) -> PriceHistory:
-    """The history of a file without problems.  Any problem raises csv.Error,
+    """The history of a file without problems, without a quote and with
+    every line as wide as the header.  Any other file raises csv.Error,
     ValueError, LookupError or OSError, not always where a row-by-row
-    reader would meet it first."""
+    reader would meet a problem first."""
     spans = _pieces(path)
     read = _spread(spans, lambda span: _read_piece(path, span, colmap))
     if len(spans) == 1:
@@ -216,6 +213,11 @@ def _pivot(path, colmap) -> PriceHistory:
     if not (system_key in names and len(names) > 1 and rows == grid.size
             and not np.isnan(grid).any()):
         raise ValueError("not one price for every timestamp and node")
+    return _history(timestamps, names, grid, system_key)
+
+
+def _history(timestamps, names, grid, system_key) -> PriceHistory:
+    """The history of a price grid without holes, one column per name."""
     node_order = tuple(sorted(name for name in names if name != system_key))
     column = {name: c for c, name in enumerate(names)}
     return PriceHistory(timestamps=timestamps, nodes=node_order,
@@ -223,12 +225,11 @@ def _pivot(path, colmap) -> PriceHistory:
                         system=grid[:, column[system_key]].copy())
 
 
-def _pieces(path) -> list[tuple[int, int | None]]:
+def _pieces(path) -> list[tuple[int, int]]:
     """Byte spans (start, stop) that cover the file in order: one per CPU,
     none below INGEST_MIN_PIECE bytes, each but the last ending after a
-    newline.  A line break ends a record unless the file holds a quote, as
-    a quoted field may hold one: such a file is one span (0, None), which
-    the csv module reads whole."""
+    newline.  A file with a quote raises ValueError, as a quoted field may
+    hold a line break."""
     size = os.path.getsize(path)
     count = max(1, min(_cpus(), size // INGEST_MIN_PIECE, FORK_MAX_ITEMS))
     cuts, targets = [0], [size * i // count for i in range(1, count)]
@@ -236,7 +237,7 @@ def _pieces(path) -> list[tuple[int, int | None]]:
         base = 0
         while block := handle.read(1 << 20):
             if b'"' in block:
-                return [(0, None)]
+                raise ValueError("a quote, which only the csv module reads")
             while targets and (at := block.find(b"\n", max(targets[0] - 1 - base, 0))) >= 0:
                 cuts.append(base + at + 1)
                 targets.pop(0)
@@ -273,30 +274,17 @@ def _read_piece(path, span, colmap):
 
 def _columns(path, span, colmap):
     """The timestamp, node and price fields, stripped, of the records in one
-    span of the file, in chunks of about INGEST_CHUNK_BYTES of text.
-
-    A file with a quote (span stop None) is read whole by the csv module.
-    Any other span is read in blocks that end at a line break; _split cuts
-    each block into fields at once, and the csv module reads only a block
-    that _split cannot.  The header is the file's first record.
-    """
+    span of a quote-free file, in blocks of about INGEST_CHUNK_BYTES of text
+    that end at a line break, each cut into fields at once by _split.  The
+    header is the file's first line."""
     start, stop = span
-    if stop is None:
-        with open(path, encoding="utf-8-sig", newline="") as text:
-            reader = csv.reader(text)
-            picks = _picks(next(reader, ()), colmap)
-            # records of about 32 bytes, as price rows are
-            while records := list(itertools.islice(reader, max(1, INGEST_CHUNK_BYTES >> 5))):
-                yield _picked(records, picks)
-        return
     with open(path, "rb") as handle:
         header, end = _header(handle)
         picks = _picks(header, colmap)
         start = max(start, end)
         handle.seek(start)
         for block in _blocks(handle, stop - start):
-            yield (_split(block, len(header), picks)
-                   or _picked(csv.reader(map(bytes.decode, block.splitlines())), picks))
+            yield _split(block, len(header), picks)
 
 
 def _header(handle) -> tuple[list[str], int]:
@@ -311,13 +299,6 @@ def _picks(header, colmap) -> list[int]:
     name the header repeats is read from its last column."""
     where = {name: i for i, name in enumerate(header)}
     return [where[colmap[key]] for key in ("timestamp", "node", "price")]
-
-
-def _picked(records, picks) -> list[list[str]]:
-    """The picked fields, stripped, of csv records; blank lines (no fields)
-    are skipped."""
-    rows = [row for row in records if row]
-    return [list(map(str.strip, map(operator.itemgetter(i), rows))) for i in picks]
 
 
 def _blocks(handle, left):
@@ -339,15 +320,16 @@ def _blocks(handle, left):
         yield rest
 
 
-def _split(block, width, picks) -> list[list[str]] | None:
+def _split(block, width, picks) -> list[list[str]]:
     """The picked fields, stripped, of a block of quote-free lines, each a
-    record, cut in one pass over the block; None when a line is not `width`
-    fields wide, or may hold a field over the csv module's size limit, as
-    the csv module must read such a block.  Blank lines are skipped."""
+    record, cut in one pass over the block.  ValueError when a line is not
+    `width` fields wide, or may hold a field over the csv module's size
+    limit, as only the csv module reads such a line.  Blank lines are
+    skipped."""
     lines = list(filter(None, block.splitlines()))  # breaks at \r, \n and \r\n only
     count, limit = len(lines), csv.field_size_limit()
     if len(block) > limit and max(map(len, lines), default=0) > limit:
-        return None
+        raise ValueError("a line that may hold a field over the csv module's size limit")
     joined = b",\n,".join(lines)  # no line holds a \n: a field "\n" ends each record
     del lines  # one copy of the block's text at a time
     padded = not joined.isascii() or any(map(joined.__contains__, ASCII_BLANKS))
@@ -355,76 +337,77 @@ def _split(block, width, picks) -> list[list[str]] | None:
     del joined
     stride = width + 1
     if len(fields) != count * stride - 1 or fields[width::stride].count("\n") != count - 1:
-        return None
+        raise ValueError("a line not as wide as the header")
     columns = [fields[i::stride] for i in picks]
     return [list(map(str.strip, column)) for column in columns] if padded else columns
 
 
-def _first_problem(path, colmap) -> ParseError | MissingObservation | None:
-    """The first problem a row-by-row reader of the file meets, None for none.
+def _read_rows(path, colmap) -> PriceHistory:
+    """The history of the file as the csv module reads it, row by row, or
+    the first problem that reading meets.
 
-    Rows are checked in file order, blank lines skipped and short rows read
-    as empty fields: on each row a malformed field comes before a duplicate
+    Rows are read in file order, blank lines skipped and short rows read as
+    empty fields: on each row a malformed field comes before a duplicate
     (timestamp, node), and a row before text that the reader fails on after
     it.  The grid checks (no rows, no market nodes, holes, in timestamp
     order) come after the whole file.  Memory is one dict entry per
-    timestamp and node name and one integer code per cell.
+    timestamp and node name and one float per cell.
     """
     system_key = colmap["system"]
-    node_ids: dict[str, int] = {}  # code of each node
-    present: dict[str, set[int]] = {}  # codes of the nodes seen at each timestamp
-    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+    names: dict[str, int] = {}  # column of each node
+    grid: dict[str, array] = {}  # prices at each timestamp, NaN where no row gave one
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)
             if header is None:
-                return ParseError("empty file", 1)
+                raise ParseError("empty file", 1)
             missing_cols = {colmap[key] for key in ("timestamp", "node", "price")} - set(header)
             if missing_cols:
-                return ParseError(f"missing columns {sorted(missing_cols)}", 1)
+                raise ParseError(f"missing columns {sorted(missing_cols)}", 1)
             picks = _picks(header, colmap)
+            at_ts, at_node, at_price = picks
+            width, nan = max(picks) + 1, array("d", [math.nan])
             for row in reader:
                 if not row:
                     continue
-                ts, node, raw = (row[i].strip() if i < len(row) else "" for i in picks)
-                message = _row_problem(ts, node, raw)
-                if message is None:
-                    codes = present.setdefault(ts, set())
-                    code = node_ids.setdefault(node, len(node_ids))
-                    if code in codes:
-                        message = f"duplicate observation for ({ts}, {node})"
-                    codes.add(code)
-                if message is not None:
-                    return ParseError(message, reader.line_num)
+                if len(row) < width:  # a short row reads as empty fields
+                    row += [""] * (width - len(row))
+                ts, node, raw = row[at_ts].strip(), row[at_node].strip(), row[at_price].strip()
+                if not ts or not node:
+                    raise ParseError("empty timestamp or node", reader.line_num)
+                try:
+                    price = float(raw)
+                except ValueError:
+                    raise ParseError(f"bad price {raw!r}", reader.line_num) from None
+                if not math.isfinite(price):
+                    raise ParseError(f"non-finite price {raw!r}", reader.line_num)
+                column = names.setdefault(node, len(names))
+                prices = grid.get(ts, ())
+                if column >= len(prices):  # NaN for each node the timestamp has not met
+                    prices = grid[ts] = array("d", prices) + nan * (len(names) - len(prices))
+                if not math.isnan(prices[column]):
+                    raise ParseError(f"duplicate observation for ({ts}, {node})", reader.line_num)
+                prices[column] = price
         except UnicodeDecodeError as exc:
-            return ParseError(f"not UTF-8 text: {exc.reason}", _undecodable_line(path))
+            raise ParseError(f"not UTF-8 text: {exc.reason}", _undecodable_line(path)) from None
         except csv.Error as exc:
-            return ParseError(f"unreadable CSV: {exc}", reader.line_num)
+            raise ParseError(f"unreadable CSV: {exc}", reader.line_num) from None
 
-    if not present:
-        return ParseError("no data rows", 2)
-    markets = sorted(name for name in node_ids if name != system_key)
-    if not markets:
-        return MissingObservation("no market nodes besides the system row")
-    for stamp, codes in present.items():
-        if len(codes) <= len(markets):  # not every market and the system
-            if node_ids.get(system_key) not in codes:
-                return MissingObservation(f"no system ({system_key}) price at {stamp}")
-            node = next(name for name in markets if node_ids[name] not in codes)
-            return MissingObservation(f"node {node} has no price at {stamp}")
-    return None
-
-
-def _row_problem(ts: str, node: str, raw_price: str) -> str | None:
-    if not ts or not node:
-        return "empty timestamp or node"
-    try:
-        price = float(raw_price)
-    except ValueError:
-        return f"bad price {raw_price!r}"
-    if not math.isfinite(price):
-        return f"non-finite price {raw_price!r}"
-    return None
+    if not grid:
+        raise ParseError("no data rows", 2)
+    if not names.keys() - {system_key}:
+        raise MissingObservation("no market nodes besides the system row")
+    cells = np.frombuffer(b"".join(grid.values()))
+    if system_key in names and cells.size == len(grid) * len(names) and not np.isnan(cells).any():
+        return _history(tuple(grid), tuple(names), cells.reshape(len(grid), -1), system_key)
+    for stamp, prices in grid.items():  # the first timestamp with a hole
+        have = {name for name, column in names.items()
+                if column < len(prices) and not math.isnan(prices[column])}
+        if system_key not in have:
+            raise MissingObservation(f"no system ({system_key}) price at {stamp}")
+        if len(have) < len(names):
+            raise MissingObservation(f"node {min(names.keys() - have)} has no price at {stamp}")
 
 
 def _undecodable_line(path) -> int:

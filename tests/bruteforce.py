@@ -23,6 +23,7 @@ MAX_VARIABLES = 8
 MAX_ROWS = 12
 
 _DET_TOL = 1e-12
+BATCH = 32  # programs of one shape enumerated together; bounds a batch's memory
 
 
 class DimensionTooLarge(ValueError):
@@ -46,23 +47,24 @@ def _corners(n: int) -> np.ndarray:
     return bits
 
 
-def _candidate_block(a, b, lower, upper, r, m, n):
-    """All basic-solution candidates with exactly r active rows, (count, n)."""
+def _candidate_blocks(a, b, lower, upper, r):
+    """All basic-solution candidates with exactly r active rows of each
+    program stacked in a (G, m, n), b (G, m), lower and upper (G, n): a
+    list of G arrays (count, n), each as the program alone would give it."""
+    g, m, n = a.shape
     if r == 0:
-        return np.where(_corners(n), upper[None, :], lower[None, :])
+        return list(np.where(_corners(n), upper[:, None, :], lower[:, None, :]))
 
     rows_c = _subsets(m, r)  # (CR, r)
     vars_c = _subsets(n, r)  # (CB, r)
-    mats = a[rows_c[:, None, :, None], vars_c[None, :, None, :]]  # (CR, CB, r, r)
+    mats = a[:, rows_c[:, None, :, None], vars_c[None, :, None, :]]  # (G, CR, CB, r, r)
 
     # Hadamard-scaled determinant filter: drop singular active sets.
     dets = np.linalg.det(mats)
     hadamard = np.sqrt((mats ** 2).sum(axis=-1)).prod(axis=-1)
-    keep_r, keep_b = np.nonzero(np.abs(dets) > _DET_TOL * np.maximum(hadamard, 1.0))
-    if keep_r.size == 0:
-        return np.empty((0, n))
+    keep_g, keep_r, keep_b = np.nonzero(np.abs(dets) > _DET_TOL * np.maximum(hadamard, 1.0))
 
-    mats = mats[keep_r, keep_b]  # (K, r, r)
+    mats = mats[keep_g, keep_r, keep_b]  # (K, r, r), program by program
     rows_k = rows_c[keep_r]  # (K, r)
     vars_k = vars_c[keep_b]  # (K, r)
 
@@ -72,10 +74,11 @@ def _candidate_block(a, b, lower, upper, r, m, n):
 
     # Every lower/upper assignment of the nonbasic variables, solved at once.
     bits = _corners(n - r)  # (P, n-r)
-    x_nb = np.where(bits[None, :, :], upper[nonbasic][:, None, :],
-                    lower[nonbasic][:, None, :])  # (K, P, n-r)
-    a_nb = a[rows_k[:, :, None], nonbasic[:, None, :]]  # (K, r, n-r)
-    rhs = b[rows_k][:, None, :] - np.einsum("krn,kpn->kpr", a_nb, x_nb)
+    program = keep_g[:, None]
+    x_nb = np.where(bits[None, :, :], upper[program, nonbasic][:, None, :],
+                    lower[program, nonbasic][:, None, :])  # (K, P, n-r)
+    a_nb = a[keep_g[:, None, None], rows_k[:, :, None], nonbasic[:, None, :]]  # (K, r, n-r)
+    rhs = b[program, rows_k][:, None, :] - np.einsum("krn,kpn->kpr", a_nb, x_nb)
     x_basic = np.linalg.solve(mats[:, None, :, :], rhs[..., None])[..., 0]  # (K, P, r)
 
     points = np.empty((vars_k.shape[0], bits.shape[0], n))
@@ -83,7 +86,8 @@ def _candidate_block(a, b, lower, upper, r, m, n):
                       x_basic, axis=2)
     np.put_along_axis(points, np.broadcast_to(nonbasic[:, None, :], x_nb.shape),
                       x_nb, axis=2)
-    return points.reshape(-1, n)
+    ends = np.cumsum(np.bincount(keep_g, minlength=g))[:-1] * bits.shape[0]
+    return np.split(points.reshape(-1, n), ends)
 
 
 def brute_force_solve(lp: LinearProgram, feas_tol: float = 1e-7) -> LpSolution:
@@ -93,6 +97,33 @@ def brute_force_solve(lp: LinearProgram, feas_tol: float = 1e-7) -> LpSolution:
     any bound is infinite.  With finite bounds the program is never
     unbounded, so the status is OPTIMAL or INFEASIBLE.
     """
+    return brute_force_solve_all([lp], feas_tol)[0]
+
+
+def brute_force_solve_all(lps, feas_tol: float = 1e-7) -> list[LpSolution]:
+    """brute_force_solve of every program, each solution the same as alone.
+
+    The programs of one shape (rows, variables) are enumerated together,
+    BATCH at a time, so that one NumPy call per active-row count serves a
+    whole batch.
+    """
+    programs = [_dense(lp) for lp in lps]
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for i, (a, *_) in enumerate(programs):
+        shapes.setdefault(a.shape, []).append(i)
+    solutions = [None] * len(programs)
+    for (m, n), members in shapes.items():
+        for lo in range(0, len(members), BATCH):
+            batch = members[lo:lo + BATCH]
+            a, b, lower, upper = (np.stack([programs[i][f] for i in batch]) for f in range(4))
+            blocks = [_candidate_blocks(a, b, lower, upper, r) for r in range(min(m, n) + 1)]
+            for i, points in zip(batch, zip(*blocks)):
+                solutions[i] = _best(*programs[i], np.concatenate(points, axis=0), feas_tol)
+    return solutions
+
+
+def _dense(lp: LinearProgram):
+    """(a, b, lower, upper, relations, c) of a program within the limits."""
     n, m = lp.num_variables, lp.num_rows
     if n > MAX_VARIABLES or m > MAX_ROWS:
         raise DimensionTooLarge(f"{n} variables, {m} rows exceeds enumeration limits")
@@ -100,15 +131,14 @@ def brute_force_solve(lp: LinearProgram, feas_tol: float = 1e-7) -> LpSolution:
     if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
         raise ValueError("brute force enumeration requires finite bounds on every variable")
     a, b, relations = lp.dense()
-    c = lp.objective_array()
+    return a, b, lower, upper, relations, lp.objective_array()
 
-    blocks = [_candidate_block(a, b, lower, upper, r, m, n)
-              for r in range(min(m, n) + 1)]
-    points = np.concatenate(blocks, axis=0)
 
+def _best(a, b, lower, upper, relations, c, points, feas_tol) -> LpSolution:
+    """The best feasible candidate, the first of equals; INFEASIBLE for none."""
     bound_tol = feas_tol * (1.0 + np.maximum(np.abs(lower), np.abs(upper)))
     ok = ((points >= lower - bound_tol) & (points <= upper + bound_tol)).all(axis=1)
-    if m:
+    if len(b):
         residual = points @ a.T - b  # (count, m)
         row_tol = feas_tol * (1.0 + np.abs(b))
         for i, rel in enumerate(relations):

@@ -7,6 +7,7 @@ parsed as JSON to pin the machine-readable contract.
 import contextlib
 import csv
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -887,6 +888,29 @@ def test_a_file_that_cannot_be_written_is_named_in_an_io_error(capsys, micro_fil
     assert (code, stdout, doc["error"]) == (2, "", "io")
     assert doc["message"] == (f"cannot write {out}/tradeoff.csv: [Errno 21] Is a directory: "
                               f"'{out}/tradeoff.csv'")
+
+
+def test_a_failed_write_leaves_the_earlier_files_in_out(capsys, micro_files, tmp_path,
+                                                        monkeypatch):
+    """Each file is written under a temporary name and renamed only once the
+    last one is written: a write that fails leaves out holding the earlier
+    run's files, byte for byte, and no temporary file."""
+    ipath, spath = micro_files
+    out = tmp_path / "out"
+    argv = ["sweep", "--instance", str(ipath), "--scenarios", str(spath), "--out", str(out)]
+    assert run(capsys, *argv, "--alpha-grid", "0.5")[0] == 0
+    found = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(found) == ["failures.json", "metrics.csv", "tradeoff.csv"]
+
+    def full_disk(rows, path):
+        pathlib.Path(path).write_text("partial")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    monkeypatch.setattr(metrics, "write_tradeoff_csv", full_disk)
+    code, stdout, err = run(capsys, *argv, "--alpha-grid", "0.25")
+    doc = one_json_object(err)
+    assert (code, stdout, doc["error"]) == (2, "", "io")
+    assert doc["message"] == f"cannot write {out}/tradeoff.csv: [Errno 28] No space left on device"
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == found
 
 
 @pytest.mark.parametrize("what, change, problem", [

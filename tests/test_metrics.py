@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import micro_instance, micro_scenarios
 from helpers import toy_case
-from spothedge import metrics
+from spothedge import metrics, simplex
 from spothedge.formulations import (CVAR, DRO, PER_PERIOD, PER_SCENARIO,
                                     RISK_NEUTRAL, FormulationConfig,
                                     build_risk_neutral, extract_report,
@@ -372,3 +372,26 @@ def test_failed_first_grid_point_leaves_the_other_rows_cold_equal(monkeypatch):
     for gamma in GAMMAS:
         del want[CVAR, ALPHAS[0], None, gamma]
     assert rows == want
+
+
+def test_blands_rule_in_every_primal_iteration_gives_the_same_sweep(monkeypatch):
+    """Degenerate programs fall back on Bland's rule after a stall, which
+    no tier-1 program reaches: with the rule forced on every primal pricing
+    and ratio test of the toy S = 16 sweep, it picks entering columns and
+    every row keeps its zeta and chi."""
+    want = keyed(toy_sweep(16))
+    entering, ratio_test = simplex._entering, simplex._ratio_test
+    picked = []
+
+    def bland_entering(state, d, bland):
+        picked.append(entering(state, d, True))
+        return picked[-1]
+    monkeypatch.setattr(simplex, "_entering", bland_entering)
+    monkeypatch.setattr(simplex, "_ratio_test", lambda state, j, direction, w, bland:
+                        ratio_test(state, j, direction, w, True))
+    got = keyed(toy_sweep(16))
+    assert any(j is not None for j in picked)
+    assert got.keys() == want.keys()
+    for key, row in got.items():
+        assert row.zeta == pytest.approx(want[key].zeta, rel=1e-9), key
+        assert row.chi == pytest.approx(want[key].chi, rel=1e-9), key

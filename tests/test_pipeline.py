@@ -162,6 +162,14 @@ def test_ingest_missing_system_row(tmp_path):
     write_csv(only_system, [("t1", "SYSTEM", "9.0")])
     with pytest.raises(MissingObservation, match="no market nodes"):
         ingest_lmp_csv(only_system)
+    # every market at every timestamp and no system row at all, read by the
+    # block split and, with a quoted field, by the csv module alone
+    lines = ["timestamp,node,price", "t1,A,10", "t1,B,11", "t2,A,12", "t2,B,13"]
+    for text in (lines, lines[:-1] + ['"t2",B,13']):
+        write_text(path, text)
+        with pytest.raises(MissingObservation) as info:
+            ingest_lmp_csv(path)
+        assert str(info.value) == "no system (SYSTEM) price at t1"
 
 
 @pytest.fixture(params=[1, 2, 3, None], ids=["chunk1", "chunk2", "chunk3", "default"])
@@ -361,10 +369,10 @@ def mutate(rows, op, at, field):
     return rows
 
 
-def ingest_outcome(path):
+def ingest_outcome(path, read=ingest_lmp_csv):
     """The history's bytes, or the type, message and line of the error."""
     try:
-        history = ingest_lmp_csv(path)
+        history = read(path)
     except (ParseError, MissingObservation) as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
     return history.timestamps, history.nodes, history.nodal.tobytes(), history.system.tobytes()
@@ -378,9 +386,9 @@ def csv_dir(tmp_path_factory):
 def ingests_as_csv_reads_it(path):
     """The outcome of ingest, asserted the same for every block size and
     every CPU count the file is cut for as when the csv module reads the
-    whole file."""
-    with mock.patch.object(pipeline, "_pieces", lambda path: [(0, None)]):  # as a quoted file
-        reference = ingest_outcome(path)
+    whole file row by row."""
+    reference = ingest_outcome(path, lambda path: pipeline._read_rows(
+        path, pipeline.DEFAULT_COLUMNS))
     outcomes = set()
     for cpus, size in itertools.product((1, 2, 3), (1, 2, 3, pipeline.INGEST_CHUNK_BYTES)):
         with mock.patch.object(pipeline, "INGEST_CHUNK_BYTES", size), \
@@ -400,16 +408,13 @@ def write_rows(path, rows):
                                     st.integers(0, 2)), max_size=3))
 def test_a_mutated_price_csv_ingests_or_fails_typed(csv_dir, mutations):
     """Ingest returns a history or raises ParseError or MissingObservation,
-    as the csv module's reading does, and fails exactly when the row-by-row
-    reading finds a problem."""
+    as the csv module's row-by-row reading does."""
     rows = PRICE_ROWS
     for mutation in mutations:
         rows = mutate(rows, *mutation)
     path = csv_dir / "history.csv"
     write_rows(path, rows)
-    outcome = ingests_as_csv_reads_it(path)
-    failed = outcome[0] in (ParseError, MissingObservation)
-    assert failed == (pipeline._first_problem(path, pipeline.DEFAULT_COLUMNS) is not None)
+    ingests_as_csv_reads_it(path)
 
 
 @pytest.mark.parametrize("op", CSV_MUTATIONS)
@@ -468,10 +473,14 @@ def test_spans_cover_the_file_and_end_after_a_newline(tmp_path, monkeypatch):
     assert all(stop == start for (_, stop), (start, _) in zip(spans, spans[1:]))
     assert all(text[stop - 1:stop] == b"\n" for _, stop in spans)
     assert ingest_lmp_csv(path).nodal.tolist() == [[10.0], [11.0]]
-    # a quoted field may hold a newline, and a file without one has no place to cut
-    for other in (text.replace(b"t2,A", b'"t2",A'), text.replace(b"\n", b"")):
-        path.write_bytes(other)
-        assert [start for start, _ in pipeline._pieces(path)] == [0]
+    # a file without a newline has no place to cut
+    path.write_bytes(text.replace(b"\n", b""))
+    assert [start for start, _ in pipeline._pieces(path)] == [0]
+    # a quoted field may hold a newline: only the csv module reads such a file
+    path.write_bytes(text.replace(b"t2,A", b'"t2",A'))
+    with pytest.raises(ValueError, match="quote"):
+        pipeline._pieces(path)
+    assert ingest_lmp_csv(path).nodal.tolist() == [[10.0], [11.0]]
 
 
 def test_ingest_reads_again_the_span_of_a_worker_that_fails(tmp_path, monkeypatch):
@@ -584,6 +593,27 @@ def test_ingest_peak_memory_of_a_long_history(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert history.nodal.shape == (20_000, 8)
     assert peak <= 12 * 2**20, peak
+
+
+def test_ingest_peak_memory_of_a_long_history_with_a_duplicate_row(tmp_path, monkeypatch):
+    """On one CPU, the same history with a copy of its first data row
+    appended is read again row by row, to name that line, and allocates at
+    most 9 MiB at its peak: one float per cell, not an entry in a set."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    path = tmp_path / "history.csv"
+    bench_gen().write_history(path, 20_000, 8, 0)
+    with open(path, "rb+") as handle:
+        first = handle.readlines()[1]
+        handle.write(first)
+    tracemalloc.start()
+    try:
+        err = ingest_error(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (type(err), err.line) == (ParseError, 180_002)
+    assert str(err).startswith("line 180002: duplicate observation for (")
+    assert peak <= 9 * 2**20, peak
 
 
 # ----------------------------------------------------------------------
